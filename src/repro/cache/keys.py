@@ -122,7 +122,8 @@ def image_key(src_digest: str, build_fp: str, mode: str,
 
     ``profiles_digest`` is empty for regular/instrumented builds; for
     optimized builds it binds the image to the exact profile content that
-    guided it (so a re-profiled workload re-builds).
+    guided it (so a re-profiled workload re-builds) — for the search-based
+    strategies, the seed profiles plus the search configuration.
     """
     return _derive("image", src_digest, build_fp, mode, code_ordering,
                    heap_ordering, profiles_digest, str(seed))

@@ -198,6 +198,11 @@ def _phase_dict(sweep: SweepResult) -> Dict[str, Any]:
         "cache_hits": sweep.cache_hits,
         "cache_misses": sweep.cache_misses,
         "cache_hit_rate": round(sweep.cache_hit_rate, 4),
+        # pipeline phases the sweep executed (``phase.<name>`` counters);
+        # a warm sweep must execute none
+        "phases_run": {name[len("phase."):]: count for name, count
+                       in sorted(sweep.metrics.counters.items())
+                       if name.startswith("phase.")},
     }
 
 
@@ -227,8 +232,11 @@ def _run_serial_legacy(workloads: Sequence[Workload],
             )
             results.append(run_task(task, _scheduler_config(config, None, 1)))
     _sched.reset_worker_state()
-    return SweepResult(tasks=results, wall_s=time.perf_counter() - start,
-                       workers=1)
+    sweep = SweepResult(tasks=results, wall_s=time.perf_counter() - start,
+                        workers=1)
+    for task in results:
+        sweep.metrics.merge(task.metrics)
+    return sweep
 
 
 #: ceiling on the attribution phase's cost relative to the cold sweep;
@@ -759,6 +767,10 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
         failures.append(
             f"warm cache hit rate {warm.get('cache_hit_rate')} (want 1.0)"
         )
+    if warm.get("phases_run"):
+        ran = ", ".join(f"{name} x{count}"
+                        for name, count in sorted(warm["phases_run"].items()))
+        failures.append(f"warm phase recomputed work: {ran} (want none)")
     attribution = payload.get("attribution")
     if attribution:
         overhead = attribution.get("overhead_vs_cold", 0.0)

@@ -127,6 +127,12 @@ class StrategySpec:
     def is_heap(self) -> bool:
         return self.heap_ordering is not None
 
+    @property
+    def is_search(self) -> bool:
+        """Whether an ordering comes from the layout search."""
+        return (self.code_ordering == CU_OPT_ORDERING
+                or self.heap_ordering == HEAP_OPT_ORDERING)
+
 
 #: The five strategies of the evaluation plus the combined one (Sec. 7.1).
 STRATEGY_CU = StrategySpec("cu", code_ordering="cu")
@@ -222,7 +228,7 @@ class WorkloadPipeline:
         self.verification = verification
         self.cache = cache
         #: drives the search-based strategies (cu-opt / heap-opt); part of
-        #: every augmented bundle's content, so cache keys stay honest
+        #: their image keys, so cache keys stay honest
         self.optimize_config = optimize_config or OptimizeConfig()
         self.quarantine = QuarantineRegistry()
         self.last_degradation_report: Optional[DegradationReport] = None
@@ -314,14 +320,15 @@ class WorkloadPipeline:
         profile).
 
         With a cache armed, the key binds the strategy, the *content
-        digest* of ``profiles``, both policies, and the seed; a hit
+        digest* of the seed ``profiles``, both policies, the seed and, for
+        the search-based strategies, ``self.optimize_config``; a hit
         restores the built image, its verification report, the degradation
-        report, and any quarantine conviction of the building run.
+        report, and any quarantine conviction of the building run without
+        running the reference build or the layout search.
         """
         self.last_verification_report = None
         if self._quarantine_applies(strategy):
             return self._build_quarantined(profiles, strategy, seed)
-        profiles = self.optimize_profiles(profiles, strategy, seed=seed)
         key = self._optimized_key(profiles, strategy, seed)
         if key is not None:
             binary = self.cache.get(KIND_IMAGE, key)
@@ -329,6 +336,7 @@ class WorkloadPipeline:
                 binary._cache_key = key
                 self._restore_rung(self.cache.get(KIND_REPORT, key), strategy)
                 return binary
+        profiles = self.optimize_profiles(profiles, strategy, seed=seed)
         if self.degradation_policy is not None:
             binary = self._build_optimized_degraded(profiles, strategy, seed)
         else:
@@ -367,11 +375,11 @@ class WorkloadPipeline:
         derived profile; for every other strategy — or when the bundle
         already carries the profile — the input bundle returns unchanged.
         Pure and deterministic given (profiles, strategy,
-        ``self.optimize_config``, seed), so the augmented bundle's digest
-        is stable and both :meth:`build_optimized` and the warm fast path
-        :meth:`cached_strategy_runs` derive identical cache keys.  When
-        the seed profiles a section's search needs are missing, no profile
-        is added and the degradation ladder falls back as usual.
+        ``self.optimize_config``, seed) — the key material of
+        :meth:`_optimized_key` — so :meth:`build_optimized` runs it only
+        on a cache miss.  When the seed profiles a section's search needs
+        are missing, no profile is added and the degradation ladder falls
+        back as usual.
         """
         if strategy is None:
             return profiles
@@ -396,7 +404,12 @@ class WorkloadPipeline:
     def _optimized_key(self, profiles: ProfileBundle,
                        strategy: Optional[StrategySpec],
                        seed: int) -> Optional[str]:
-        """Cache key of one optimized build; ``None`` = do not cache."""
+        """Cache key of one optimized build; ``None`` = do not cache.
+
+        Binds the build's *inputs* (seed ``profiles``, strategy, policies,
+        seed, and ``self.optimize_config`` for search-based strategies),
+        never a search's output, so it resolves without searching.
+        """
         if not self._cache_armed:
             return None
         # The final binary depends on the degradation ladder (fallbacks)
@@ -406,11 +419,14 @@ class WorkloadPipeline:
             "verify_structure": self.verification.verify_structure,
             "quarantine": self.verification.quarantine,
         }) if self.verification is not None else ""
+        material = f"{profiles.digest()}/{self._policy_fp}/{verif_fp}"
+        if strategy is not None and strategy.is_search:
+            material += f"/{self.optimize_config.fingerprint()}"
         return image_key(
             self._src_digest, self._build_fp, MODE_OPTIMIZED,
             strategy.code_ordering if strategy else None,
             strategy.heap_ordering if strategy else None,
-            f"{profiles.digest()}/{self._policy_fp}/{verif_fp}", seed,
+            material, seed,
         )
 
     def _restore_rung(self, rung: Optional[Dict[str, object]],
@@ -836,10 +852,12 @@ class WorkloadPipeline:
         cached, returns ``(baseline runs, optimized runs)`` without
         unpickling either image payload — metrics entries are keyed by
         image *key*, not image *content*, so the binaries never need to be
-        loaded.  Rung decisions (verification report, degradation report,
-        quarantine conviction) are restored from their side entry exactly
-        as a cached :meth:`build_optimized` would.  Returns ``None`` on
-        any miss; callers fall back to :meth:`run_strategy`.
+        loaded, and optimizer cells key on the cached seed profiles (see
+        :meth:`_optimized_key`), so no layout search runs.  Rung decisions
+        (verification report, degradation report, quarantine conviction)
+        are restored from their side entry exactly as a cached
+        :meth:`build_optimized` would.  Returns ``None`` on any miss;
+        callers fall back to :meth:`run_strategy`.
         """
         if not self._cache_armed:
             return None
@@ -851,12 +869,8 @@ class WorkloadPipeline:
         outcome = self.profile(seed=seed)  # a warm profile() is itself a hit
         if self._quarantine_applies(strategy):
             return None
-        # Optimizer strategies key on the *augmented* bundle; on a warm
-        # cache the reference build inside is itself a hit.
-        profiles = self.optimize_profiles(outcome.profiles, strategy,
-                                          seed=seed)
-        opt_key = self._optimized_key(profiles, strategy, seed)
-        if opt_key is None or not self.cache.contains(KIND_REPORT, opt_key):
+        opt_key = self._optimized_key(outcome.profiles, strategy, seed)
+        if not self.cache.contains(KIND_REPORT, opt_key):
             return None
         opt_runs = self._cached_measurements(opt_key, iterations, seed)
         if opt_runs is None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -40,6 +41,24 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 
 #: hard cap on buffered events; overflow is counted, never grows unbounded
 DEFAULT_MAX_EVENTS = 100_000
+
+
+def interned(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of ``record`` with its keys and string values interned.
+
+    Records shipped from workers arrive unpickled, each holding private
+    copies of the same few key and name strings; interning them on absorb
+    makes every buffered record share one object per distinct string.
+    Nested dicts (span ``args``) are interned the same way.
+    """
+    copy: Dict[str, Any] = {}
+    for key, value in record.items():
+        if type(value) is str:
+            value = sys.intern(value)
+        elif isinstance(value, dict):
+            value = interned(value)
+        copy[sys.intern(key)] = value
+    return copy
 
 
 class EventLog:
@@ -119,14 +138,15 @@ class EventLog:
 
         Events are re-sequenced into the parent's ``seq`` space (their
         original sequence survives as ``worker_seq``) so the absorbed
-        stream still has one total order.
+        stream still has one total order; keys and strings are
+        :func:`interned`.
         """
         with self._lock:
             for shipped in events:
                 if len(self._events) >= self.max_events:
                     self.dropped += 1
                     continue
-                event = dict(shipped)
+                event = interned(shipped)
                 if "seq" in event:
                     event["worker_seq"] = event["seq"]
                 event["seq"] = self._seq

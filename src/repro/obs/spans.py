@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from .events import get_event_log, interned
 from .metrics import metrics
 
 #: hard cap on buffered events; overflow is counted, never grows unbounded
@@ -99,9 +100,10 @@ class SpanTracer:
 
         Timestamps stay in the sender's own perf-counter timeline; the
         distinct ``pid`` keeps its lane separate in the trace viewer.
+        Keys and strings are :func:`~repro.obs.events.interned`.
         """
         for event in events:
-            self._emit(dict(event))
+            self._emit(interned(event))
 
     # -- export ------------------------------------------------------------
 
@@ -154,8 +156,6 @@ def phase(name: str, cat: str = "pipeline", **args: Any) -> Iterator[None]:
     a ``phase`` event into the correlated event log with the phase name
     as a causal id for anything emitted inside the block.
     """
-    from .events import get_event_log
-
     registry = metrics()
     log = get_event_log()
     start = time.perf_counter()

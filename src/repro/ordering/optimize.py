@@ -56,7 +56,12 @@ from ..image.sections import (
     TEXT_SECTION,
 )
 from ..util.murmur3 import murmur3_32
-from .coaccess import CoAccessGraph, DEFAULT_WINDOW, build_coaccess_graph
+from .coaccess import (
+    CoAccessGraph,
+    DEFAULT_WINDOW,
+    build_coaccess_graph,
+    layout_objective,
+)
 from .ids import HEAP_PATH
 from .profiles import CodeOrderProfile, HeapOrderProfile, ProfileBundle
 
@@ -369,9 +374,11 @@ def chain_merge_order(graph: CoAccessGraph, hot: Sequence[str],
     (ordered) chain pair whose junction adds the most locality objective,
     until no merge has positive gain.  Each merge adds exactly its junction
     gain to :func:`~repro.ordering.coaccess.layout_objective` (intra-chain
-    gaps are preserved by concatenation), so the objective is monotonically
-    non-decreasing — the property the hypothesis suite checks.  Remaining
-    chains concatenate in first-touch order of their heads.
+    gaps are preserved by concatenation).  Remaining chains concatenate in
+    first-touch order of their heads; that can drop cross-chain credit the
+    first-touch order ``hot`` earned, so ``hot`` itself is returned when it
+    scores higher — the result never loses to it, the property the
+    hypothesis suite checks.
     """
     window = window or graph.window
     chains: List[List[str]] = [[name] for name in hot]
@@ -399,7 +406,11 @@ def chain_merge_order(graph: CoAccessGraph, hot: Sequence[str],
                   if index not in (i, j)]
         chains.append(merged)
     chains.sort(key=lambda chain: min(rank[name] for name in chain))
-    return [name for chain in chains for name in chain]
+    merged = [name for chain in chains for name in chain]
+    if (layout_objective(graph, merged, window)
+            < layout_objective(graph, hot, window)):
+        return list(hot)
+    return merged
 
 
 def _junction_gain(graph: CoAccessGraph, left: Sequence[str],

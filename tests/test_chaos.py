@@ -253,9 +253,15 @@ class TestInlineChaosRecovery:
     def test_hang_trips_the_deadline_then_recovers(self, tmp_path):
         workloads = _workloads(1)
         reference = _reference(tmp_path, workloads)
+        cache_dir = str(tmp_path / "cache")
+        # Fill the cache fault-free first: the clean attempt then takes the
+        # warm fast path, which fits the 50 ms deadline on a slow host
+        # (recomputing after a hang is test_recovers_and_stays_byte_identical)
+        SweepScheduler(SchedulerConfig(cache_dir=cache_dir, max_workers=1)
+                       ).run(workloads, SPECS)
         policy = ChaosPolicy(seed=0, rate=1.0, classes=(CHAOS_HANG,),
                              hang_s=0.2)
-        config = SchedulerConfig(cache_dir=str(tmp_path / "cache"),
+        config = SchedulerConfig(cache_dir=cache_dir,
                                  max_workers=1, retry=FAST_RETRY,
                                  chaos=policy, task_deadline_s=0.05)
         sweep = SweepScheduler(config).run(workloads, SPECS)

@@ -186,10 +186,15 @@ class TestSpanTracer:
 
     def test_absorb_keeps_foreign_pid(self):
         tracer = SpanTracer()
-        tracer.absorb([{"name": "remote", "cat": "sched", "ph": "i",
-                        "s": "p", "ts": 1.0, "pid": 99999, "tid": 1,
-                        "args": {}}])
+        shipped = {"name": "remote", "cat": "sched", "ph": "i", "s": "p",
+                   "ts": 1.0, "pid": 99999, "tid": 1,
+                   "args": {"workload": "wl0"}}
+        # one pickle per event, as separate tasks ship them
+        tracer.absorb([pickle.loads(pickle.dumps(shipped)) for _ in "ab"])
         assert tracer.events[0]["pid"] == 99999
+        first, second = tracer.events
+        assert first == second == shipped and all(
+            a is b for a, b in zip(first, second))  # interned keys
 
     def test_event_cap_counts_drops(self):
         tracer = SpanTracer(max_events=2)
@@ -438,6 +443,12 @@ class TestEventLog:
         absorbed = parent.events[-1]
         assert absorbed["seq"] == 1  # parent's sequence space
         assert absorbed["worker_seq"] == 0  # original order preserved
+        [shipped] = worker.events
+        parent.absorb([pickle.loads(pickle.dumps(shipped)) for _ in "ab"])
+        first, second = parent.events[-2:]
+        assert dict(first, seq=0) == dict(second, seq=0) == dict(
+            shipped, worker_seq=0) and all(
+            a is b for a, b in zip(first, second))  # interned keys
         assert absorbed["task"] == "wl0/cu"
 
     def test_cap_counts_drops(self):

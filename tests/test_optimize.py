@@ -227,10 +227,12 @@ def test_same_seed_builds_byte_identical_layout():
 
 
 def test_optimizer_strategies_flow_through_warm_cache(tmp_path):
-    """cu-opt / heap-opt keep the warm 100%-hit-rate invariant: the
-    augmented bundle is recomputed identically, so the second sweep of the
-    same cell is served entirely from the cache."""
+    """cu-opt / heap-opt keep the warm 100%-hit-rate invariant: their
+    images key on the seed profiles, so the second sweep of the same cell
+    is served entirely from the cache without loading an image or running
+    any pipeline phase (no reference build, no search)."""
     from repro.cache import ArtifactCache
+    from repro.obs import get_registry
 
     for spec in (STRATEGY_CU_OPT, STRATEGY_HEAP_OPT):
         pipeline = WorkloadPipeline(
@@ -240,11 +242,45 @@ def test_optimizer_strategies_flow_through_warm_cache(tmp_path):
         warm = WorkloadPipeline(
             awfy_workload("Queens"), cache=ArtifactCache(tmp_path / spec.name)
         )
+        before = get_registry().snapshot()
         cached = warm.cached_strategy_runs(spec, seed=3)
         assert cached is not None
         assert warm.cache.stats.misses == 0
+        counters = get_registry().snapshot().diff(before).counters
+        assert not [name for name in counters if name.startswith("phase.")]
+        assert "image" not in warm.cache.stats.by_kind
         baseline_runs, optimized_runs = cached
         assert baseline_runs and optimized_runs
+
+
+def test_optimizer_image_keys_on_optimize_config(tmp_path):
+    """An equal OptimizeConfig hits the cached cu-opt image (byte-identical
+    layout digest) without searching; a different budget or search seed
+    misses it and searches again."""
+    from repro.cache import ArtifactCache
+    from repro.obs import get_registry
+
+    def build(config):
+        pipeline = WorkloadPipeline(awfy_workload("Queens"),
+                                    cache=ArtifactCache(tmp_path),
+                                    optimize_config=config)
+        bundle = pipeline.profile(seed=0).profiles
+        before = get_registry().snapshot()
+        misses = pipeline.cache.stats.by_kind.get("image", [0, 0])[1]
+        binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=0)
+        counters = get_registry().snapshot().diff(before).counters
+        misses = pipeline.cache.stats.by_kind["image"][1] - misses
+        return binary, misses, counters.get("phase.optimize", 0)
+
+    cold, misses, searches = build(OptimizeConfig(budget=120, seed=42))
+    assert (misses, searches) == (2, 1)  # cu-opt image + reference build
+    warm, misses, searches = build(OptimizeConfig(budget=120, seed=42))
+    assert (misses, searches) == (0, 0)
+    assert warm.layout_digest() == cold.layout_digest()
+    for changed in (OptimizeConfig(budget=60, seed=42),
+                    OptimizeConfig(budget=120, seed=7)):
+        _binary, misses, searches = build(changed)
+        assert (misses, searches) == (1, 1)  # the reference build hits
 
 
 # ---------------------------------------------------------------------------

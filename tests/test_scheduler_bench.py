@@ -217,6 +217,8 @@ class TestBench:
         assert payload["ok"]
         assert payload["phases"]["warm"]["cache_hit_rate"] == 1.0
         assert payload["phases"]["warm"]["cache_misses"] == 0
+        assert payload["phases"]["warm"]["phases_run"] == {}
+        assert payload["phases"]["cold"]["phases_run"]["compile"] == 1
         assert payload["speedup_warm"] > 1.0
         assert check_payload(payload) == []
 
@@ -241,10 +243,13 @@ class TestBench:
         payload = {
             "ok": True,
             "deterministic": True,
-            "phases": {"warm": {"cache_misses": 3, "cache_hit_rate": 0.5}},
+            "phases": {"warm": {"cache_misses": 3, "cache_hit_rate": 0.5,
+                                "phases_run": {"optimize": 6,
+                                               "compile": 1}}},
         }
         failures = check_payload(payload)
-        assert len(failures) == 2
+        assert len(failures) == 3
+        assert "compile x1, optimize x6" in failures[2]
 
 
 class TestRegressionGate:
