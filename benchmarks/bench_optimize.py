@@ -1,12 +1,12 @@
-"""Search-based layout optimizer vs the paper's first-use strategies.
+"""Search-based layout optimizer vs the paper's first-use ``cu`` strategy.
 
 Not a paper figure: the paper *replays* first-use order, this bench runs
-the PR-8 optimizers (greedy chain merging, recursive bisection, seeded
-annealing) against it and renders the optimizer-vs-seed fault table that
-feeds EXPERIMENTS.md.  Two invariants are asserted per workload:
+the two optimizers (greedy chain merging, seeded annealing) against it
+and renders the ``cu-opt``-vs-``cu`` fault table that feeds
+EXPERIMENTS.md.  Two invariants are asserted per workload:
 
 * never-worse — the optimizer layout's simulated first-touch faults are
-  <= its seed strategy's (the seed order is always a search candidate);
+  <= ``cu``'s (the seed order is always a search candidate);
 * exactness — the search's predicted cost equals the faults replayed on
   the actually-built binary (the cost model mirrors the executor).
 """

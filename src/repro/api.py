@@ -251,22 +251,22 @@ class NativeImageToolchain:
             )
         return explain_strategy(self._pipeline, spec, seed=seed)
 
-    def optimize(self, sections=("code", "heap"), seed: int = 0):
+    def optimize(self, seed: int = 0):
         """Run the search-based layout optimizer (``repro optimize``).
 
         Builds the co-access graph and cost model from this workload's
-        profiles, searches CU / heap-group orders with the three
-        optimizers (greedy chain merging, recursive bisection, seeded
-        annealing), builds the winning ``cu-opt`` / ``heap-opt`` layouts
-        through the cached pipeline, verifies them against the structural
-        + differential oracle, and scores everything with the common
-        simulated-fault oracle.  Tune budget/seed/window by constructing
-        the pipeline with an :class:`repro.ordering.OptimizeConfig`.
-        Returns the :class:`repro.ordering.OptimizationReport`;
-        ``report.ok`` is the never-worse-than-seed invariant.
+        profiles, searches the CU order with the two optimizers (greedy
+        chain merging, seeded annealing), builds the winning ``cu-opt``
+        layout through the cached pipeline, verifies it against the
+        structural + differential oracle, and scores it and ``cu`` with
+        the common simulated-fault oracle.  Tune budget/seed/window by
+        constructing the pipeline with an
+        :class:`repro.ordering.OptimizeConfig`.  Returns the
+        :class:`repro.ordering.OptimizationReport`; ``report.ok`` is the
+        never-worse-than-seed invariant.
         """
         from .ordering.optimize import optimize_workload
-        return optimize_workload(self._pipeline, sections=sections, seed=seed)
+        return optimize_workload(self._pipeline, seed=seed)
 
     # -- build & run ---------------------------------------------------------
 
@@ -426,8 +426,8 @@ def compare_all_strategies(
 ) -> Dict[str, ComparisonReport]:
     """Run every registered strategy on one workload.
 
-    Covers the six paper strategies plus the search-based ``cu-opt`` /
-    ``heap-opt`` optimizers.  One profiling run is shared across all of
+    Covers the six paper strategies plus the search-based ``cu-opt``
+    optimizer.  One profiling run is shared across all of
     them; pass ``cache`` to also share builds and measurements with
     previous invocations.  Returns ``{strategy name: ComparisonReport}``
     in strategy-table order.

@@ -47,12 +47,11 @@ Commands mirror the paper's artifact scripts:
   ``--baseline-strategy`` diffs two optimized layouts instead — e.g.
   where ``cu-opt`` beats ``cu``, per CU);
 * ``optimize`` — the search-based layout optimizer: build the page
-  co-access graph from trace data, search CU / heap-group orders with
-  greedy chain merging, recursive bisection, and seeded annealing against
-  the exact simulated-fault oracle, build the winning ``cu-opt`` /
-  ``heap-opt`` layouts, verify them (structural + differential), and
-  report optimizer-vs-seed fault counts (exit 1 if any section is worse
-  than its seed strategy or fails verification);
+  co-access graph from trace data, search the CU order with greedy chain
+  merging and seeded annealing against the exact simulated-fault oracle,
+  build the winning ``cu-opt`` layout, verify it (structural +
+  differential), and report optimizer-vs-``cu`` fault counts (exit 1 if
+  it is worse than ``cu`` or fails verification);
 * ``list``     — available workloads.
 
 Option defaults that mirror a config dataclass are read from that
@@ -331,8 +330,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         pgo_epochs=args.pgo_epochs,
         pgo_seed=args.pgo_seed,
         optimize=not args.no_optimize,
-        optimize_budget=args.optimize_budget,
-        optimize_seed=args.optimize_seed,
         history=args.history,
         write_history=not args.no_history,
         trend=args.trend,
@@ -649,31 +646,17 @@ def cmd_why(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from .cache import ArtifactCache
-    from .eval.pipeline import OPTIMIZER_STRATEGY_SPECS
-    from .ordering.optimize import ALL_OPTIMIZERS, OptimizeConfig, optimize_workload
+    from .ordering.optimize import OptimizeConfig, optimize_workload
 
-    by_name = {spec.name: spec for spec in OPTIMIZER_STRATEGY_SPECS}
-    section_of = {"cu-opt": "code", "heap-opt": "heap"}
-    names = args.strategy or sorted(by_name)
-    for name in names:
-        if name not in by_name:
-            raise SystemExit(
-                f"unknown optimizer strategy {name!r}; choose from "
-                f"{sorted(by_name)}"
-            )
-    sections = tuple(s for s in ("code", "heap")
-                     if s in {section_of[name] for name in names})
-    optimizers = tuple(args.optimizer) if args.optimizer else ALL_OPTIMIZERS
     config = OptimizeConfig(budget=args.budget, seed=args.search_seed,
-                            window=args.window, optimizers=optimizers)
+                            window=args.window)
     cache = ArtifactCache(Path(args.cache_dir)) if args.cache_dir else None
     reports = []
     for workload_name in args.workloads:
         workload = _find_workload(workload_name)
         pipeline = WorkloadPipeline(workload, cache=cache,
                                     optimize_config=config)
-        reports.append(optimize_workload(pipeline, sections=sections,
-                                         seed=args.seed))
+        reports.append(optimize_workload(pipeline, seed=args.seed))
     if args.json:
         print(json.dumps([report.as_dict() for report in reports],
                          indent=2, sort_keys=True))
@@ -919,17 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pgo scenario seed (default: %(default)s)")
     p_bench.add_argument("--no-optimize", action="store_true",
                          help="skip the optimize phase (search-based layout "
-                         "optimizer vs seed strategies)")
-    p_bench.add_argument("--optimize-budget", type=int,
-                         default=_field_default(_BenchConfig,
-                                                "optimize_budget"),
-                         help="annealing cost evaluations per section in the "
-                         "optimize phase (default: %(default)s)")
-    p_bench.add_argument("--optimize-seed", type=int,
-                         default=_field_default(_BenchConfig,
-                                                "optimize_seed"),
-                         help="search RNG seed of the optimize phase "
-                         "(default: %(default)s)")
+                         "optimizer vs its seed strategy)")
     p_bench.add_argument("--check", action="store_true",
                          help="exit non-zero unless warm hit rate is 100%% "
                          "and all phases agree (CI mode)")
@@ -1194,22 +1167,18 @@ def build_parser() -> argparse.ArgumentParser:
                        "per-CU where the search beat first-use order)")
     p_why.set_defaults(func=cmd_why)
 
-    from .ordering.optimize import ALL_OPTIMIZERS as _ALL_OPTIMIZERS
     from .ordering.optimize import OptimizeConfig as _OptimizeConfig
 
     p_opt = sub.add_parser(
         "optimize",
         help="search-based layout optimizer: beat first-use ordering, "
-        "verify the winners, report optimizer-vs-seed fault counts",
+        "verify the winner, report cu-opt-vs-cu fault counts",
     )
     p_opt.add_argument("workloads", nargs="+",
                        help="workload names (AWFY or microservice)")
-    p_opt.add_argument("--strategy", action="append",
-                       help="an optimizer strategy to run: cu-opt and/or "
-                       "heap-opt (repeatable; default: both)")
     p_opt.add_argument("--budget", type=int,
                        default=_field_default(_OptimizeConfig, "budget"),
-                       help="annealing cost evaluations per section "
+                       help="annealing cost evaluations "
                        "(default: %(default)s)")
     p_opt.add_argument("--seed", type=int, default=0,
                        help="pipeline seed for profiling and builds "
@@ -1223,11 +1192,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="co-access window: first-touch pairs closer than "
                        "this many ranks gain edge weight "
                        "(default: %(default)s)")
-    p_opt.add_argument("--optimizer", action="append",
-                       choices=list(_ALL_OPTIMIZERS),
-                       help="restrict the candidate families (repeatable; "
-                       "default: all three; the seed strategy's own order "
-                       "always stays a candidate)")
     p_opt.add_argument("--cache-dir",
                        help="artifact-cache directory shared with other "
                        "commands (default: uncached)")

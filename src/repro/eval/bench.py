@@ -43,14 +43,15 @@ any epoch.
 
 A seventh, optional phase (``optimize``, on by default) runs the
 search-based layout optimizer (:mod:`repro.ordering.optimize`) on every
-workload of the matrix against the warm cache: the three optimizers
-(greedy chain merging, recursive bisection, seeded annealing) search CU /
-heap-group orders, the winning ``cu-opt`` / ``heap-opt`` layouts are
-built through the cached pipeline and verified (structural +
-differential), and the payload records optimizer-vs-seed simulated
-first-touch fault counts per section.  ``--check`` asserts the
-never-worse invariant — no optimizer layout loses to its seed strategy —
-and that every built candidate passed verification.
+workload of the matrix against the warm cache: the two optimizers
+(greedy chain merging, seeded annealing) search the CU order once per
+workload, the ``cu-opt`` layout is loaded from the cache the sweep filled
+(same default :class:`~repro.ordering.OptimizeConfig`, so the phase
+scores the very images the sweep measured) and verified (structural +
+differential), and the payload records ``cu-opt``-vs-``cu`` simulated
+first-touch ``.text`` fault counts.  ``--check`` asserts the never-worse
+invariant — the optimizer layout never loses to ``cu`` — and that every
+built candidate passed verification.
 
 A fifth, optional phase (``chaos``, on by default) reruns the identical
 matrix through the scheduler with a recoverable
@@ -102,8 +103,8 @@ class BenchConfig:
     """What to benchmark and how.
 
     Empty ``workloads``/``strategies`` mean the full registered matrix
-    (14 AWFY + 3 microservices × all eight strategies: six paper + the
-    ``cu-opt``/``heap-opt`` optimizers).
+    (14 AWFY + 3 microservices × all seven strategies: six paper + the
+    ``cu-opt`` optimizer).
     """
 
     workloads: Tuple[str, ...] = ()
@@ -131,14 +132,8 @@ class BenchConfig:
     pgo_epochs: int = 3
     #: pgo scenario seed (traffic synthesis, mix schedule, builds)
     pgo_seed: int = 7
-    #: run the optimize phase (search-based layout optimizer vs seeds)
+    #: run the optimize phase (search-based layout optimizer vs ``cu``)
     optimize: bool = True
-    #: annealing cost evaluations per section in the optimize phase
-    #: (smaller than the :class:`~repro.ordering.OptimizeConfig` default:
-    #: the bench runs every matrix workload)
-    optimize_budget: int = 200
-    #: search RNG seed of the optimize phase
-    optimize_seed: int = 13
     #: history store successful runs append to (``--no-history`` opts out)
     history: str = DEFAULT_HISTORY
     #: append a history entry after a successful run
@@ -198,12 +193,16 @@ def _phase_dict(sweep: SweepResult) -> Dict[str, Any]:
         "cache_hits": sweep.cache_hits,
         "cache_misses": sweep.cache_misses,
         "cache_hit_rate": round(sweep.cache_hit_rate, 4),
-        # pipeline phases the sweep executed (``phase.<name>`` counters);
-        # a warm sweep must execute none
-        "phases_run": {name[len("phase."):]: count for name, count
-                       in sorted(sweep.metrics.counters.items())
-                       if name.startswith("phase.")},
+        # a warm sweep must execute no pipeline phase
+        "phases_run": _phases_run(sweep.metrics.counters),
     }
+
+
+def _phases_run(counters: Dict[str, int]) -> Dict[str, int]:
+    """Pipeline phases executed, from their ``phase.<name>`` counters."""
+    return {name[len("phase."):]: count
+            for name, count in sorted(counters.items())
+            if name.startswith("phase.")}
 
 
 def _run_serial_legacy(workloads: Sequence[Workload],
@@ -377,20 +376,24 @@ def _optimize_phase(workloads: Sequence[Workload],
                     cache_dir: str) -> Dict[str, Any]:
     """The search-based layout optimizer on every workload, warm cache.
 
-    Seed-strategy and optimizer builds are warm-cache hits from the
-    cold/warm phases (same per-task seeds); the new work is the search
-    itself plus verification of the winning layouts.  Fault counts come
-    from :func:`repro.ordering.optimize.simulated_faults` on the built
-    binaries — one oracle for seeds and optimizers, so the recorded
-    never-worse verdicts are apples-to-apples.
+    Seed-strategy and ``cu-opt`` builds are warm-cache hits from the
+    cold/warm phases (same per-task seeds, same default
+    :class:`~repro.ordering.OptimizeConfig`); the new work is one search
+    per workload plus verification of the winning layout.  Fault counts
+    come from :func:`repro.ordering.optimize.simulated_faults` on the
+    built binaries — one oracle for seed and optimizer, so the recorded
+    never-worse verdicts are apples-to-apples.  ``phases_run`` records
+    the pipeline phases the builds ran; with ``cu-opt`` in the matrix it
+    holds no ``optimize``.
     """
+    from ..obs import get_registry
     from ..ordering.optimize import OptimizeConfig, optimize_workload
 
-    search = OptimizeConfig(budget=config.optimize_budget,
-                            seed=config.optimize_seed)
+    search = OptimizeConfig()
     entries: Dict[str, Any] = {}
     improved = 0
     sections_total = 0
+    before = get_registry().snapshot()
     start = time.perf_counter()
     for workload in workloads:
         pipeline = WorkloadPipeline(
@@ -408,10 +411,13 @@ def _optimize_phase(workloads: Sequence[Workload],
             if not section.skipped:
                 sections_total += 1
                 improved += bool(section.improved)
+    wall = time.perf_counter() - start
+    counters = get_registry().snapshot().diff(before).counters
     return {
-        "budget": config.optimize_budget,
-        "search_seed": config.optimize_seed,
-        "wall_s": round(time.perf_counter() - start, 4),
+        "budget": search.budget,
+        "search_seed": search.seed,
+        "wall_s": round(wall, 4),
+        "phases_run": _phases_run(counters),
         "workloads": entries,
         "sections": sections_total,
         "improved_sections": improved,
@@ -508,13 +514,12 @@ def run_bench(config: BenchConfig,
 
         if config.optimize:
             log(f"phase optimize: search-based layout optimizer on "
-                f"{len(workloads)} workload(s), budget "
-                f"{config.optimize_budget}, warm cache")
+                f"{len(workloads)} workload(s), warm cache")
             optimize = _optimize_phase(workloads, config, cache_dir)
             payload["optimize"] = optimize
-            log(f"  {optimize['wall_s']:.2f}s: "
+            log(f"  {optimize['wall_s']:.2f}s: cu-opt strictly beat cu on "
                 f"{optimize['improved_sections']}/{optimize['sections']} "
-                f"section(s) strictly improved, never-worse "
+                f"workload(s), never-worse "
                 f"{'OK' if optimize['ok'] else 'VIOLATED'}")
 
         if config.pgo:
@@ -915,8 +920,8 @@ def format_summary(payload: Dict[str, Any]) -> str:
         lines.append(
             f"  optimize (budget {optimize['budget']}, seed "
             f"{optimize['search_seed']}): "
-            f"{optimize['improved_sections']}/{optimize['sections']} "
-            f"section(s) strictly beat their seed strategy, never-worse "
+            f"cu-opt strictly beat cu on {optimize['improved_sections']}/"
+            f"{optimize['sections']} workload(s) (simulated), never-worse "
             f"{'OK' if optimize['ok'] else 'VIOLATED'}, "
             f"{optimize['wall_s']:.2f}s"
         )

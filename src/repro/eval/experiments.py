@@ -34,8 +34,8 @@ class ExperimentConfig:
 
     n_builds: int = 3
     n_runs: int = 3
-    #: the paper's figures evaluate its six strategies; pass the
-    #: optimizer specs explicitly to put them on the same axes
+    #: the paper's figures evaluate its six strategies; pass
+    #: ``STRATEGY_CU_OPT`` explicitly to put it on the same axes
     strategies: Sequence[StrategySpec] = PAPER_STRATEGY_SPECS
     #: base of the per-build seed sequence
     seed_base: int = 1

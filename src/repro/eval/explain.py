@@ -338,11 +338,10 @@ def explain_strategies(
 
     Same machinery as :func:`explain_strategy`, but both sides are
     profile-guided builds — the canonical use is explaining *where* a
-    search-based layout (``cu-opt`` / ``heap-opt``) beats its paper seed
-    strategy, per CU and heap unit: which units moved, which pages
-    stopped faulting, and which co-tenancies the search created.  One
-    shared profiling run feeds both builds, so the diff isolates the
-    ordering decision itself.
+    search-based layout (``cu-opt``) beats its paper seed strategy
+    ``cu``, per CU: which units moved, which pages stopped faulting, and
+    which co-tenancies the search created.  One shared profiling run feeds
+    both builds, so the diff isolates the ordering decision itself.
     """
     name = pipeline.workload.name
     outcome = pipeline.profile(seed=seed)

@@ -24,7 +24,7 @@ from .plotting import render_factor_chart, render_table
 from .textmap import compare_page_maps, text_page_map
 
 # Paper figures reproduce the paper: only its six strategies appear
-# (optimizer strategies are reported via the bench optimize phase
+# (the cu-opt optimizer strategy is reported via the bench optimize phase
 # and EXPERIMENTS.md instead).
 _STRATEGY_NAMES = [spec.name for spec in PAPER_STRATEGY_SPECS]
 

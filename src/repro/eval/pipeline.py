@@ -51,7 +51,6 @@ from ..minijava.frontend import compile_source
 from ..obs import phase
 from ..ordering.optimize import (
     CU_OPT_ORDERING,
-    HEAP_OPT_ORDERING,
     OptimizeConfig,
     synthesize_optimizer_profiles,
 )
@@ -113,11 +112,11 @@ class Workload:
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """An ordering strategy: the paper's six, or a search-based optimizer."""
+    """An ordering strategy: the paper's six, or the search-based ``cu-opt``."""
 
     name: str
     code_ordering: Optional[str] = None  # "cu" | "method" | "cu-opt"
-    heap_ordering: Optional[str] = None  # an ID-strategy name | "heap-opt"
+    heap_ordering: Optional[str] = None  # an ID-strategy name
 
     @property
     def is_code(self) -> bool:
@@ -129,9 +128,8 @@ class StrategySpec:
 
     @property
     def is_search(self) -> bool:
-        """Whether an ordering comes from the layout search."""
-        return (self.code_ordering == CU_OPT_ORDERING
-                or self.heap_ordering == HEAP_OPT_ORDERING)
+        """Whether the ordering comes from the layout search."""
+        return self.code_ordering == CU_OPT_ORDERING
 
 
 #: The five strategies of the evaluation plus the combined one (Sec. 7.1).
@@ -152,15 +150,13 @@ PAPER_STRATEGY_SPECS = (
     STRATEGY_COMBINED,
 )
 
-#: Search-based strategies (repro.ordering.optimize): the pipeline derives
-#: their profiles by optimizing against the paging-simulator cost oracle
-#: (see :meth:`WorkloadPipeline.optimize_profiles`).
+#: The search-based strategy (repro.ordering.optimize): the pipeline
+#: derives its profile by optimizing against the paging-simulator cost
+#: oracle (see :meth:`WorkloadPipeline.optimize_profiles`).
 STRATEGY_CU_OPT = StrategySpec("cu-opt", code_ordering=CU_OPT_ORDERING)
-STRATEGY_HEAP_OPT = StrategySpec("heap-opt", heap_ordering=HEAP_OPT_ORDERING)
-OPTIMIZER_STRATEGY_SPECS = (STRATEGY_CU_OPT, STRATEGY_HEAP_OPT)
 
-#: Everything the scheduler/bench/api can run: paper + optimizer strategies.
-ALL_STRATEGY_SPECS = PAPER_STRATEGY_SPECS + OPTIMIZER_STRATEGY_SPECS
+#: Everything the scheduler/bench/api can run: paper strategies + cu-opt.
+ALL_STRATEGY_SPECS = PAPER_STRATEGY_SPECS + (STRATEGY_CU_OPT,)
 
 
 @dataclass
@@ -227,8 +223,8 @@ class WorkloadPipeline:
         self.fault_hook = fault_hook
         self.verification = verification
         self.cache = cache
-        #: drives the search-based strategies (cu-opt / heap-opt); part of
-        #: their image keys, so cache keys stay honest
+        #: drives the search-based cu-opt strategy; part of its image
+        #: keys, so cache keys stay honest
         self.optimize_config = optimize_config or OptimizeConfig()
         self.quarantine = QuarantineRegistry()
         self.last_degradation_report: Optional[DegradationReport] = None
@@ -366,31 +362,22 @@ class WorkloadPipeline:
         strategy: Optional[StrategySpec],
         seed: int = 0,
     ) -> ProfileBundle:
-        """Derive search-based orderings when ``strategy`` needs them.
+        """Derive the search-based ordering when ``strategy`` needs it.
 
-        For the optimizer strategies (``cu-opt``/``heap-opt``) this runs
-        the layout search of :mod:`repro.ordering.optimize` against a
-        cached *reference* build (default layout, PGO inlining — the
-        source of unit sizes) and returns a new bundle carrying the
-        derived profile; for every other strategy — or when the bundle
-        already carries the profile — the input bundle returns unchanged.
-        Pure and deterministic given (profiles, strategy,
-        ``self.optimize_config``, seed) — the key material of
-        :meth:`_optimized_key` — so :meth:`build_optimized` runs it only
-        on a cache miss.  When the seed profiles a section's search needs
-        are missing, no profile is added and the degradation ladder falls
-        back as usual.
+        For ``cu-opt`` this runs the layout search of
+        :mod:`repro.ordering.optimize` against a cached *reference* build
+        (default layout, PGO inlining — the source of unit sizes) and
+        returns a new bundle carrying the derived profile; for every other
+        strategy — or when the bundle already carries the profile — the
+        input bundle returns unchanged.  Pure and deterministic given
+        (profiles, strategy, ``self.optimize_config``, seed) — the key
+        material of :meth:`_optimized_key` — so :meth:`build_optimized`
+        runs it only on a cache miss.  When the seed profiles the search
+        needs are missing, no profile is added and the degradation ladder
+        falls back as usual.
         """
-        if strategy is None:
-            return profiles
-        kinds = []
-        if (strategy.code_ordering == CU_OPT_ORDERING
-                and CU_OPT_ORDERING not in profiles.code):
-            kinds.append("code")
-        if (strategy.heap_ordering == HEAP_OPT_ORDERING
-                and HEAP_OPT_ORDERING not in profiles.heap):
-            kinds.append("heap")
-        if not kinds:
+        if (strategy is None or not strategy.is_search
+                or CU_OPT_ORDERING in profiles.code):
             return profiles
         # Reference build: default layout + PGO inlining, so unit sizes
         # match what the final build will place.  strategy=None never
@@ -399,7 +386,7 @@ class WorkloadPipeline:
         with phase("optimize", workload=self.workload.name,
                    strategy=strategy.name):
             return synthesize_optimizer_profiles(
-                reference, profiles, kinds, self.optimize_config)
+                reference, profiles, self.optimize_config)
 
     def _optimized_key(self, profiles: ProfileBundle,
                        strategy: Optional[StrategySpec],

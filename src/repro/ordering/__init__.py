@@ -12,7 +12,6 @@ from .heap_order import MatchReport, match_and_order, order_heap_objects
 from .ids import (
     ALL_STRATEGIES,
     HEAP_PATH,
-    ID_STRATEGY_ALIASES,
     INCREMENTAL_ID,
     STRUCTURAL_HASH,
     StructuralHasher,
@@ -21,12 +20,10 @@ from .ids import (
     assign_incremental_ids,
     assign_structural_hashes,
     heap_path_hash,
-    resolve_id_strategy,
 )
 from .optimize import (
     ALL_OPTIMIZERS,
     CU_OPT_ORDERING,
-    HEAP_OPT_ORDERING,
     OptimizationReport,
     OptimizeConfig,
     SearchResult,
@@ -49,11 +46,11 @@ __all__ = [
     "layout_objective",
     "default_order", "order_compilation_units", "OrderingError",
     "MatchReport", "match_and_order", "order_heap_objects",
-    "ALL_STRATEGIES", "HEAP_PATH", "ID_STRATEGY_ALIASES", "INCREMENTAL_ID",
+    "ALL_STRATEGIES", "HEAP_PATH", "INCREMENTAL_ID",
     "STRUCTURAL_HASH", "StructuralHasher", "assign_all_ids",
     "assign_heap_path_hashes", "assign_incremental_ids",
-    "assign_structural_hashes", "heap_path_hash", "resolve_id_strategy",
-    "ALL_OPTIMIZERS", "CU_OPT_ORDERING", "HEAP_OPT_ORDERING",
+    "assign_structural_hashes", "heap_path_hash",
+    "ALL_OPTIMIZERS", "CU_OPT_ORDERING",
     "OptimizationReport", "OptimizeConfig", "SearchResult",
     "optimize_workload", "search_order", "simulated_faults",
     "synthesize_optimizer_profiles",

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .errors import OrderingError
-from .ids import resolve_id_strategy
 from .profiles import HeapOrderProfile
 
 if TYPE_CHECKING:  # imported for annotations only (avoids an import cycle)
@@ -95,14 +94,12 @@ def match_and_order(
     skipped — the profile references objects absent from this build.
     """
     strategy = profile.strategy
-    # Alias strategies (e.g. "heap-opt") match on another strategy's IDs.
-    id_strategy = resolve_id_strategy(strategy)
     by_id: Dict[int, List[HeapObject]] = {}
     for obj in snapshot:
-        object_id = obj.ids.get(id_strategy)
+        object_id = obj.ids.get(strategy)
         if object_id is None:
             raise OrderingError(
-                f"snapshot object #{obj.index} has no {id_strategy!r} ID; "
+                f"snapshot object #{obj.index} has no {strategy!r} ID; "
                 "run assign_all_ids first",
                 kind=strategy,
             )

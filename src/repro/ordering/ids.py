@@ -32,17 +32,6 @@ STRUCTURAL_HASH = "structural_hash"
 HEAP_PATH = "heap_path"
 ALL_STRATEGIES = (INCREMENTAL_ID, STRUCTURAL_HASH, HEAP_PATH)
 
-#: Ordering strategies whose profiles carry another strategy's IDs.  The
-#: search-based ``heap-opt`` ordering (repro.ordering.optimize) permutes
-#: heap-path placement groups, so its profile IDs *are* heap-path IDs;
-#: matchers resolve through this map before looking IDs up on objects.
-ID_STRATEGY_ALIASES = {"heap-opt": HEAP_PATH}
-
-
-def resolve_id_strategy(strategy: str) -> str:
-    """The ID strategy whose per-object IDs a profile strategy matches on."""
-    return ID_STRATEGY_ALIASES.get(strategy, strategy)
-
 #: The paper's experimentally chosen recursion bound for structural hashing.
 DEFAULT_MAX_DEPTH = 2
 

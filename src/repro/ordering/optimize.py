@@ -1,8 +1,8 @@
 """Search-based layout optimization: beat first-use ordering.
 
 The paper's strategies *replay* first-use order; this module *searches* for
-better orders against an exact cost oracle.  Three optimizers run over the
-page-co-access graph (:mod:`repro.ordering.coaccess`) and a
+a better ``.text`` CU order against an exact cost oracle.  Two optimizers
+run over the page-co-access graph (:mod:`repro.ordering.coaccess`) and a
 :class:`CostModel` whose cost function is the exact simulated first-touch
 fault count of a virtual layout — the same accounting the PR-7
 ``replay_faults`` machinery applies to real binaries:
@@ -11,9 +11,6 @@ fault count of a virtual layout — the same accounting the PR-7
   chains at the junction with the highest co-access gain until no merge
   helps; maximizes the locality objective
   :func:`~repro.ordering.coaccess.layout_objective`;
-* **recursive bisection** (BGP-style, Hoag et al.) — split the hot set in
-  two balanced halves minimizing cut weight (bounded Kernighan–Lin
-  refinement), recurse, concatenate;
 * **seeded annealing** — local search over hot-unit permutations (swap +
   segment-relocate moves) whose cost is the exact simulated fault count;
   same seed ⇒ byte-identical layout.
@@ -25,36 +22,27 @@ member_end)`` on a non-inlined entry — a CU whose tail members were inlined
 elsewhere and never entered leaves cold bytes behind its hot prefix, so the
 hot bytes of many CUs can be packed into fewer pages by interleaving short
 hot prefixes, which plain first-use order never does.  The cost model
-mirrors exactly that member-granular touch rule (and whole-object group
-touches for the heap), so "optimizer never loses to its seed strategy"
-holds by construction: the seed strategy's own layout is always a
-candidate, and the search keeps the best-seen order.
+mirrors exactly that member-granular touch rule, so "optimizer never loses
+to its seed strategy" holds by construction: the seed strategy's own
+layout is always a candidate, and the search keeps the best-seen order.
+The heap is not searched: the paper's heap-path ordering already packs the
+hot heap into one page, the floor.
 
-The winners flow back into the pipeline as first-class strategies:
+The winner flows back into the pipeline as a first-class strategy:
 ``cu-opt`` is a :class:`~repro.ordering.profiles.CodeOrderProfile` whose
-signatures are the chosen CU placement order (ranked like ``cu``), and
-``heap-opt`` is a :class:`~repro.ordering.profiles.HeapOrderProfile` of
-heap-path IDs in chosen placement-group order (matched via the
-``heap-opt`` → ``heap_path`` ID alias in :mod:`repro.ordering.ids`).
-Every built candidate passes the PR-2 structural oracle before it is
-measured.
+signatures are the chosen CU placement order (ranked like ``cu``).  Every
+built candidate passes the PR-2 structural oracle before it is measured.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..image.sections import (
-    CU_ALIGN,
-    HEAP_SECTION,
-    OBJ_ALIGN,
-    PAGE_SIZE,
-    TEXT_SECTION,
-)
+from ..image.sections import CU_ALIGN, PAGE_SIZE, TEXT_SECTION
 from ..util.murmur3 import murmur3_32
 from .coaccess import (
     CoAccessGraph,
@@ -62,8 +50,7 @@ from .coaccess import (
     build_coaccess_graph,
     layout_objective,
 )
-from .ids import HEAP_PATH
-from .profiles import CodeOrderProfile, HeapOrderProfile, ProfileBundle
+from .profiles import CodeOrderProfile, ProfileBundle
 
 if TYPE_CHECKING:  # annotation-only: the image/runtime layers must not be
     # imported at module scope — ordering/__init__ is reached from
@@ -72,38 +59,32 @@ if TYPE_CHECKING:  # annotation-only: the image/runtime layers must not be
     from ..image.binary import NativeImageBinary
     from ..runtime.executor import ExecutionConfig
 
-#: Strategy names the optimizers register (profile kind / heap strategy).
+#: The profile kind the optimizer registers.
 CU_OPT_ORDERING = "cu-opt"
-HEAP_OPT_ORDERING = "heap-opt"
 
 OPTIMIZER_GREEDY = "greedy"
-OPTIMIZER_BISECT = "bisect"
 OPTIMIZER_ANNEAL = "anneal"
-ALL_OPTIMIZERS = (OPTIMIZER_GREEDY, OPTIMIZER_BISECT, OPTIMIZER_ANNEAL)
+ALL_OPTIMIZERS = (OPTIMIZER_GREEDY, OPTIMIZER_ANNEAL)
 
 #: Candidate preference on cost ties — the seed strategy's own order wins
 #: ties so an optimizer only replaces the paper's layout when strictly
 #: better-or-equal-by-this-order, keeping results stable across runs.
-_CANDIDATE_PREFERENCE = ("seed", OPTIMIZER_GREEDY, OPTIMIZER_BISECT,
-                         OPTIMIZER_ANNEAL)
+_CANDIDATE_PREFERENCE = ("seed",) + ALL_OPTIMIZERS
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Knobs of the layout search (all deterministic given ``seed``)."""
 
-    #: annealing cost evaluations (greedy/bisection are budget-free)
+    #: annealing cost evaluations (greedy chain merging is budget-free)
     budget: int = 600
     #: RNG seed for the annealing refiner; same seed ⇒ identical layout
     seed: int = 13
     #: co-access temporal-proximity window (first-touch rank positions)
     window: int = DEFAULT_WINDOW
-    #: which optimizer families run
-    optimizers: Tuple[str, ...] = ALL_OPTIMIZERS
 
     def fingerprint(self) -> str:
-        return (f"budget{self.budget}/seed{self.seed}/win{self.window}/"
-                + ",".join(self.optimizers))
+        return f"budget{self.budget}/seed{self.seed}/win{self.window}"
 
 
 # ---------------------------------------------------------------------------
@@ -111,47 +92,31 @@ class OptimizeConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaceableUnit:
-    """One unit the optimizer may place: a CU or a heap placement group."""
-
-    name: str
-    size: int
-    align: int
-
-
-@dataclass(frozen=True)
-class TouchEvent:
-    """One first-touch event: byte spans relative to a unit's base."""
-
-    unit: str
-    spans: Tuple[Tuple[int, int], ...]  # (relative offset, size)
-
-
 @dataclass
 class CostModel:
-    """Exact simulated first-touch fault count of a unit permutation.
+    """Exact simulated first-touch fault count of a CU permutation.
 
-    Mirrors the paging simulator byte-for-byte: units pack at their
-    section alignment (``layout_text``/``layout_heap`` rules), events
-    touch their spans against the virtual layout, and the fault count is
-    the number of distinct pages touched plus ``constant_faults`` (the
+    Mirrors the paging simulator byte-for-byte: CUs pack at ``CU_ALIGN``
+    (the ``layout_text`` rule), each event touches the first ``end``
+    bytes of its CU in the virtual layout, and the fault count is the
+    number of distinct pages touched plus ``constant_faults`` (the
     startup native-blob pages, which no permutation can avoid).
     """
 
-    units: Dict[str, PlaceableUnit]
-    events: Tuple[TouchEvent, ...]
+    #: CU name -> size in bytes
+    units: Dict[str, int]
+    #: first-touch stream of (CU name, prologue-prefix end)
+    events: Tuple[Tuple[str, int], ...]
     page_size: int = PAGE_SIZE
     constant_faults: int = 0
 
     def offsets(self, order: Sequence[str]) -> Dict[str, int]:
-        """Base offset of each unit when placed in ``order``."""
+        """Base offset of each CU when placed in ``order``."""
         result: Dict[str, int] = {}
         offset = 0
         for name in order:
-            unit = self.units[name]
             result[name] = offset
-            offset += _align(unit.size, unit.align)
+            offset += _align(self.units[name], CU_ALIGN)
         return result
 
     def faults(self, order: Sequence[str]) -> int:
@@ -159,14 +124,11 @@ class CostModel:
         offsets = self.offsets(order)
         resident: set = set()
         page = self.page_size
-        for event in self.events:
-            base = offsets[event.unit]
-            for start, size in event.spans:
-                if size <= 0:
-                    continue
-                first = (base + start) // page
-                last = (base + start + size - 1) // page
-                resident.update(range(first, last + 1))
+        for name, end in self.events:
+            if end > 0:
+                base = offsets[name]
+                resident.update(range(base // page,
+                                      (base + end - 1) // page + 1))
         return len(resident) + self.constant_faults
 
 
@@ -176,11 +138,8 @@ def _align(value: int, alignment: int) -> int:
 
 @dataclass
 class LayoutProblem:
-    """One section's search instance: units, oracle, graph, seed order."""
+    """The ``.text`` search instance: units, oracle, graph, seed order."""
 
-    section: str  # "code" or "heap"
-    strategy: str  # the optimizer strategy it feeds ("cu-opt"/"heap-opt")
-    seed_strategy: str  # the paper strategy it must never lose to
     model: CostModel
     graph: CoAccessGraph
     #: the seed strategy's full layout order (always a candidate)
@@ -254,17 +213,13 @@ def code_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
     raw_events = _code_events(binary, bundle)
     if raw_events is None:
         return None
-    units = {placed.cu.name: PlaceableUnit(placed.cu.name, placed.cu.size,
-                                           CU_ALIGN)
-             for placed in binary.text.placed}
+    units = {placed.cu.name: placed.cu.size for placed in binary.text.placed}
     if exec_config is None:
         from ..runtime.executor import ExecutionConfig
         exec_config = ExecutionConfig()
     blob_pages = min(exec_config.startup_native_pages,
                      max(binary.text.native_blob_size // PAGE_SIZE, 0))
-    events = tuple(TouchEvent(unit=name, spans=((0, end),))
-                   for name, end in raw_events)
-    model = CostModel(units=units, events=events,
+    model = CostModel(units=units, events=tuple(raw_events),
                       constant_faults=max(blob_pages, 0))
     hot: List[str] = []
     seen: set = set()
@@ -276,7 +231,6 @@ def code_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
     cold_tail = tuple(name for name in seed_order if name not in seen)
     graph = build_coaccess_graph([(hot, 1)], window=config.window)
     return LayoutProblem(
-        section="code", strategy=CU_OPT_ORDERING, seed_strategy="cu",
         model=model, graph=graph, seed_order=tuple(seed_order),
         hot=tuple(hot), cold_tail=cold_tail,
     )
@@ -295,74 +249,8 @@ def _code_seed_order(binary: "NativeImageBinary",
     return [cu.name for cu in ordered]
 
 
-def _heap_groups(binary: "NativeImageBinary"):
-    """Heap-path placement groups of the reference snapshot.
-
-    Objects sharing a heap-path ID form one placement group: the matcher
-    places all carriers of a profile ID together (snapshot-index order),
-    so the group — not the object — is the optimizer's placeable unit.
-    Returns ``(group name -> id, ordered group names, name -> members)``
-    with groups ordered by their first member's snapshot index.
-    """
-    by_id: Dict[int, List] = {}
-    for obj in binary.heap.ordered:
-        object_id = obj.ids.get(HEAP_PATH)
-        if object_id is not None:
-            by_id.setdefault(object_id, []).append(obj)
-    names: Dict[str, int] = {}
-    members: Dict[str, List] = {}
-    ordered = sorted(by_id, key=lambda oid: min(o.index for o in by_id[oid]))
-    for object_id in ordered:
-        name = f"{object_id:016x}"
-        names[name] = object_id
-        members[name] = sorted(by_id[object_id], key=lambda o: o.index)
-    return names, list(names), members
-
-
-def heap_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
-                 config: OptimizeConfig) -> Optional[LayoutProblem]:
-    """Build the ``.svm_heap`` search instance, or ``None`` without profiles."""
-    profile = bundle.heap_profile(HEAP_PATH)
-    if profile is None or not profile.ids:
-        return None
-    names, group_order, members = _heap_groups(binary)
-    if not names:
-        return None
-    units: Dict[str, PlaceableUnit] = {}
-    spans: Dict[str, Tuple[Tuple[int, int], ...]] = {}
-    for name in group_order:
-        offset = 0
-        group_spans: List[Tuple[int, int]] = []
-        for obj in members[name]:
-            group_spans.append((offset, obj.size))
-            offset += _align(obj.size, OBJ_ALIGN)
-        units[name] = PlaceableUnit(name, offset, 1)
-        spans[name] = tuple(group_spans)
-    hot: List[str] = []
-    seen: set = set()
-    for object_id in profile.ids:
-        name = f"{object_id:016x}"
-        if name in units and name not in seen:
-            seen.add(name)
-            hot.append(name)
-    if not hot:
-        return None
-    events = tuple(TouchEvent(unit=name, spans=spans[name]) for name in hot)
-    model = CostModel(units=units, events=events)
-    cold_tail = tuple(name for name in group_order if name not in seen)
-    # seed = the "heap path" strategy's layout: matched groups in profile
-    # order, unmatched groups after in snapshot order
-    seed_order = tuple(hot) + cold_tail
-    graph = build_coaccess_graph([(hot, 1)], window=config.window)
-    return LayoutProblem(
-        section="heap", strategy=HEAP_OPT_ORDERING, seed_strategy="heap path",
-        model=model, graph=graph, seed_order=seed_order,
-        hot=tuple(hot), cold_tail=cold_tail,
-    )
-
-
 # ---------------------------------------------------------------------------
-# The three optimizers
+# The two optimizers
 # ---------------------------------------------------------------------------
 
 
@@ -429,66 +317,6 @@ def _junction_gain(graph: CoAccessGraph, left: Sequence[str],
     return gain
 
 
-def bisection_order(graph: CoAccessGraph, hot: Sequence[str],
-                    window: int = 0, leaf_size: int = 4) -> List[str]:
-    """BGP-style recursive bisection with bounded greedy refinement.
-
-    Splits the hot set at the median of first-touch order, then runs up to
-    two Kernighan–Lin-style passes (one best positive-gain swap per pass)
-    to reduce the cut weight, and recurses into each half.  Leaves of
-    ``leaf_size`` or fewer keep first-touch order.  Fully deterministic:
-    ties break on unit names.
-    """
-    hot = list(hot)
-
-    def split(units: List[str]) -> List[str]:
-        if len(units) <= leaf_size:
-            return units
-        mid = (len(units) + 1) // 2
-        left, right = units[:mid], units[mid:]
-        for _pass in range(2):
-            swap = _best_swap(graph, left, right)
-            if swap is None:
-                break
-            u, v = swap
-            left[left.index(u)] = v
-            right[right.index(v)] = u
-        return split(left) + split(right)
-
-    return split(hot)
-
-
-def _best_swap(graph: CoAccessGraph, left: List[str],
-               right: List[str]) -> Optional[Tuple[str, str]]:
-    """The (u, v) swap with the largest positive cut-weight reduction."""
-    left_set, right_set = set(left), set(right)
-    external: Dict[str, Fraction] = {}
-    internal: Dict[str, Fraction] = {}
-    for name in left + right:
-        external[name] = Fraction(0)
-        internal[name] = Fraction(0)
-    for (a, b), weight in graph.weights.items():
-        if a not in external or b not in external:
-            continue
-        same = ((a in left_set) == (b in left_set))
-        bucket = internal if same else external
-        bucket[a] += weight
-        bucket[b] += weight
-    best: Optional[Tuple[str, str]] = None
-    best_gain = Fraction(0)
-    for u in left:
-        d_u = external[u] - internal[u]
-        if d_u + max(external[v] - internal[v] for v in right) <= 0:
-            continue
-        for v in right:
-            gain = d_u + (external[v] - internal[v]) - 2 * graph.weight(u, v)
-            if gain > best_gain or (gain == best_gain and best is not None
-                                    and gain > 0 and (u, v) < best):
-                best_gain = gain
-                best = (u, v)
-    return best if best_gain > 0 else None
-
-
 def anneal_order(model: CostModel, start_hot: Sequence[str],
                  cold_tail: Sequence[str], config: OptimizeConfig,
                  rng: random.Random) -> Tuple[List[str], int]:
@@ -538,11 +366,8 @@ def anneal_order(model: CostModel, start_hot: Sequence[str],
 
 @dataclass
 class SearchResult:
-    """Outcome of one section's layout search."""
+    """Outcome of one ``.text`` layout search."""
 
-    section: str
-    strategy: str
-    seed_strategy: str
     #: the winning full placement order (hot permutation + cold tail)
     order: List[str]
     best_name: str
@@ -560,42 +385,35 @@ class SearchResult:
 
 def search_order(problem: LayoutProblem,
                  config: OptimizeConfig) -> SearchResult:
-    """Run the configured optimizers and keep the cheapest layout.
+    """Run both optimizers and keep the cheapest layout.
 
-    The seed strategy's own order is always a candidate and wins ties, so
-    the result never simulates worse than the seed strategy — the
-    never-worse gate the bench ``optimize`` phase asserts.
+    Greedy chain merging runs first; annealing then starts from the
+    cheaper of the seed and greedy orders.  The seed strategy's own order
+    is always a candidate and wins ties, so the result never simulates
+    worse than the seed strategy — the never-worse gate the bench
+    ``optimize`` phase asserts.
     """
     model = problem.model
     tail = list(problem.cold_tail)
     candidates: Dict[str, List[str]] = {"seed": list(problem.seed_order)}
+    costs = {"seed": model.faults(candidates["seed"])}
     if problem.hot:
-        if OPTIMIZER_GREEDY in config.optimizers:
-            hot = chain_merge_order(problem.graph, problem.hot, config.window)
-            candidates[OPTIMIZER_GREEDY] = hot + tail
-        if OPTIMIZER_BISECT in config.optimizers:
-            hot = bisection_order(problem.graph, problem.hot, config.window)
-            candidates[OPTIMIZER_BISECT] = hot + tail
-    costs = {name: model.faults(order) for name, order in candidates.items()}
-    if OPTIMIZER_ANNEAL in config.optimizers and problem.hot:
-        start_name = min(
-            costs, key=lambda name: (costs[name],
-                                     _CANDIDATE_PREFERENCE.index(name)))
-        start = candidates[start_name]
+        greedy = chain_merge_order(problem.graph, problem.hot,
+                                   config.window) + tail
+        candidates[OPTIMIZER_GREEDY] = greedy
+        costs[OPTIMIZER_GREEDY] = model.faults(greedy)
+        start = candidates[_cheapest(costs)]
         hot_set = set(problem.hot)
         start_hot = [name for name in start if name in hot_set]
-        rng = random.Random(
-            (config.seed << 16) ^ murmur3_32(problem.section.encode("utf-8")))
+        # the salt is the searched section's name; a different salt would
+        # move every annealed layout
+        rng = random.Random((config.seed << 16) ^ murmur3_32(b"code"))
         annealed, annealed_cost = anneal_order(model, start_hot, tail,
                                                config, rng)
         candidates[OPTIMIZER_ANNEAL] = annealed + tail
         costs[OPTIMIZER_ANNEAL] = annealed_cost
-    best_name = min(costs, key=lambda name: (costs[name],
-                                             _CANDIDATE_PREFERENCE.index(name)))
+    best_name = _cheapest(costs)
     return SearchResult(
-        section=problem.section,
-        strategy=problem.strategy,
-        seed_strategy=problem.seed_strategy,
         order=list(candidates[best_name]),
         best_name=best_name,
         best_cost=costs[best_name],
@@ -606,48 +424,37 @@ def search_order(problem: LayoutProblem,
     )
 
 
+def _cheapest(costs: Dict[str, int]) -> str:
+    """The lowest-cost candidate, ties broken by ``_CANDIDATE_PREFERENCE``."""
+    return min(costs, key=lambda name: (costs[name],
+                                        _CANDIDATE_PREFERENCE.index(name)))
+
+
 def synthesize_optimizer_profiles(
     binary: "NativeImageBinary",
     bundle: ProfileBundle,
-    kinds: Sequence[str],
     config: Optional[OptimizeConfig] = None,
 ) -> ProfileBundle:
-    """Augment ``bundle`` with search-derived orderings.
+    """Augment ``bundle`` with the search-derived ``cu-opt`` ordering.
 
     ``binary`` is a *reference* build (default layout, PGO inlining) that
-    supplies unit sizes; ``kinds`` is a subset of ``{"code", "heap"}``.
-    Returns a new bundle carrying the requested ``cu-opt``/``heap-opt``
-    profiles (existing entries are kept — synthesis is idempotent); the
-    input bundle is never mutated.  When a section has no usable seed
-    profile the corresponding entry is simply not added, and the existing
-    degradation ladder falls back to the default layout.  Deterministic:
-    same (binary, bundle, config) ⇒ byte-identical profiles.
+    supplies unit sizes.  Returns a new bundle carrying the ``cu-opt``
+    profile (an existing one is kept — synthesis is idempotent); the
+    input bundle is never mutated.  Without a usable seed profile nothing
+    is added, and the existing degradation ladder falls back to the
+    default layout.  Deterministic: same (binary, bundle, config) ⇒
+    byte-identical profiles.
     """
-    config = config or OptimizeConfig()
-    code_updates: Dict[str, CodeOrderProfile] = {}
-    heap_updates: Dict[str, HeapOrderProfile] = {}
-    if "code" in kinds and CU_OPT_ORDERING not in bundle.code:
-        problem = code_problem(binary, bundle, config)
-        if problem is not None:
-            result = search_order(problem, config)
-            code_updates[CU_OPT_ORDERING] = CodeOrderProfile(
-                kind=CU_OPT_ORDERING, signatures=list(result.order))
-    if "heap" in kinds and HEAP_OPT_ORDERING not in bundle.heap:
-        problem = heap_problem(binary, bundle, config)
-        if problem is not None:
-            result = search_order(problem, config)
-            names, _order, _members = _heap_groups(binary)
-            heap_updates[HEAP_OPT_ORDERING] = HeapOrderProfile(
-                strategy=HEAP_OPT_ORDERING,
-                ids=[names[name] for name in result.order])
-    if not code_updates and not heap_updates:
+    if CU_OPT_ORDERING in bundle.code:
         return bundle
-    return ProfileBundle(
-        code={**bundle.code, **code_updates},
-        heap={**bundle.heap, **heap_updates},
-        calls=bundle.calls,
-        completeness=bundle.completeness,
-    )
+    config = config or OptimizeConfig()
+    problem = code_problem(binary, bundle, config)
+    if problem is None:
+        return bundle
+    result = search_order(problem, config)
+    profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
+                               signatures=list(result.order))
+    return replace(bundle, code={**bundle.code, CU_OPT_ORDERING: profile})
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +466,18 @@ def simulated_faults(
     binary: "NativeImageBinary",
     bundle: ProfileBundle,
     config: Optional[ExecutionConfig] = None,
-) -> Dict[str, int]:
-    """Member-granular simulated first-touch faults of a *real* binary.
+) -> int:
+    """Member-granular simulated first-touch ``.text`` faults of a *real*
+    binary.
 
     The same touch rules the :class:`CostModel` scores virtual layouts
     with, applied to a built binary's actual offsets: startup native-blob
     pages, then each profiled method's CU-prologue prefix (``method``
     profile first-entry order; whole-CU touches when only a ``cu`` profile
-    exists), then each heap-path ID's carrier objects in first-access
-    order.  Scoring *every* strategy's binary with this one oracle makes
-    optimizer-vs-paper comparisons apples-to-apples; for a ``cu-opt`` /
-    ``heap-opt`` build it reproduces the search's predicted cost exactly
-    (property-tested).  Pure: same inputs ⇒ same counts.
+    exists).  Scoring the seed and optimizer binaries with this one oracle
+    makes optimizer-vs-paper comparisons apples-to-apples; for a
+    ``cu-opt`` build it reproduces the search's predicted cost exactly
+    (property-tested).  Pure: same inputs ⇒ same count.
     """
     from ..runtime.executor import ExecutionConfig
     from ..runtime.paging import PageCache
@@ -678,7 +485,6 @@ def simulated_faults(
     config = config or ExecutionConfig()
     cache = PageCache()
     cache.set_limit(TEXT_SECTION, binary.text.size)
-    cache.set_limit(HEAP_SECTION, binary.heap.size)
     blob_pages = min(config.startup_native_pages,
                      max(binary.text.native_blob_size // PAGE_SIZE, 0))
     if blob_pages > 0:
@@ -692,17 +498,7 @@ def simulated_faults(
             placed = placed_by_name.get(name)
             if placed is not None:
                 cache.touch(TEXT_SECTION, placed.offset, end)
-    profile = bundle.heap_profile(HEAP_PATH)
-    if profile is not None:
-        by_id: Dict[int, List] = {}
-        for obj in binary.heap.ordered:
-            object_id = obj.ids.get(HEAP_PATH)
-            if object_id is not None:
-                by_id.setdefault(object_id, []).append(obj)
-        for object_id in profile.ids:
-            for obj in by_id.get(object_id, ()):
-                cache.touch(HEAP_SECTION, obj.address, obj.size)
-    return cache.snapshot_counts()
+    return cache.snapshot_counts().get(TEXT_SECTION, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +508,11 @@ def simulated_faults(
 
 @dataclass
 class SectionOptimization:
-    """One section's optimizer-vs-seed verdict on real binaries."""
+    """The ``.text`` optimizer-vs-seed verdict on real binaries."""
 
-    section: str  # "code" or "heap"
-    strategy: str  # "cu-opt" / "heap-opt"
-    seed_strategy: str  # "cu" / "heap path"
+    section: str = "code"
+    strategy: str = CU_OPT_ORDERING
+    seed_strategy: str = "cu"
     skipped: bool = False
     reason: str = ""
     units: int = 0
@@ -793,7 +589,7 @@ class OptimizationReport:
             "budget": self.config.budget,
             "search_seed": self.config.seed,
             "window": self.config.window,
-            "optimizers": list(self.config.optimizers),
+            "optimizers": list(ALL_OPTIMIZERS),
             "sections": [section.as_dict() for section in self.sections],
             "ok": self.ok,
             "improved_sections": self.improved_sections,
@@ -823,65 +619,49 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
-def optimize_workload(pipeline, sections: Sequence[str] = ("code", "heap"),
-                      seed: int = 0) -> OptimizationReport:
-    """Search both sections of one workload and score winners vs seeds.
+def optimize_workload(pipeline, seed: int = 0) -> OptimizationReport:
+    """Search one workload's ``.text`` layout and score the winner vs ``cu``.
 
     ``pipeline`` is a :class:`~repro.eval.pipeline.WorkloadPipeline`; its
     ``optimize_config`` drives the search (so the builds the pipeline
-    produces and the search scored here agree exactly).  Every built
-    candidate runs the PR-2 structural verifier and the differential
-    execution oracle before its faults count.  Fault numbers come from
-    :func:`simulated_faults` on the *built* binaries — the same oracle for
-    seed strategies and optimizers.
+    produces and the search scored here agree exactly).  The built
+    ``cu-opt`` candidate runs the PR-2 structural verifier and the
+    differential execution oracle before its faults count.  Fault numbers
+    come from :func:`simulated_faults` on the *built* binaries — the same
+    oracle for the seed strategy and the optimizer.
     """
-    from ..eval.pipeline import (
-        STRATEGY_CU,
-        STRATEGY_CU_OPT,
-        STRATEGY_HEAP_OPT,
-        STRATEGY_HEAP_PATH,
-    )
+    from ..eval.pipeline import STRATEGY_CU, STRATEGY_CU_OPT
     from ..validation.differential import run_differential
     from ..validation.invariants import verify_layout
 
     config = pipeline.optimize_config
-    outcome = pipeline.profile(seed=seed)
-    bundle = outcome.profiles
+    bundle = pipeline.profile(seed=seed).profiles
+    entry = SectionOptimization()
     report = OptimizationReport(workload=pipeline.workload.name, seed=seed,
-                                config=config)
+                                config=config, sections=[entry])
     reference = pipeline.build_optimized(bundle, None, seed=seed)
     baseline = pipeline.build_baseline(seed=seed)
-    plan = {
-        "code": (STRATEGY_CU, STRATEGY_CU_OPT, code_problem, TEXT_SECTION),
-        "heap": (STRATEGY_HEAP_PATH, STRATEGY_HEAP_OPT, heap_problem,
-                 HEAP_SECTION),
-    }
-    for section in sections:
-        seed_spec, opt_spec, make_problem, section_name = plan[section]
-        entry = SectionOptimization(section=section, strategy=opt_spec.name,
-                                    seed_strategy=seed_spec.name)
-        report.sections.append(entry)
-        problem = make_problem(reference, bundle, config)
-        if problem is None:
-            entry.skipped = True
-            entry.reason = f"no usable seed profile for {section}"
-            continue
-        result = search_order(problem, config)
-        entry.units = result.units
-        entry.hot_units = result.hot_units
-        entry.optimizer_costs = dict(result.costs)
-        entry.best_optimizer = result.best_name
-        entry.predicted_faults = result.best_cost
-        seed_binary = pipeline.build_optimized(bundle, seed_spec, seed=seed)
-        opt_binary = pipeline.build_optimized(bundle, opt_spec, seed=seed)
-        entry.verified = verify_layout(opt_binary).ok
-        entry.differential_ok = run_differential(
-            baseline, opt_binary, pipeline.exec_config,
-            workload=pipeline.workload.name, strategy=opt_spec.name,
-            microservice=pipeline.workload.microservice,
-        ).matches
-        entry.seed_faults = simulated_faults(
-            seed_binary, bundle, pipeline.exec_config).get(section_name, 0)
-        entry.optimized_faults = simulated_faults(
-            opt_binary, bundle, pipeline.exec_config).get(section_name, 0)
+    problem = code_problem(reference, bundle, config)
+    if problem is None:
+        entry.skipped = True
+        entry.reason = "no usable seed profile for code"
+        return report
+    result = search_order(problem, config)
+    entry.units = result.units
+    entry.hot_units = result.hot_units
+    entry.optimizer_costs = dict(result.costs)
+    entry.best_optimizer = result.best_name
+    entry.predicted_faults = result.best_cost
+    seed_binary = pipeline.build_optimized(bundle, STRATEGY_CU, seed=seed)
+    opt_binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=seed)
+    entry.verified = verify_layout(opt_binary).ok
+    entry.differential_ok = run_differential(
+        baseline, opt_binary, pipeline.exec_config,
+        workload=pipeline.workload.name, strategy=STRATEGY_CU_OPT.name,
+        microservice=pipeline.workload.microservice,
+    ).matches
+    entry.seed_faults = simulated_faults(seed_binary, bundle,
+                                         pipeline.exec_config)
+    entry.optimized_faults = simulated_faults(opt_binary, bundle,
+                                              pipeline.exec_config)
     return report

@@ -51,9 +51,7 @@ class HeapOrderProfile:
     """First-access order of image-heap objects, as strategy-specific IDs.
 
     ``strategy`` is an ID-strategy name ("incremental_id",
-    "structural_hash", "heap_path") or the optimizer strategy "heap-opt",
-    whose IDs are heap-path IDs in search-derived placement-group order
-    (resolved through :func:`repro.ordering.ids.resolve_id_strategy`).
+    "structural_hash", "heap_path").
     """
 
     strategy: str

@@ -100,12 +100,9 @@ def _touch_code(cache: PageCache, binary: NativeImageBinary,
 
 def _touch_heap(cache: PageCache, binary: NativeImageBinary,
                 strategy: str, ids: Sequence[int]) -> None:
-    from ..ordering.ids import resolve_id_strategy
-
-    id_strategy = resolve_id_strategy(strategy)  # "heap-opt" -> "heap_path"
     by_id: Dict[int, List] = {}
     for obj in binary.heap.ordered:
-        object_id = obj.ids.get(id_strategy)
+        object_id = obj.ids.get(strategy)
         if object_id is not None:
             by_id.setdefault(object_id, []).append(obj)
     for object_id in ids:

@@ -6,6 +6,8 @@ The property suite pins the guarantees docs/optimizer.md promises:
 * the chain-merge objective is superadditive under concatenation (merging
   two chains never loses locality credit), so greedy merging is monotone;
 * same search seed => identical order => byte-identical built layout;
+* the default search's layouts are pinned across commits (Queens and
+  Richards at base seed 1);
 * end to end on Queens, the optimizer never loses to its seed strategy on
   simulated first-touch faults, and the search's predicted cost equals
   the faults replayed on the actually-built binary.
@@ -18,12 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ordering.profiles as profiles_module
-from repro.eval.pipeline import (
-    STRATEGY_CU,
-    STRATEGY_CU_OPT,
-    STRATEGY_HEAP_OPT,
-    WorkloadPipeline,
-)
+from repro.eval.pipeline import STRATEGY_CU, STRATEGY_CU_OPT, WorkloadPipeline
+from repro.eval.scheduler import task_seed
 from repro.ordering.coaccess import (
     CoAccessGraph,
     build_coaccess_graph,
@@ -34,7 +32,6 @@ from repro.ordering.optimize import (
     OptimizeConfig,
     chain_merge_order,
     code_problem,
-    heap_problem,
     optimize_workload,
     search_order,
     simulated_faults,
@@ -163,52 +160,42 @@ def test_search_seed_changes_anneal_trajectory(queens_reference):
 def test_synthesize_is_idempotent_and_pure(queens_reference):
     _pipeline, reference, bundle = queens_reference
     config = OptimizeConfig(budget=100)
-    augmented = synthesize_optimizer_profiles(
-        reference, bundle, ("code", "heap"), config)
+    augmented = synthesize_optimizer_profiles(reference, bundle, config)
     assert "cu-opt" not in bundle.code  # input bundle untouched
     assert "cu-opt" in augmented.code
-    assert "heap-opt" in augmented.heap
-    again = synthesize_optimizer_profiles(
-        reference, augmented, ("code", "heap"), config)
+    again = synthesize_optimizer_profiles(reference, augmented, config)
     assert again.digest() == augmented.digest()
 
 
 def test_problem_costs_match_built_binaries(queens_reference):
     """The virtual cost model's seed cost == simulated faults of the seed
-    strategy's *built* binary, for both sections (model exactness)."""
+    strategy's *built* binary (model exactness)."""
     pipeline, reference, bundle = queens_reference
     config = OptimizeConfig(budget=100)
-    from repro.image.sections import HEAP_SECTION, TEXT_SECTION
-
     code = code_problem(reference, bundle, config)
     cu_binary = pipeline.build_optimized(bundle, STRATEGY_CU, seed=0)
     assert code.model.faults(code.seed_order) == simulated_faults(
-        cu_binary, bundle)[TEXT_SECTION]
-    heap = heap_problem(reference, bundle, config)
-    from repro.eval.pipeline import STRATEGY_HEAP_PATH
-
-    heap_binary = pipeline.build_optimized(bundle, STRATEGY_HEAP_PATH, seed=0)
-    assert heap.model.faults(heap.seed_order) == simulated_faults(
-        heap_binary, bundle)[HEAP_SECTION]
+        cu_binary, bundle)
 
 
 def test_optimize_workload_never_worse_and_exact():
     """The PR-8 acceptance gate on one workload: never-worse, verified,
-    differential-clean, and predicted == replayed for every section."""
+    differential-clean, and predicted == replayed."""
     pipeline = WorkloadPipeline(
         awfy_workload("Queens"), optimize_config=OptimizeConfig(budget=150)
     )
     report = optimize_workload(pipeline)
     assert report.ok
-    assert len(report.sections) == 2
-    for section in report.sections:
-        assert not section.skipped
-        assert section.optimized_faults <= section.seed_faults
-        assert section.predicted_faults == section.optimized_faults
-        assert section.verified
-        assert section.differential_ok
+    [section] = report.sections
+    assert (section.section, section.strategy) == ("code", "cu-opt")
+    assert not section.skipped
+    assert section.optimized_faults <= section.seed_faults
+    assert section.predicted_faults == section.optimized_faults
+    assert section.verified
+    assert section.differential_ok
     # Queens' cold CU tails make the code search a strict win
-    assert report.sections[0].improved
+    assert section.improved
+    assert set(section.optimizer_costs) == {"seed", "greedy", "anneal"}
 
 
 def test_same_seed_builds_byte_identical_layout():
@@ -226,31 +213,46 @@ def test_same_seed_builds_byte_identical_layout():
     assert digests[0] == digests[1]
 
 
+#: ``layout_digest()`` of the default-config cu-opt build at
+#: ``task_seed(1, name)``; a search change that is meant to keep outcomes
+#: byte-identical must keep these
+PINNED_CU_OPT_DIGESTS = {
+    "Queens": 6631054432874158493,
+    "Richards": 8380493232467912497,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CU_OPT_DIGESTS))
+def test_default_search_layout_is_pinned(name):
+    seed = task_seed(1, name)
+    pipeline = WorkloadPipeline(awfy_workload(name))
+    bundle = pipeline.profile(seed=seed).profiles
+    binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=seed)
+    assert binary.layout_digest() == PINNED_CU_OPT_DIGESTS[name]
+
+
 def test_optimizer_strategies_flow_through_warm_cache(tmp_path):
-    """cu-opt / heap-opt keep the warm 100%-hit-rate invariant: their
-    images key on the seed profiles, so the second sweep of the same cell
-    is served entirely from the cache without loading an image or running
-    any pipeline phase (no reference build, no search)."""
+    """cu-opt keeps the warm 100%-hit-rate invariant: its images key on
+    the seed profiles, so the second sweep of the same cell is served
+    entirely from the cache without loading an image or running any
+    pipeline phase (no reference build, no search)."""
     from repro.cache import ArtifactCache
     from repro.obs import get_registry
 
-    for spec in (STRATEGY_CU_OPT, STRATEGY_HEAP_OPT):
-        pipeline = WorkloadPipeline(
-            awfy_workload("Queens"), cache=ArtifactCache(tmp_path / spec.name)
-        )
-        pipeline.run_strategy(spec, seed=3)
-        warm = WorkloadPipeline(
-            awfy_workload("Queens"), cache=ArtifactCache(tmp_path / spec.name)
-        )
-        before = get_registry().snapshot()
-        cached = warm.cached_strategy_runs(spec, seed=3)
-        assert cached is not None
-        assert warm.cache.stats.misses == 0
-        counters = get_registry().snapshot().diff(before).counters
-        assert not [name for name in counters if name.startswith("phase.")]
-        assert "image" not in warm.cache.stats.by_kind
-        baseline_runs, optimized_runs = cached
-        assert baseline_runs and optimized_runs
+    pipeline = WorkloadPipeline(awfy_workload("Queens"),
+                                cache=ArtifactCache(tmp_path))
+    pipeline.run_strategy(STRATEGY_CU_OPT, seed=3)
+    warm = WorkloadPipeline(awfy_workload("Queens"),
+                            cache=ArtifactCache(tmp_path))
+    before = get_registry().snapshot()
+    cached = warm.cached_strategy_runs(STRATEGY_CU_OPT, seed=3)
+    assert cached is not None
+    assert warm.cache.stats.misses == 0
+    counters = get_registry().snapshot().diff(before).counters
+    assert not [name for name in counters if name.startswith("phase.")]
+    assert "image" not in warm.cache.stats.by_kind
+    baseline_runs, optimized_runs = cached
+    assert baseline_runs and optimized_runs
 
 
 def test_optimizer_image_keys_on_optimize_config(tmp_path):

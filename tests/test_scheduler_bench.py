@@ -25,6 +25,7 @@ from repro.eval.scheduler import (
     SweepScheduler,
     task_seed,
 )
+from repro.ordering.optimize import OptimizeConfig
 
 PROGRAM = """
 class Counter {
@@ -237,6 +238,25 @@ class TestBench:
         payload = run_bench(config)
         assert "serial" not in payload["phases"]
         assert "speedup_parallel" not in payload
+        assert check_payload(payload) == []
+
+    def test_optimize_phase_reuses_the_sweeps_cu_opt_images(self, tmp_path):
+        """With cu-opt in the matrix, the optimize phase runs its one
+        search per workload outside the pipeline and every build it asks
+        for — the cu-opt image included — is a cache hit: no pipeline
+        phase (no second search, no rebuild) runs inside it."""
+        config = BenchConfig(
+            workloads=("Bounce",), strategies=("cu", "cu-opt"),
+            max_workers=1, skip_serial=True, attribution=False,
+            chaos=False, pgo=False, output=str(tmp_path / "BENCH.json"),
+        )
+        payload = run_bench(config)
+        optimize = payload["optimize"]
+        assert optimize["phases_run"] == {}
+        assert optimize["budget"] == OptimizeConfig().budget
+        [section] = optimize["workloads"]["Bounce"]["sections"]
+        assert section["strategy"] == "cu-opt"
+        assert section["never_worse"] and section["verified"]
         assert check_payload(payload) == []
 
     def test_check_payload_flags_cold_cache(self):
