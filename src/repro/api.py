@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .cache import ArtifactCache, CacheStats
-from .obs import MetricsSnapshot, get_registry, get_tracer
+from .obs import MetricsSnapshot, get_event_log, get_registry
 from .eval.pipeline import (
     ALL_STRATEGY_SPECS,
     StrategySpec,
@@ -183,20 +183,19 @@ class NativeImageToolchain:
         return get_registry().snapshot()
 
     def export_trace(self, path: Union[Path, str]) -> Path:
-        """Write the process-wide span trace as Chrome trace-event JSON.
+        """Write the process-wide run records as Chrome trace-event JSON.
 
         Load the file in ``chrome://tracing`` or https://ui.perfetto.dev.
         """
-        return get_tracer().export(path)
+        return get_event_log().export_chrome(path)
 
     def export_events(self, path: Union[Path, str]) -> Path:
-        """Write the correlated JSONL event log (causal-id event stream).
+        """Write the same run records as JSONL, one record per line.
 
-        One JSON object per line: degradation notes, chaos injections,
-        PGO epoch markers, phase completions — each carrying the
-        run/phase/task ids that were in scope when it was emitted.
+        Phase spans, scheduler tasks, cache, degradation, quarantine,
+        chaos and PGO epoch records, each carrying the phase/task ids
+        that were in scope when it was recorded.
         """
-        from .obs import get_event_log
         return get_event_log().export(path)
 
     def history(self, path: Union[Path, str, None] = None):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..obs import get_tracer, metrics
+from ..obs import get_event_log, metrics
 from .keys import TOOLCHAIN_VERSION
 
 #: artifact namespaces (subdirectories of the cache root)
@@ -190,8 +190,7 @@ class ArtifactCache:
         """Account one absorbed I/O error (read → miss, write → skip)."""
         self.stats.io_errors += 1
         metrics().counter(f"cache.io_error.{op}")
-        get_tracer().instant("cache.io_error", cat="cache",
-                             kind=kind, op=op)
+        get_event_log().emit("cache.io_error", artifact=kind, op=op)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -265,8 +264,8 @@ class ArtifactCache:
         self._delete(kind, key)
         self.stats.healed += 1
         metrics().counter(f"cache.heal.{kind}")
-        get_tracer().instant("cache.heal", cat="cache", kind=kind,
-                             key=key, reason=reason)
+        get_event_log().emit("cache.heal", artifact=kind, key=key,
+                             reason=reason)
         return self._miss(kind)
 
     def put(self, kind: str, key: str, value: Any,
@@ -383,8 +382,7 @@ class ArtifactCache:
         self.stats.evictions += evicted
         if evicted:
             metrics().counter("cache.evict", evicted)
-            get_tracer().instant("cache.evict_stale", cat="cache",
-                                 evicted=evicted)
+            get_event_log().emit("cache.evict_stale", evicted=evicted)
         return evicted
 
     def _evict_over_limit(self, kind: str) -> None:
@@ -406,8 +404,7 @@ class ArtifactCache:
             self._delete(kind, key)
             self.stats.evictions += 1
             metrics().counter("cache.evict")
-            get_tracer().instant("cache.evict", cat="cache",
-                                 kind=kind, key=key)
+            get_event_log().emit("cache.evict", artifact=kind, key=key)
 
     def clear(self) -> None:
         """Delete every entry (the directory tree stays in place)."""

@@ -38,8 +38,9 @@ Commands mirror the paper's artifact scripts:
   quarantine it and roll back (exit 1 names the quarantined layout);
 * ``stats``    — run a (workload × strategy) sweep and print the merged
   metrics-registry summary (counters, gauges, histograms);
-* ``trace``    — run one strategy end-to-end and export the span trace as
-  Chrome trace-event JSON (``chrome://tracing`` / Perfetto);
+* ``trace``    — run one strategy end-to-end and export its run records as
+  Chrome trace-event JSON (``chrome://tracing`` / Perfetto) and, with
+  ``--events``, as JSONL;
 * ``why``      — the layout regression explainer: attribute every startup
   fault to the CUs/heap objects on the faulted page, diff baseline vs an
   optimized layout, and print the ranked blame (``--json`` for the
@@ -585,7 +586,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import get_tracer, validate_trace
+    from .obs import get_event_log, validate_trace
 
     workload = _find_workload(args.workload)
     spec = STRATEGIES.get(args.strategy)
@@ -595,20 +596,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
     pipeline = WorkloadPipeline(workload)
     pipeline.run_strategy(spec, seed=args.seed)
-    tracer = get_tracer()
-    path = tracer.export(args.output)
-    problems = validate_trace(json.loads(Path(path).read_text()))
-    dropped = (f", {tracer.dropped} dropped at the "
-               f"{tracer.max_events}-event cap" if tracer.dropped else "")
-    print(f"wrote {path} ({len(tracer.events)} trace events{dropped}; "
+    log = get_event_log()
+    path = log.export_chrome(args.output)
+    payload = json.loads(Path(path).read_text())
+    problems = validate_trace(payload)
+    dropped = (f", {log.dropped} dropped at the "
+               f"{log.max_events}-record cap" if log.dropped else "")
+    print(f"wrote {path} ({len(payload['traceEvents'])} records{dropped}; "
           "load it in chrome://tracing or https://ui.perfetto.dev)")
     if args.events:
-        from .obs import get_event_log
-
-        log = get_event_log()
-        events_path = log.export(args.events)
-        print(f"wrote {events_path} ({len(log.events)} correlated "
-              "event-log entries)")
+        print(f"wrote {log.export(args.events)} (the same records as JSONL)")
     for problem in problems:
         print(f"INVALID: {problem}")
     return 1 if problems else 0
@@ -1139,9 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("-o", "--output", default="trace.json",
                          help="trace-event JSON path (default: %(default)s)")
     p_trace.add_argument("--events", metavar="PATH",
-                         help="also export the correlated JSONL event log "
-                         "(degradation notes, chaos injections, PGO epoch "
-                         "markers with causal ids)")
+                         help="also export the same records as JSONL, one "
+                         "per line with its causal ids")
     p_trace.set_defaults(func=cmd_trace)
 
     p_why = sub.add_parser(

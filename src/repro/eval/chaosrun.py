@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from ..obs import get_tracer
+from ..obs import get_event_log
 from ..robustness.chaos import ChaosPolicy
 from .pipeline import ALL_STRATEGY_SPECS, StrategySpec, Workload
 from .scheduler import (
@@ -182,8 +182,8 @@ def run_chaos(
             ref_config = replace(config, chaos=None, retry=None,
                                  cache_dir=scratch, max_workers=1)
             start = time.perf_counter()
-            with get_tracer().span("chaos.reference", cat="chaos",
-                                   cells=len(workloads) * len(strategies)):
+            with get_event_log().span("chaos.reference",
+                                      cells=len(workloads) * len(strategies)):
                 ref = SweepScheduler(ref_config).run(workloads, strategies,
                                                      parallel=False)
             reference_wall = time.perf_counter() - start
@@ -191,8 +191,8 @@ def run_chaos(
     for cell in reference_canonical:
         outcome_reference[_canonical_key(cell)] = _canonical_json(cell)
 
-    with get_tracer().span("chaos.sweep", cat="chaos",
-                           seed=policy.seed, rate=policy.rate):
+    with get_event_log().span("chaos.sweep", seed=policy.seed,
+                              rate=policy.rate):
         sweep = SweepScheduler(chaos_config).run(workloads, strategies,
                                                  parallel=parallel)
     outcome = ChaosOutcome(policy=policy, sweep=sweep,

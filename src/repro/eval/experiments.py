@@ -25,6 +25,7 @@ from .pipeline import (
     StrategySpec,
     Workload,
     WorkloadPipeline,
+    metric_for_strategy,
 )
 
 
@@ -86,27 +87,6 @@ class SuiteResult:
         return geomean(values) if values else float("nan")
 
 
-def _relevant_faults(faults: Dict[str, int], strategy: StrategySpec) -> float:
-    text = faults.get(TEXT_SECTION, 0)
-    heap = faults.get(HEAP_SECTION, 0)
-    if strategy.is_code and strategy.is_heap:
-        return float(text + heap)
-    if strategy.is_code:
-        return float(text)
-    return float(heap)
-
-
-def _measure_point(metrics, strategy: StrategySpec, microservice: bool):
-    """(fault metric, time metric) for one run."""
-    if microservice and metrics.first_response_time_s is not None:
-        faults = metrics.first_response_faults or metrics.faults
-        time_s = metrics.first_response_time_s
-    else:
-        faults = metrics.faults
-        time_s = metrics.time_s
-    return _relevant_faults(faults, strategy), time_s
-
-
 def evaluate_workload(
     workload: Workload,
     config: Optional[ExperimentConfig] = None,
@@ -135,18 +115,14 @@ def evaluate_workload(
             optimized = pipeline.build_optimized(outcome.profiles, spec, seed=seed + 2)
             opt_runs = pipeline.measure(optimized, config.n_runs, seed=seed + 3)
 
-            base_faults = mean(
-                [_measure_point(m, spec, workload.microservice)[0] for m in base_runs]
-            )
-            base_time = mean(
-                [_measure_point(m, spec, workload.microservice)[1] for m in base_runs]
-            )
-            opt_faults = mean(
-                [_measure_point(m, spec, workload.microservice)[0] for m in opt_runs]
-            )
-            opt_time = mean(
-                [_measure_point(m, spec, workload.microservice)[1] for m in opt_runs]
-            )
+            base = [metric_for_strategy(m, spec, workload.microservice)
+                    for m in base_runs]
+            opt = [metric_for_strategy(m, spec, workload.microservice)
+                   for m in opt_runs]
+            base_faults = mean([m["faults"] for m in base])
+            base_time = mean([m["time_s"] for m in base])
+            opt_faults = mean([m["faults"] for m in opt])
+            opt_time = mean([m["time_s"] for m in opt])
             fault_factor = base_faults / opt_faults if opt_faults else float(base_faults or 1.0)
             per_strategy_fault_factors[spec.name].append(fault_factor)
             per_strategy_speedups[spec.name].append(base_time / opt_time)

@@ -46,6 +46,7 @@ from ..image.binary import (
     NativeImageBinary,
 )
 from ..image.builder import BuildConfig, NativeImageBuilder
+from ..image.sections import HEAP_SECTION, TEXT_SECTION
 from ..minijava.bytecode import Program
 from ..minijava.frontend import compile_source
 from ..obs import phase
@@ -882,29 +883,33 @@ class WorkloadPipeline:
         return results
 
 
+def relevant_faults(faults: Dict[str, int], strategy: StrategySpec) -> int:
+    """The fault count ``strategy`` is judged on (Sec. 7.1).
+
+    Code strategies count ``.text`` faults, heap strategies ``.svm_heap``
+    faults, the combined strategy both.
+    """
+    text = faults.get(TEXT_SECTION, 0)
+    heap = faults.get(HEAP_SECTION, 0)
+    if strategy.is_code and strategy.is_heap:
+        return text + heap
+    return text if strategy.is_code else heap
+
+
 def metric_for_strategy(metrics: RunMetrics, strategy: StrategySpec,
                         microservice: bool) -> Dict[str, float]:
     """Extract the paper's per-strategy measurements from one run.
 
-    Code strategies report ``.text`` faults, heap strategies ``.svm_heap``
-    faults, the combined strategy both; time is end-to-end for AWFY and
-    time-to-first-response for microservices (Sec. 7.1).
+    The fault metric is :func:`relevant_faults`; time is end-to-end for
+    AWFY and time-to-first-response for microservices (Sec. 7.1).
     """
-    from ..image.sections import HEAP_SECTION, TEXT_SECTION
-
     if microservice and metrics.first_response_time_s is not None:
         time_s = metrics.first_response_time_s
         faults = metrics.first_response_faults or metrics.faults
     else:
         time_s = metrics.time_s
         faults = metrics.faults
-    text = faults.get(TEXT_SECTION, 0)
-    heap = faults.get(HEAP_SECTION, 0)
-    if strategy.is_code and strategy.is_heap:
-        fault_metric = text + heap
-    elif strategy.is_code:
-        fault_metric = text
-    else:
-        fault_metric = heap
-    return {"faults": float(fault_metric), "time_s": time_s,
-            "text_faults": float(text), "heap_faults": float(heap)}
+    return {"faults": float(relevant_faults(faults, strategy)),
+            "time_s": time_s,
+            "text_faults": float(faults.get(TEXT_SECTION, 0)),
+            "heap_faults": float(faults.get(HEAP_SECTION, 0))}

@@ -61,7 +61,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache import ArtifactCache, CacheStats
 from ..image.builder import BuildConfig
-from ..obs import MetricsSnapshot, get_event_log, get_registry, get_tracer
+from ..obs import MetricsSnapshot, get_event_log, get_registry
 from ..robustness.chaos import (
     CHAOS_CACHE_IO,
     CHAOS_CORRUPT_ARTIFACT,
@@ -193,6 +193,11 @@ class EvalTask:
     seed: int
     iterations: int = 1
 
+    @property
+    def cell(self) -> str:
+        """``workload/strategy``: the ``task`` id its records carry."""
+        return f"{self.workload.name}/{self.strategy_name}"
+
 
 @dataclass
 class TaskResult:
@@ -204,11 +209,13 @@ class TaskResult:
     ``error`` carries a formatted exception when the task failed; the
     scheduler never lets one bad cell sink the sweep.
 
-    ``metrics`` is the delta of the worker's metrics registry across this
-    task and ``spans`` the trace events it recorded — both are shipped
-    back so the scheduler can merge worker-process observability into the
-    parent (and both are excluded from :meth:`canonical`, since the
-    operational plane legitimately varies with scheduling).
+    ``metrics`` is the delta of the metrics registry across this attempt
+    and ``events`` the run records it logged (phase spans, the ``task``
+    span, chaos injections, degradation notes).  When a pool worker ran
+    the attempt, the scheduler folds both into the parent process once,
+    on receipt; an inline attempt recorded into the parent directly.
+    Both are excluded from :meth:`canonical`, since the operational plane
+    legitimately varies with scheduling.
     """
 
     workload: str
@@ -226,9 +233,6 @@ class TaskResult:
     wall_s: float = 0.0
     error: Optional[str] = None
     metrics: Optional[MetricsSnapshot] = None
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: correlated event-log entries this task emitted (chaos injections,
-    #: degradation notes, phase events); absorbed into the parent log
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: which attempt produced this result (0 = first try); excluded from
     #: :meth:`canonical` — a surviving retry must be byte-identical to a
@@ -341,11 +345,12 @@ def run_task(task: EvalTask, config: SchedulerConfig, attempt: int = 0,
     killing the pool worker) when allowed, and degrades to an error result
     named :class:`SimulatedWorkerCrash` otherwise.
 
-    Observability: the task is one ``sched`` span; everything recorded in
-    the process-wide registry while the task ran travels back as a
-    metrics delta, and the deterministic ``sweep.*`` counters are derived
-    from the canonical result so serial and parallel schedulers agree on
-    them exactly.
+    Observability: the attempt is one ``task`` span; everything recorded
+    in the process-wide registry and event log while it ran (its
+    ``sched.tasks.dispatched`` count included) travels back as a metrics
+    delta plus records, and the deterministic ``sweep.*`` counters are
+    derived from the canonical result so serial and parallel schedulers
+    agree on them exactly.
     """
     chaos = config.chaos
     fault = (chaos.fault_for(task.workload.name, task.strategy_name, attempt)
@@ -358,30 +363,22 @@ def run_task(task: EvalTask, config: SchedulerConfig, attempt: int = 0,
         # recorded here would survive the exit anyway.
         os._exit(CHAOS_CRASH_EXIT)
     registry = get_registry()
-    tracer = get_tracer()
-    event_log = get_event_log()
-    registry.counter("sched.tasks.dispatched")
+    log = get_event_log()
     metrics_before = registry.snapshot()
-    span_mark = tracer.mark()
-    event_mark = event_log.mark()
-    task_id = f"{task.workload.name}/{task.strategy_name}"
+    event_mark = log.mark()
+    registry.counter("sched.tasks.dispatched")
     result = TaskResult(workload=task.workload.name,
                         strategy=task.strategy_name, seed=task.seed,
                         attempt=attempt)
     start = time.perf_counter()
-    with event_log.context(task=task_id), \
-            tracer.span("task", cat="sched", workload=task.workload.name,
-                        strategy=task.strategy_name, seed=task.seed,
-                        attempt=attempt):
+    with log.context(task=task.cell), \
+            log.span("task", seed=task.seed, attempt=attempt):
         # A hard worker_crash never reaches this line (os._exit above);
         # a crash fault here is the inline simulated variant, so recording
         # it worker-side never double-counts the parent's submit-time entry.
         if fault is not None:
             registry.counter(f"chaos.injected.{fault}")
-            tracer.instant("chaos.inject", cat="chaos", fault=fault,
-                           workload=task.workload.name,
-                           strategy=task.strategy_name, attempt=attempt)
-            event_log.emit("chaos.inject", fault=fault, attempt=attempt)
+            log.emit("chaos.inject", fault=fault, attempt=attempt)
         _run_task_attempt(result, task, config, fault)
     registry.counter(
         "sched.tasks.completed" if result.ok else "sched.tasks.failed"
@@ -389,8 +386,7 @@ def run_task(task: EvalTask, config: SchedulerConfig, attempt: int = 0,
     _record_sweep_counters(registry, result)
     result.wall_s = time.perf_counter() - start
     result.metrics = registry.snapshot().diff(metrics_before)
-    result.spans = tracer.events_since(span_mark)
-    result.events = event_log.events_since(event_mark)
+    result.events = log.events_since(event_mark)
     return result
 
 
@@ -735,12 +731,11 @@ class SweepScheduler:
         workers = min(workers, max(len(tasks), 1))
         sweep = SweepResult(workers=workers)
         registry = get_registry()
-        tracer = get_tracer()
         health_before = registry.snapshot()
         start = time.perf_counter()
-        with tracer.span("sweep", cat="sched", tasks=len(tasks),
-                         workers=workers):
-            state = _SweepRun(tasks, self.config, sweep, inline=workers <= 1)
+        with get_event_log().span("sweep", tasks=len(tasks),
+                                  workers=workers):
+            state = _SweepRun(tasks, self.config, sweep)
             if workers <= 1:
                 state.run_serial(range(len(tasks)))
             else:
@@ -748,31 +743,20 @@ class SweepScheduler:
             results = state.finish()
         sweep.tasks = results
         sweep.wall_s = time.perf_counter() - start
-        # Worker-process observability folds into the parent here.  Tasks
-        # that ran inline — the whole sweep when workers <= 1, or the
-        # cells a pool-mode sweep finished after degrading to serial —
-        # already recorded into this process's registry and tracer, so
-        # for them only the sweep-local snapshot is built; merging their
-        # shipped deltas again would double-count.  Either way the parent
-        # registry ends up with the same totals.
-        for index, task in enumerate(results):
-            ran_inline = index in state.inline_indices
+        # Every attempt's observability is already in this process: inline
+        # attempts recorded here directly and pool attempts were folded in
+        # on receipt.  The sweep-local snapshot sums the final results.
+        for task in results:
             sweep.cache_hits += task.cache_hits
             sweep.cache_misses += task.cache_misses
             if task.metrics is not None:
                 sweep.metrics.merge(task.metrics)
-                if not ran_inline:
-                    registry.merge_snapshot(task.metrics)
-            if not ran_inline and task.spans:
-                tracer.absorb(task.spans)
-            if not ran_inline and task.events:
-                get_event_log().absorb(task.events)
             if task.quarantined:
                 sweep.quarantine.quarantine(task.workload, task.strategy,
                                             task.quarantine_reason)
         # Injection and self-healing counters for the health report come
-        # from the parent registry delta across the whole sweep — failed
-        # attempts included (their deltas were absorbed on receipt).
+        # from the parent registry delta across the whole sweep, failed
+        # attempts included.
         delta = registry.snapshot().diff(health_before)
         for name, value in delta.counters.items():
             if name.startswith("chaos.injected."):
@@ -799,48 +783,43 @@ class _SweepRun:
     """
 
     def __init__(self, tasks: List[EvalTask], config: SchedulerConfig,
-                 sweep: SweepResult, inline: bool) -> None:
+                 sweep: SweepResult) -> None:
         self.tasks = tasks
         self.config = config
         self.sweep = sweep
         self.health = sweep.health
-        self.inline = inline
         self.registry = get_registry()
-        self.tracer = get_tracer()
+        self.log = get_event_log()
         n = len(tasks)
         self.final: List[Optional[TaskResult]] = [None] * n
         #: next attempt number per cell (0-based)
         self.attempts = [0] * n
         #: failed-attempt count per cell (pool-break requeues excluded)
         self.failures = [0] * n
-        #: cells whose attempts ran in this process (their observability
-        #: is already in the parent registry/tracer — never re-merge it)
-        self.inline_indices: set = set()
 
     @property
     def max_attempts(self) -> int:
         retry = self.config.retry
         return retry.max_attempts if retry is not None else 1
 
-    def receive(self, index: int, result: TaskResult) -> float:
+    def receive(self, index: int, result: TaskResult,
+                shipped: bool = False) -> float:
         """Fold one attempt's result in; returns the backoff delay before
-        the next attempt (0 when the cell is finished)."""
+        the next attempt (0 when the cell is finished).
+
+        ``shipped`` marks an attempt a pool worker ran: its metrics delta
+        and records are folded into this process here, once per attempt,
+        whether it failed or not.  An inline attempt already recorded
+        here directly.
+        """
         task = self.tasks[index]
         if result.ballast:
             self.health.ballast_bytes += len(result.ballast)
             result.ballast = b""
-        # Failed attempts are retried, so only the final result reaches
-        # ``sweep.tasks`` — but their operational observability must not
-        # vanish with them: absorb metrics + spans into the parent now.
-        # (Attempts that ran inline recorded into the parent directly.)
-        if (not self.inline and index not in self.inline_indices
-                and not result.ok):
+        if shipped:
             if result.metrics is not None:
                 self.registry.merge_snapshot(result.metrics)
-            if result.spans:
-                self.tracer.absorb(result.spans)
-            if result.events:
-                get_event_log().absorb(result.events)
+            self.log.absorb(result.events)
         if result.ok:
             self.final[index] = result
             return 0.0
@@ -861,20 +840,17 @@ class _SweepRun:
                     f"last error: {result.error}")
                 self.registry.counter("sched.tasks.poisoned")
                 self.registry.counter("sweep.tasks.quarantined")
-                self.tracer.instant(
-                    "sched.poison", cat="sched", workload=result.workload,
-                    strategy=result.strategy, failures=self.failures[index])
+                self.log.emit("sched.poison", task=task.cell,
+                              failures=self.failures[index])
                 self.health.poisoned.append(
                     f"{result.workload}/{result.strategy}")
             self.final[index] = result
             return 0.0
         self.health.retries += 1
         self.registry.counter("sched.tasks.retried")
-        self.tracer.instant("sched.retry", cat="sched",
-                            workload=result.workload,
-                            strategy=result.strategy,
-                            attempt=result.attempt,
-                            error=(result.error or "")[:120])
+        self.log.emit("sched.retry", task=task.cell,
+                      attempt=result.attempt,
+                      error=(result.error or "")[:120])
         self.attempts[index] = result.attempt + 1
         delay = retry.backoff_s(task.seed, task.workload.name,
                                 task.strategy_name, result.attempt)
@@ -900,15 +876,13 @@ class _SweepRun:
 
         The worker dies via ``os._exit`` before it can record anything,
         but the chaos schedule is a pure function the parent can evaluate
-        too — so the injection is accounted here, at submit time.
+        too — so the injection is accounted here, at submit time, with the
+        same counter and ``chaos.inject`` record an inline attempt makes.
         """
-        task = self.tasks[index]
         self.registry.counter(f"chaos.injected.{CHAOS_WORKER_CRASH}")
-        self.tracer.instant("chaos.inject", cat="chaos",
-                            fault=CHAOS_WORKER_CRASH,
-                            workload=task.workload.name,
-                            strategy=task.strategy_name,
-                            attempt=self.attempts[index])
+        self.log.emit("chaos.inject", task=self.tasks[index].cell,
+                      fault=CHAOS_WORKER_CRASH,
+                      attempt=self.attempts[index])
 
     def pending(self) -> List[int]:
         return [i for i, r in enumerate(self.final) if r is None]
@@ -928,7 +902,6 @@ class _SweepRun:
         (``allow_hard_crash=False``), so a persistent crasher finally gets
         attributed to its cell and convicted."""
         for index in indices:
-            self.inline_indices.add(index)
             while self.final[index] is None:
                 result = run_task(self.tasks[index], self.config,
                                   attempt=self.attempts[index],
@@ -1010,7 +983,8 @@ class _SweepRun:
                             heapq.heappush(ready,
                                            (time.monotonic(), seq, index))
                             continue
-                        delay = self.receive(index, future.result())
+                        delay = self.receive(index, future.result(),
+                                             shipped=True)
                         if self.final[index] is None:
                             seq += 1
                             heapq.heappush(
@@ -1020,14 +994,15 @@ class _SweepRun:
                     breaks += 1
                     self.health.pool_breaks += 1
                     self.registry.counter("sched.pool.broken")
-                    self.tracer.instant("sched.pool.break", cat="sched",
-                                        breaks=breaks, workers=workers)
+                    self.log.emit("sched.pool.break", breaks=breaks,
+                                  workers=workers)
                     # Every other in-flight future is broken too; harvest
                     # the ones that finished before the pool died and
                     # requeue the rest.
                     for future, index in list(in_flight.items()):
                         if future.done() and future.exception() is None:
-                            delay = self.receive(index, future.result())
+                            delay = self.receive(index, future.result(),
+                                                 shipped=True)
                             if self.final[index] is None:
                                 seq += 1
                                 heapq.heappush(

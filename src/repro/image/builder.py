@@ -165,7 +165,7 @@ class NativeImageBuilder:
             code_profile = profiles.code_profile(code_ordering)
             if code_profile is None:
                 raise ValueError(f"profiles carry no {code_ordering!r} code ordering")
-            with phase("order", kind="code", strategy=code_ordering):
+            with phase("order", ordering="code", strategy=code_ordering):
                 ordered_cus = order_compilation_units(cus, code_profile)
         else:
             ordered_cus = default_order(cus)
@@ -198,7 +198,7 @@ class NativeImageBuilder:
             heap_profile = profiles.heap_profile(heap_ordering)
             if heap_profile is None:
                 raise ValueError(f"profiles carry no {heap_ordering!r} heap ordering")
-            with phase("order", kind="heap", strategy=heap_ordering):
+            with phase("order", ordering="heap", strategy=heap_ordering):
                 ordered_objects, report = match_and_order(snapshot, heap_profile)
             self.last_match_report = report
         else:

@@ -1,10 +1,12 @@
-"""Pipeline observability: metrics registry, phase spans, trace export.
+"""Pipeline observability: metrics registry, run records, exporters.
 
 The measurement loop the paper's evaluation depends on (per-section page
 faults, Sec. 7.1) needs the pipeline itself to be observable: this package
 provides the process-wide :class:`MetricsRegistry` (counters, gauges,
 histograms with deterministic snapshot/merge for multiprocess runs) and
-the :class:`SpanTracer` whose events export as Chrome trace-event JSON.
+the process-wide :class:`EventLog`, the one record stream of how a run
+went (phase spans, scheduler tasks, cache, degradation, quarantine, chaos
+and PGO records), rendered as JSONL or as Chrome trace-event JSON.
 
 Instrumented call sites live in their own modules (pipeline phases in
 :mod:`repro.eval.pipeline` and :mod:`repro.image.builder`, cache events in
@@ -21,7 +23,8 @@ every fault on the CUs/heap objects resident on the faulted page.  The
 differential explainer on top of it is :mod:`repro.eval.explain`.
 
 CLI entry points: ``repro stats`` (merged metrics summary), ``repro
-trace`` (Chrome trace export), and ``repro why`` (attribution diff).
+trace`` (Chrome trace export, ``--events`` for the same records as
+JSONL), and ``repro why`` (attribution diff).
 """
 
 from .attrib import (
@@ -34,7 +37,7 @@ from .attrib import (
     attribute_run,
     binary_tenancies,
 )
-from .events import EventLog, events, get_event_log
+from .events import EventLog, get_event_log, phase
 from .export import (
     format_stats,
     stats_dict,
@@ -51,7 +54,6 @@ from .metrics import (
     get_registry,
     metrics,
 )
-from .spans import SpanTracer, get_tracer, phase, tracer
 
 __all__ = [
     "BenchHistory",
@@ -64,24 +66,20 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "SectionAttribution",
-    "SpanTracer",
     "StartupAttributionReport",
     "UnitBlame",
     "attribute",
     "attribute_run",
     "binary_tenancies",
-    "events",
     "format_stats",
     "get_event_log",
     "get_registry",
-    "get_tracer",
     "make_entry",
     "matrix_hash",
     "metrics",
     "phase",
     "stats_dict",
     "to_openmetrics",
-    "tracer",
     "validate_openmetrics",
     "validate_trace",
 ]

@@ -1,31 +1,33 @@
-"""Correlated JSONL event log with causal ids.
+"""One record stream for how a run went, rendered two ways.
 
-The span tracer answers "how long did things take"; this log answers
-"what *happened*, in what order, and during which unit of work".  Every
-notable decision in the pipeline — degradation notes, chaos injections,
-PGO epoch actions (refresh/rollback/quarantine), phase completions —
-records one structured event carrying whatever causal ids are in scope
-(``run`` / ``phase`` / ``task``), so a post-hoc reader can join the
-stream against history entries, traces, and metrics by id instead of by
-timestamp guesswork.
+Every notable moment of a run is one record in the process-wide
+:class:`EventLog`: pipeline phases (:func:`phase`), scheduler tasks and
+sweeps, cache heals and evictions, degradation notes, quarantine
+convictions, chaos injections and PGO epoch actions.  A record is a flat
+dict ``{"kind", "seq", "ts", "pid", "tid", <causal ids>, <fields>}``; a
+*span* is a record that also carries ``dur``, the
+:func:`time.perf_counter` seconds its block took.  ``ts`` is wall-clock
+seconds (anchored once per process, then advanced by ``perf_counter``),
+so records from different processes share one timeline, and ``seq`` is
+the log's own monotone order.
 
-Mechanics mirror :class:`~repro.obs.spans.SpanTracer` deliberately:
+Causal ids come from :meth:`EventLog.context` scopes: nested scopes layer
+their ids (inner wins) and the stack is thread-local, so a record
+emitted inside ``context(task=...)`` and a :func:`phase` carries both the
+task and the phase.
 
-* a process-wide singleton (:func:`get_event_log`) every call site
-  appends to;
-* worker processes accumulate into their own log; the scheduler drains
-  each task's events (:meth:`EventLog.mark` / :meth:`events_since`)
-  into the ``TaskResult`` and :meth:`absorb`-s them into the parent, so
-  one exported stream covers the whole sweep;
-* a hard buffer cap with a drop counter, never unbounded growth.
+Worker processes record into their own log.  The scheduler drains each
+attempt's records (:meth:`EventLog.mark` / :meth:`events_since`) into
+the ``TaskResult`` and the parent :meth:`absorb`-s them once, so one log
+covers the whole sweep.  The buffer is capped; overflow is counted in
+:attr:`EventLog.dropped` and the ``trace.dropped_events`` metric, never
+unbounded growth.
 
-Causal ids are supplied by the :meth:`EventLog.context` context manager
-— nested scopes layer their ids, so an event emitted inside
-``context(run=...)`` → ``context(task=...)`` carries both.  The stack is
-thread-local: concurrent threads do not see each other's scopes.
-
-Export is JSONL, one event per line (:meth:`EventLog.export`), the
-format ``repro report`` and the PGO timeline tests consume.
+Two renderers read the same buffer: :meth:`EventLog.export` writes JSONL
+(one record per line; ``repro trace --events``) and
+:meth:`EventLog.export_chrome` writes Chrome trace-event JSON, one trace
+event per record (``repro trace``; load it in ``chrome://tracing`` or
+Perfetto).
 """
 
 from __future__ import annotations
@@ -37,10 +39,16 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
-#: hard cap on buffered events; overflow is counted, never grows unbounded
+from .metrics import metrics
+
+#: hard cap on buffered records; overflow is counted, never grows unbounded
 DEFAULT_MAX_EVENTS = 100_000
+
+#: record keys the Chrome renderer maps onto trace-event fields; every
+#: other key (kind, seq, causal ids, fields) travels in ``args``
+_CHROME_FIELDS = ("ts", "dur", "pid", "tid")
 
 
 def interned(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -49,28 +57,26 @@ def interned(record: Dict[str, Any]) -> Dict[str, Any]:
     Records shipped from workers arrive unpickled, each holding private
     copies of the same few key and name strings; interning them on absorb
     makes every buffered record share one object per distinct string.
-    Nested dicts (span ``args``) are interned the same way.
     """
-    copy: Dict[str, Any] = {}
-    for key, value in record.items():
-        if type(value) is str:
-            value = sys.intern(value)
-        elif isinstance(value, dict):
-            value = interned(value)
-        copy[sys.intern(key)] = value
-    return copy
+    return {sys.intern(key): sys.intern(value) if type(value) is str
+            else value for key, value in record.items()}
 
 
 class EventLog:
-    """Append-only in-process event buffer with causal-id scoping."""
+    """Append-only, capped record buffer with causal-id scoping."""
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self._lock = threading.Lock()
         self._events: List[Dict[str, Any]] = []
         self._local = threading.local()
         self._seq = 0
+        self._wall0, self._perf0 = time.time(), time.perf_counter()
         self.max_events = max_events
         self.dropped = 0
+
+    def _now(self) -> float:
+        """This log's clock: wall-clock seconds advanced by perf_counter."""
+        return self._wall0 + (time.perf_counter() - self._perf0)
 
     # -- causal scoping ------------------------------------------------------
 
@@ -82,8 +88,8 @@ class EventLog:
 
     @contextmanager
     def context(self, **ids: Any) -> Iterator[None]:
-        """Attach causal ids (``run=...``, ``phase=...``, ``task=...``)
-        to every event emitted inside the block; scopes nest."""
+        """Attach causal ids (``phase=...``, ``task=...``, ...) to every
+        record emitted inside the block; scopes nest."""
         stack = self._stack()
         stack.append(dict(ids))
         try:
@@ -100,26 +106,49 @@ class EventLog:
 
     # -- recording -----------------------------------------------------------
 
-    def emit(self, kind: str, **fields: Any) -> Optional[Dict[str, Any]]:
-        """Record one event; returns it (or ``None`` if dropped at cap).
-
-        The event is ``{"seq", "ts", "kind", <causal ids>, <fields>}``;
-        explicit fields override scoped ids of the same name, and ``seq``
-        is a per-log monotone sequence so readers can reconstruct exact
-        order even when wall-clock timestamps collide.
-        """
-        event: Dict[str, Any] = {"kind": kind, "pid": os.getpid()}
-        event.update(self.current_ids())
-        event.update(fields)
+    def _append(self, record: Dict[str, Any]) -> bool:
+        """Sequence and buffer one record; False when dropped at the cap."""
         with self._lock:
-            if len(self._events) >= self.max_events:
+            stored = len(self._events) < self.max_events
+            if stored:
+                record["seq"] = self._seq
+                self._seq += 1
+                self._events.append(record)
+            else:
                 self.dropped += 1
-                return None
-            event["seq"] = self._seq
-            event["ts"] = time.time()
-            self._seq += 1
-            self._events.append(event)
-        return event
+        if not stored:
+            # Outside the log lock: the registry has its own.  The counter
+            # makes record loss visible in ``repro stats`` and merges
+            # across workers like any other metric.
+            metrics().counter("trace.dropped_events")
+        return stored
+
+    def _record(self, kind: str, ts: float, fields: Dict[str, Any],
+                dur: Optional[float] = None) -> Optional[Dict[str, Any]]:
+        record: Dict[str, Any] = {"kind": kind, "pid": os.getpid(),
+                                  "tid": threading.get_ident() & 0xFFFF}
+        record.update(self.current_ids())
+        record.update(fields)
+        record["ts"] = ts
+        if dur is not None:
+            record["dur"] = dur
+        return record if self._append(record) else None
+
+    def emit(self, kind: str, **fields: Any) -> Optional[Dict[str, Any]]:
+        """Record one point event; returns it (``None`` if dropped at cap).
+
+        Explicit fields override scoped ids of the same name.
+        """
+        return self._record(kind, self._now(), fields)
+
+    @contextmanager
+    def span(self, kind: str, **fields: Any) -> Iterator[None]:
+        """Record a block as one span, even when the block raises."""
+        ts, start = self._now(), time.perf_counter()
+        try:
+            yield
+        finally:
+            self._record(kind, ts, fields, time.perf_counter() - start)
 
     # -- shipping (worker -> parent) -----------------------------------------
 
@@ -129,31 +158,25 @@ class EventLog:
             return len(self._events)
 
     def events_since(self, mark: int) -> List[Dict[str, Any]]:
-        """Events recorded after ``mark`` (detached copies)."""
+        """Records buffered after ``mark`` (detached copies)."""
         with self._lock:
             return [dict(event) for event in self._events[mark:]]
 
-    def absorb(self, events: List[Dict[str, Any]]) -> None:
-        """Merge events shipped from another process's log.
+    def absorb(self, events: Iterable[Dict[str, Any]]) -> None:
+        """Merge records shipped from another process's log.
 
-        Events are re-sequenced into the parent's ``seq`` space (their
-        original sequence survives as ``worker_seq``) so the absorbed
-        stream still has one total order; keys and strings are
-        :func:`interned`.
+        Each keeps its own ``pid``, ``tid`` and ``ts`` and is
+        re-sequenced into this log's ``seq`` (the sender's survives as
+        ``worker_seq``), so the absorbed stream still has one total
+        order; keys and strings are :func:`interned`.
         """
-        with self._lock:
-            for shipped in events:
-                if len(self._events) >= self.max_events:
-                    self.dropped += 1
-                    continue
-                event = interned(shipped)
-                if "seq" in event:
-                    event["worker_seq"] = event["seq"]
-                event["seq"] = self._seq
-                self._seq += 1
-                self._events.append(event)
+        for shipped in events:
+            record = interned(shipped)
+            if "seq" in record:
+                record["worker_seq"] = record["seq"]
+            self._append(record)
 
-    # -- reading / export ----------------------------------------------------
+    # -- reading / rendering -------------------------------------------------
 
     @property
     def events(self) -> List[Dict[str, Any]]:
@@ -161,7 +184,7 @@ class EventLog:
             return [dict(event) for event in self._events]
 
     def of_kind(self, kind: str) -> List[Dict[str, Any]]:
-        """Events of one kind, in emission order."""
+        """Records of one kind, in ``seq`` order."""
         return [event for event in self.events if event.get("kind") == kind]
 
     def to_jsonl(self) -> str:
@@ -171,9 +194,49 @@ class EventLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def export(self, path: Union[Path, str]) -> Path:
-        """Write the JSONL event stream; returns the written path."""
+        """Write the records as JSONL; returns the written path."""
         target = Path(path)
         target.write_text(self.to_jsonl())
+        return target
+
+    def to_chrome(self) -> Dict[str, Any]:
+        """The Chrome trace-event payload: one event per record.
+
+        Spans become complete events (``ph: "X"``), other records
+        process-scoped instants (``ph: "i"``).  A ``phase`` record is
+        named after its phase, any other after its kind.  Timestamps are
+        microseconds since the earliest record, so records absorbed from
+        workers never start before zero.
+        """
+        records = self.events
+        origin = min((record["ts"] for record in records), default=0.0)
+        trace = []
+        for record in records:
+            kind = record["kind"]
+            event = {
+                "name": record["name"] if kind == "phase" else kind,
+                "cat": kind.partition(".")[0],
+                "ts": (record["ts"] - origin) * 1e6,
+                "pid": record["pid"], "tid": record["tid"],
+                "args": {key: value for key, value in record.items()
+                         if key not in _CHROME_FIELDS},
+            }
+            if "dur" in record:
+                event.update(ph="X", dur=record["dur"] * 1e6)
+            else:
+                event.update(ph="i", s="p")
+            trace.append(event)
+        return {
+            "traceEvents": trace,
+            "displayTimeUnit": "ms",
+            "otherData": {"dropped_events": self.dropped},
+        }
+
+    def export_chrome(self, path: Union[Path, str]) -> Path:
+        """Write the Chrome trace JSON; returns the written path."""
+        target = Path(path)
+        target.write_text(
+            json.dumps(self.to_chrome(), sort_keys=True, default=str) + "\n")
         return target
 
     def reset(self) -> None:
@@ -187,18 +250,36 @@ _EVENT_LOG = EventLog()
 
 
 def get_event_log() -> EventLog:
-    """The process-wide event log every call site records into."""
+    """The process-wide log every call site records into."""
     return _EVENT_LOG
 
 
-def events() -> EventLog:
-    """Alias of :func:`get_event_log` for terse call sites."""
-    return _EVENT_LOG
+@contextmanager
+def phase(name: str, **fields: Any) -> Iterator[None]:
+    """Instrument one pipeline phase: a record, a counter and a duration.
+
+    Inside the block ``phase=name`` is a causal id.  When the block
+    completes it bumps ``phase.<name>`` (operational counter, *not* part
+    of the deterministic plane: whether a phase ran depends on cache
+    state and scheduling), observes ``phase.<name>.seconds`` and records
+    one ``phase`` span with the same duration, so the ``phase`` records
+    of a run always number the sum of its ``phase.<name>`` counters.  A
+    block that raises records nothing.
+    """
+    log = _EVENT_LOG
+    ts, start = log._now(), time.perf_counter()
+    with log.context(phase=name):
+        yield
+        wall = time.perf_counter() - start
+        registry = metrics()
+        registry.counter(f"phase.{name}")
+        registry.observe(f"phase.{name}.seconds", wall)
+        log._record("phase", ts, dict(fields, name=name), wall)
 
 
 __all__ = [
     "DEFAULT_MAX_EVENTS",
     "EventLog",
-    "events",
     "get_event_log",
+    "phase",
 ]

@@ -2,8 +2,8 @@
 
 ``validate_trace`` is the schema check the obs-smoke CI job runs over
 ``repro trace`` output — it enforces the subset of the Chrome trace-event
-format the tracer emits, so a malformed export fails CI instead of failing
-silently in the trace viewer.  ``format_stats`` renders a
+format ``EventLog.to_chrome`` renders, so a malformed export fails CI
+instead of failing silently in the trace viewer.  ``format_stats`` renders a
 :class:`~repro.obs.metrics.MetricsSnapshot` as the human summary behind
 ``repro stats``.
 
@@ -24,7 +24,7 @@ from typing import Any, Dict, List
 from .metrics import MetricsSnapshot
 from ..util.quantiles import REPORTED_QUANTILES
 
-#: event phases the tracer emits (complete spans and instants); metadata
+#: event phases the Chrome renderer emits (spans and instants); metadata
 #: events ("M") are tolerated for hand-merged traces
 _ALLOWED_PHASES = {"X", "i", "M"}
 

@@ -210,17 +210,15 @@ def code_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
                  exec_config: Optional[ExecutionConfig] = None,
                  ) -> Optional[LayoutProblem]:
     """Build the ``.text`` search instance, or ``None`` without profiles."""
+    from ..runtime.executor import ExecutionConfig, native_startup_pages
+
     raw_events = _code_events(binary, bundle)
     if raw_events is None:
         return None
     units = {placed.cu.name: placed.cu.size for placed in binary.text.placed}
-    if exec_config is None:
-        from ..runtime.executor import ExecutionConfig
-        exec_config = ExecutionConfig()
-    blob_pages = min(exec_config.startup_native_pages,
-                     max(binary.text.native_blob_size // PAGE_SIZE, 0))
     model = CostModel(units=units, events=tuple(raw_events),
-                      constant_faults=max(blob_pages, 0))
+                      constant_faults=native_startup_pages(
+                          binary, exec_config or ExecutionConfig()))
     hot: List[str] = []
     seen: set = set()
     for name, _end in raw_events:
@@ -479,17 +477,13 @@ def simulated_faults(
     ``cu-opt`` build it reproduces the search's predicted cost exactly
     (property-tested).  Pure: same inputs ⇒ same count.
     """
-    from ..runtime.executor import ExecutionConfig
+    from ..runtime.executor import ExecutionConfig, touch_native_startup
     from ..runtime.paging import PageCache
 
     config = config or ExecutionConfig()
     cache = PageCache()
     cache.set_limit(TEXT_SECTION, binary.text.size)
-    blob_pages = min(config.startup_native_pages,
-                     max(binary.text.native_blob_size // PAGE_SIZE, 0))
-    if blob_pages > 0:
-        cache.touch(TEXT_SECTION, binary.text.native_blob_offset,
-                    blob_pages * PAGE_SIZE)
+    touch_native_startup(cache, binary, config)
     raw_events = _code_events(binary, bundle)
     if raw_events is not None:
         placed_by_name = {placed.cu.name: placed

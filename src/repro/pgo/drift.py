@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..eval.pipeline import StrategySpec
+from ..eval.pipeline import StrategySpec, relevant_faults
 from ..image.binary import NativeImageBinary
-from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
+from ..image.sections import HEAP_SECTION, TEXT_SECTION
 from ..ordering.profiles import ProfileBundle
-from ..runtime.executor import ExecutionConfig
+from ..runtime.executor import ExecutionConfig, touch_native_startup
 from ..runtime.paging import PageCache
 
 
@@ -59,11 +59,7 @@ def replay_faults(
     cache = PageCache()
     cache.set_limit(TEXT_SECTION, binary.text.size)
     cache.set_limit(HEAP_SECTION, binary.heap.size)
-    blob_pages = min(config.startup_native_pages,
-                     max(binary.text.native_blob_size // PAGE_SIZE, 0))
-    if blob_pages > 0:
-        cache.touch(TEXT_SECTION, binary.text.native_blob_offset,
-                    blob_pages * PAGE_SIZE)
+    touch_native_startup(cache, binary, config)
     code_kind = spec.code_ordering
     if code_kind is not None:
         profile = bundle.code_profile(code_kind)
@@ -108,19 +104,6 @@ def _touch_heap(cache: PageCache, binary: NativeImageBinary,
     for object_id in ids:
         for obj in by_id.get(object_id, ()):
             cache.touch(HEAP_SECTION, obj.address, obj.size)
-
-
-def relevant_faults(counts: Dict[str, int], spec: StrategySpec) -> int:
-    """The fault metric the strategy is judged on (mirrors the paper)."""
-    text = counts.get(TEXT_SECTION, 0)
-    heap = counts.get(HEAP_SECTION, 0)
-    if spec.is_code and spec.is_heap:
-        return text + heap
-    if spec.is_code:
-        return text
-    if spec.is_heap:
-        return heap
-    return text + heap
 
 
 def expected_faults(

@@ -108,11 +108,8 @@ class DegradationReport:
     def note(self, reason: str) -> None:
         self.degraded = True
         self.reasons.append(reason)
-        from ..obs import get_event_log, get_tracer, metrics
+        from ..obs import get_event_log, metrics
         metrics().counter("robustness.degradation.notes")
-        get_tracer().instant("degradation", cat="robustness",
-                             workload=self.workload, strategy=self.strategy,
-                             reason=reason)
         get_event_log().emit("degradation", workload=self.workload,
                              strategy=self.strategy, reason=reason)
 

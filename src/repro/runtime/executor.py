@@ -74,6 +74,22 @@ class ExecutionConfig:
         return fingerprint(self)
 
 
+def native_startup_pages(binary: NativeImageBinary,
+                         config: ExecutionConfig) -> int:
+    """Pages of the unmovable native blob every start faults in first."""
+    return max(min(config.startup_native_pages,
+                   binary.text.native_blob_size // PAGE_SIZE), 0)
+
+
+def touch_native_startup(cache: PageCache, binary: NativeImageBinary,
+                         config: ExecutionConfig) -> None:
+    """Fault those pages in, as process startup does before ``main``."""
+    pages = native_startup_pages(binary, config)
+    if pages:
+        cache.touch(TEXT_SECTION, binary.text.native_blob_offset,
+                    pages * PAGE_SIZE)
+
+
 @dataclass
 class RunMetrics:
     """Everything one execution produced."""
@@ -240,13 +256,7 @@ class BinaryExecutor:
         hooks.interpreter = interp
 
         # Process startup: native-library pages (unmovable code) fault first.
-        blob_pages = min(
-            config.startup_native_pages,
-            max(binary.text.native_blob_size // PAGE_SIZE, 0),
-        )
-        if blob_pages:
-            cache.touch(TEXT_SECTION, binary.text.native_blob_offset,
-                        blob_pages * PAGE_SIZE)
+        touch_native_startup(cache, binary, config)
 
         thread = interp.spawn_main()
         interp.run()

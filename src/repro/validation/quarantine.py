@@ -42,11 +42,10 @@ class QuarantineRegistry:
         entry = QuarantineEntry(workload=workload, strategy=strategy,
                                 reason=reason, layout_digest=layout_digest)
         if (workload, strategy) not in self.entries:
-            from ..obs import get_tracer, metrics
+            from ..obs import get_event_log, metrics
             metrics().counter("validation.quarantines")
-            get_tracer().instant("quarantine", cat="validation",
-                                 workload=workload, strategy=strategy,
-                                 reason=reason)
+            get_event_log().emit("quarantine", workload=workload,
+                                 strategy=strategy, reason=reason)
         self.entries[(workload, strategy)] = entry
         return entry
 

@@ -34,10 +34,9 @@ def run():
 
 @pytest.fixture(autouse=True)
 def _reset_obs():
-    """Isolate each test from the process-wide metrics/trace/event state."""
-    from repro.obs import get_event_log, get_registry, get_tracer
+    """Isolate each test from the process-wide metrics and run records."""
+    from repro.obs import get_event_log, get_registry
 
     get_registry().reset()
-    get_tracer().reset()
     get_event_log().reset()
     yield

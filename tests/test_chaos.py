@@ -53,6 +53,8 @@ class Main {
 }
 """
 
+BROKEN_PROGRAM = "class Main { static int main() { return unknown; } }"
+
 SPECS = [STRATEGY_CU, STRATEGY_HEAP_PATH]
 
 #: zero-wait retry policy so recovery tests don't sleep through backoff
@@ -415,6 +417,36 @@ class TestPoolChaosRecovery:
                    for reason in sweep.degradation.reasons)
         assert len(sweep.health.poisoned) == len(SPECS)
         assert len(sweep.quarantine) == len(SPECS)
+
+    def test_pool_and_inline_account_every_attempt_once(self, tmp_path):
+        # A permanently broken cell and two persistently hanging ones (at
+        # seed 0 and rate 0.5 the schedule targets wl0/cu and wl1/cu,
+        # not bad/cu): every attempt fails, and each is folded into the
+        # parent once, whichever process ran it.
+        from repro.obs import get_registry
+
+        workloads = [Workload(name="bad", source=BROKEN_PROGRAM)]
+        workloads += _workloads(2)
+        policy = ChaosPolicy(seed=0, rate=0.5, classes=(CHAOS_HANG,),
+                             hang_s=0.05, persistent=True)
+        seen = {}
+        for workers in (1, 2):
+            config = SchedulerConfig(
+                cache_dir=str(tmp_path / f"cache-{workers}"),
+                max_workers=workers, chaos=policy,
+                retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0,
+                                  jitter=0.0))
+            before = get_registry().snapshot()
+            sweep = SweepScheduler(config).run(workloads, [STRATEGY_CU],
+                                               parallel=workers > 1)
+            delta = get_registry().snapshot().diff(before)
+            assert len(sweep.health.poisoned) == 3
+            seen[workers] = (sweep.health.injected, {
+                name: value for name, value in delta.counters.items()
+                if name.startswith(("sched.tasks.", "sweep.tasks."))})
+        assert seen[1][0] == {CHAOS_HANG: 4}
+        assert seen[1][1]["sched.tasks.failed"] == 6
+        assert seen[2] == seen[1]
 
 
 class TestRunChaos:

@@ -154,6 +154,22 @@ class TestScheduler:
         assert (merged.deterministic()
                 == sweep.metrics.deterministic())
         assert merged.counters.get("sched.tasks.completed") == len(sweep.tasks)
+        # counted inside the shipped delta, so pool workers report it too
+        assert merged.counters.get("sched.tasks.dispatched") == len(sweep.tasks)
+
+    def test_parallel_failed_cell_folds_into_parent_once(self, tmp_path):
+        from repro.obs import get_event_log, get_registry
+
+        workloads = [Workload(name="bad", source=BROKEN_PROGRAM),
+                     Workload(name="wl0", source=PROGRAM)]
+        sweep = SweepScheduler(SchedulerConfig(
+            cache_dir=str(tmp_path / "cache"), max_workers=2,
+        )).run(workloads, [STRATEGY_CU], parallel=True)
+        assert [task.workload for task in sweep.errors] == ["bad"]
+        merged = get_registry().snapshot()
+        assert merged.deterministic() == sweep.metrics.deterministic()
+        assert merged.counters["sched.tasks.failed"] == 1
+        assert len(get_event_log().of_kind("task")) == len(sweep.tasks)
 
     def test_inline_metrics_are_not_double_counted(self, tmp_path):
         from repro.obs import get_registry
