@@ -112,6 +112,22 @@ class CacheStats:
         }
 
 
+def _writer_alive(name: str) -> bool:
+    """Whether the process that staged ``.tmp-<pid>-…`` is still running."""
+    pid = name[len(".tmp-"):].partition("-")[0]
+    # os.kill(pid, 0) probes a process only on POSIX; elsewhere signal 0
+    # would deliver a real signal, so every staging file counts as orphaned.
+    if os.name != "posix" or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
 class ArtifactCache:
     """Content-addressed pickle store with stale and size-bound eviction.
 
@@ -167,16 +183,20 @@ class ArtifactCache:
     def _sweep_orphans(self) -> int:
         """Delete ``.tmp-*`` files a killed writer left behind.
 
-        ``put`` stages payloads in ``mkstemp`` files next to their final
-        path; a process killed between write and rename orphans one.  They
-        are invisible to lookups (the final name was never created) but
-        accumulate dead space, so every store open sweeps them.  Returns
-        the number of orphans removed.
+        ``put`` stages payloads in ``.tmp-<pid>-*`` files next to their
+        final path; a process killed between write and rename orphans one.
+        They are invisible to lookups (the final name was never created)
+        but accumulate dead space, so every store open sweeps them.  A file
+        whose writer still runs is a put in flight — sweep workers open
+        the shared store while others write — and is kept.  Returns the
+        number of orphans removed.
         """
         if not self.root.exists():
             return 0
         removed = 0
         for orphan in self.root.glob("*/*/.tmp-*"):
+            if _writer_alive(orphan.name):
+                continue
             try:
                 orphan.unlink()
                 removed += 1
@@ -326,7 +346,8 @@ class ArtifactCache:
         read, but durability-before-visibility keeps the window closed in
         the first place.
         """
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                   prefix=f".tmp-{os.getpid()}-")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)

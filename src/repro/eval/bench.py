@@ -776,6 +776,15 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
         ran = ", ".join(f"{name} x{count}"
                         for name, count in sorted(warm["phases_run"].items()))
         failures.append(f"warm phase recomputed work: {ran} (want none)")
+    # The cold sweep shares each program's compile and profile across its
+    # strategies; a count above one per program means workers duplicated it.
+    cold_run = payload.get("phases", {}).get("cold", {}).get("phases_run", {})
+    programs = len(payload.get("config", {}).get("workloads", ()))
+    for name in ("compile", "trace", "post-process"):
+        if cold_run.get(name, 0) > programs:
+            failures.append(
+                f"cold phase ran {name} x{cold_run[name]} for {programs} "
+                "program(s) (want at most one per program)")
     attribution = payload.get("attribution")
     if attribution:
         overhead = attribution.get("overhead_vs_cold", 0.0)

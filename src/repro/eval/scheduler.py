@@ -15,7 +15,9 @@ while keeping three invariants:
   :class:`WorkloadPipeline` per workload (compile once, baseline once,
   profile once) and all workers share one content-addressed
   :class:`~repro.cache.ArtifactCache` on disk, so cross-process repeats are
-  loads, not rebuilds.
+  loads, not rebuilds.  A program's other cells are submitted only once
+  an attempt of its first cell has come back, so two workers never race
+  to compute the same shared work.
 * **The verification rung survives** — pipelines run with whatever
   :class:`VerificationPolicy`/:class:`DegradationPolicy` the scheduler was
   configured with; watchdog budgets are reused across every task a worker
@@ -796,6 +798,20 @@ class _SweepRun:
         self.attempts = [0] * n
         #: failed-attempt count per cell (pool-break requeues excluded)
         self.failures = [0] * n
+        #: a program's first cell -> its other cells, held back until an
+        #: attempt of the first cell comes back: by then its compile,
+        #: baseline build and profile are in the cache, so no two workers
+        #: repeat them
+        self.held: Dict[int, List[int]] = {}
+        #: cells the pool may submit now, in submission order
+        self.released: List[int] = []
+        first: Dict[str, int] = {}
+        for index, task in enumerate(tasks):
+            lead = first.setdefault(task.workload.name, index)
+            if lead == index:
+                self.released.append(index)
+            else:
+                self.held.setdefault(lead, []).append(index)
 
     @property
     def max_attempts(self) -> int:
@@ -807,12 +823,18 @@ class _SweepRun:
         """Fold one attempt's result in; returns the backoff delay before
         the next attempt (0 when the cell is finished).
 
+        An attempt of a program's first cell, whatever its outcome,
+        releases the program's held cells.  Every attempt passes through
+        here — success, failure, a harvest after a pool break and the
+        serial fallback — so no held cell is stranded.
+
         ``shipped`` marks an attempt a pool worker ran: its metrics delta
         and records are folded into this process here, once per attempt,
         whether it failed or not.  An inline attempt already recorded
         here directly.
         """
         task = self.tasks[index]
+        self.released.extend(self.held.pop(index, ()))
         if result.ballast:
             self.health.ballast_bytes += len(result.ballast)
             result.ballast = b""
@@ -915,8 +937,11 @@ class _SweepRun:
     def run_pool(self, workers: int) -> None:
         """The fault-tolerant pool loop.
 
-        A heap of (ready-time, submit-seq, cell) holds backoff-delayed
-        resubmissions without blocking the pool; ``wait(FIRST_COMPLETED)``
+        Cells enter the pool as they are released: each program's first
+        cell at once, its other cells when an attempt of the first comes
+        back (see :meth:`receive`).  A heap of (ready-time, submit-seq,
+        cell) holds them and backoff-delayed resubmissions without
+        blocking the pool; ``wait(FIRST_COMPLETED)``
         with a deadline-bounded timeout multiplexes completions against
         the next ready time.  A worker death breaks the whole
         :class:`ProcessPoolExecutor` (every in-flight future raises
@@ -927,15 +952,17 @@ class _SweepRun:
         degradation report.
         """
         config = self.config
-        ready: List[Tuple[float, int, int]] = [
-            (0.0, i, i) for i in range(len(self.tasks))]
-        heapq.heapify(ready)
-        seq = len(self.tasks)
+        ready: List[Tuple[float, int, int]] = []
+        seq = 0
         breaks = 0
         pool = ProcessPoolExecutor(max_workers=workers)
         in_flight: Dict[Any, int] = {}
         try:
             while self.pending():
+                for index in self.released:
+                    seq += 1
+                    heapq.heappush(ready, (0.0, seq, index))
+                self.released.clear()
                 now = time.monotonic()
                 broken = False
                 while ready and ready[0][0] <= now and not broken:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from ..minijava.bytecode import Program
-from ..vm.interpreter import Interpreter
+from ..vm.interpreter import Interpreter, RuntimeHooks
 from ..vm.values import (
     ArrayInstance,
     ObjectInstance,
@@ -186,18 +186,14 @@ class BuildTimeInitializer:
         self._interp.run_single(cls.clinit)
 
 
-class _ResourceCollector:
-    """Minimal hooks object collecting build-time resource registrations."""
+class _ResourceCollector(RuntimeHooks):
+    """Build-time hooks: collect resource registrations, observe nothing else."""
 
     def __init__(self, sink: List[ResourceBlob]) -> None:
         self._sink = sink
 
-    def __getattr__(self, name):
-        if name == "on_resource":
-            return self._sink.append
-        if name == "leaders_for":
-            return lambda method: None
-        return lambda *args, **kwargs: None
+    def on_resource(self, blob: ResourceBlob) -> None:
+        self._sink.append(blob)
 
 
 def _default_statics(program: Program) -> Dict[str, StaticsHolder]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..image.binary import NativeImageBinary, RuntimeImage
 from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
@@ -146,29 +146,54 @@ class ExecHooks(RuntimeHooks):
         self.responded = False
         self.response_snapshot: Optional[Dict[str, int]] = None
         self.response_ops: Optional[int] = None
+        #: (id of caller CU, id of method) -> (the entered frame's CU, the
+        #: CU's root signature when the entry runs its prologue, else None)
+        self._entries: Dict[Tuple[int, int], Tuple[Any, Optional[str]]] = {}
+        #: (section, offset, size) of every touch this run made; pages stay
+        #: resident, so repeating one can never fault again
+        self._touched: Set[Tuple[str, int, int]] = set()
+
+    def _touch(self, section: str, offset: int, size: int) -> None:
+        key = (section, offset, size)
+        if key not in self._touched:
+            self._touched.add(key)
+            self._cache.touch(section, offset, size)
 
     # -- code ------------------------------------------------------------------
 
     def on_method_enter(self, frame: Frame, caller: Optional[Frame],
                         thread: ThreadState) -> None:
         caller_cu = caller.context if caller is not None else None
-        placed, member = self._binary.code_location(frame.method, caller_cu)
-        if placed is None:
-            frame.context = caller_cu
-        else:
-            frame.context = placed
-            offset, size = placed.member_range(member)
-            non_inlined_entry = placed is not caller_cu
-            if non_inlined_entry:
-                # CU prologue executes too.
-                self._cache.touch(TEXT_SECTION, placed.offset,
-                                  offset - placed.offset + size)
-            else:
-                self._cache.touch(TEXT_SECTION, offset, size)
-            if self._tracer is not None and non_inlined_entry:
-                self._tracer.on_cu_entry(placed.cu.name, thread)
+        entry = self._entries.get((id(caller_cu), id(frame.method)))
+        if entry is None:
+            entry = self._first_entry(frame.method, caller_cu)
+        frame.context, prologue_of = entry
         if self._tracer is not None:
+            if prologue_of is not None:
+                self._tracer.on_cu_entry(prologue_of, thread)
             self._tracer.on_method_enter(frame, thread)
+
+    def _first_entry(self, method, caller_cu) -> Tuple[Any, Optional[str]]:
+        """Locate and touch the code a call from ``caller_cu`` runs.
+
+        Memoized per (caller CU, method): a repeated entry touches the
+        same bytes again, which can never fault.
+        """
+        placed, member = self._binary.code_location(method, caller_cu)
+        if placed is None:
+            entry: Tuple[Any, Optional[str]] = (caller_cu, None)
+        else:
+            offset, size = placed.member_range(member)
+            if placed is caller_cu:
+                self._touch(TEXT_SECTION, offset, size)
+                entry = (placed, None)
+            else:
+                # A non-inlined entry runs the CU prologue too.
+                self._touch(TEXT_SECTION, placed.offset,
+                            offset - placed.offset + size)
+                entry = (placed, placed.cu.name)
+        self._entries[(id(caller_cu), id(method))] = entry
+        return entry
 
     def on_method_exit(self, frame: Frame, thread: ThreadState) -> None:
         if self._tracer is not None:
@@ -188,19 +213,19 @@ class ExecHooks(RuntimeHooks):
     def on_object_access(self, obj: Any, op: str, thread: ThreadState) -> None:
         ref = getattr(obj, "image_ref", None)
         if ref is not None:
-            self._cache.touch(HEAP_SECTION, ref.address, ref.size)
+            self._touch(HEAP_SECTION, ref.address, ref.size)
         if self._tracer is not None:
             self._tracer.on_object_access(obj, op, thread)
 
     def on_const_str(self, sid: int) -> None:
         entry = self._binary.literal_objects.get(sid)
         if entry is not None:
-            self._cache.touch(HEAP_SECTION, entry.address, entry.size)
+            self._touch(HEAP_SECTION, entry.address, entry.size)
 
     def on_const_obj(self, token: str) -> None:
         entry = self._binary.fold_objects.get(token)
         if entry is not None:
-            self._cache.touch(HEAP_SECTION, entry.address, entry.size)
+            self._touch(HEAP_SECTION, entry.address, entry.size)
 
     # -- workload signals -------------------------------------------------------------
 

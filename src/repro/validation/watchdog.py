@@ -155,6 +155,14 @@ def run_with_watchdog(
                             f"{budget.deadline_s:g}s; abandoned")
             report.elapsed_s = time.monotonic() - start
             return report
+        if time.monotonic() - start > budget.deadline_s:
+            # The run holds the GIL, so this thread may only wake once the
+            # run is over; finishing late still overran the ceiling.
+            report.outcome = OUTCOME_DEADLINE_EXCEEDED
+            report.elapsed_s = time.monotonic() - start
+            report.error = (f"run took {report.elapsed_s:.3g}s, past its "
+                            f"{budget.deadline_s:g}s deadline")
+            return report
     report.elapsed_s = time.monotonic() - start
 
     if "ops_exceeded" in box:

@@ -13,11 +13,17 @@ points that matter for the reproduction:
 * **Build-time reuse** — the image builder runs class initializers with the
   same interpreter (hooks disabled), exactly like Native Image executes
   ``<clinit>`` methods during heap snapshotting.
+* **Decoded once per method** — a method's first call decodes its bytecode
+  into ``(opcode, a, b)`` tuples with integer opcodes, string literals
+  resolved and a target cache per call site.  The decoded code belongs to
+  the interpreter, never to the program, so a run leaves its binary as it
+  found it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Dict, List, Optional
 
 from ..minijava.bytecode import ClassInfo, CompiledMethod, Program
@@ -28,7 +34,6 @@ from .values import (
     ResourceBlob,
     StaticsHolder,
     VMError,
-    default_for_type,
     to_display,
     type_name_of,
 )
@@ -38,6 +43,10 @@ class RuntimeHooks:
     """Observation points used by executors and profilers.
 
     The base class is all no-ops; subclasses override what they need.
+    :attr:`Interpreter.ops_executed` is current when a method-enter,
+    method-exit or builtin hook (print, respond, resource) runs; the
+    per-instruction hooks (object access, constants, allocation, blocks)
+    may see it lag.
     """
 
     def on_method_enter(self, frame: "Frame", caller: Optional["Frame"],
@@ -69,7 +78,10 @@ class RuntimeHooks:
         """A resource blob was registered (build-time only in practice)."""
 
     def leaders_for(self, method: CompiledMethod) -> Optional[frozenset]:
-        """Basic-block leader pcs for ``method`` or None when not tracing."""
+        """Basic-block leader pcs for ``method`` or None when not tracing.
+
+        Asked once per method and interpreter, when the method is decoded.
+        """
         return None
 
     def on_block(self, frame: "Frame", leader_pc: int, thread: "ThreadState") -> None:
@@ -77,19 +89,25 @@ class RuntimeHooks:
 
 
 class Frame:
-    """One activation record."""
+    """One activation record.
+
+    ``code`` is the method's decoded code; ``pc`` indexes it and is current
+    whenever the frame is suspended (by a call, a builtin or the end of a
+    step).
+    """
 
     __slots__ = ("method", "code", "pc", "stack", "locals", "context", "leaders",
                  "trace_state", "discard_result")
 
-    def __init__(self, method: CompiledMethod, args: List[Any]) -> None:
+    def __init__(self, method: CompiledMethod, code: List[tuple],
+                 slots: List[Any], leaders: Optional[frozenset]) -> None:
         self.method = method
-        self.code = method.code
+        self.code = code
         self.pc = 0
         self.stack: List[Any] = []
-        self.locals: List[Any] = args + [None] * (method.num_slots - len(args))
+        self.locals = slots
         self.context: Any = None  # compilation-unit context, set by executors
-        self.leaders: Optional[frozenset] = None
+        self.leaders = leaders
         self.trace_state: Any = None
         self.discard_result = False
 
@@ -150,6 +168,101 @@ def _int_mod(a: int, b: int) -> int:
     return a - _int_div(a, b) * b
 
 
+def _mod(left: Any, right: Any) -> Any:
+    if isinstance(left, float) or isinstance(right, float):
+        return math.fmod(left, right)
+    return _int_mod(left, right)
+
+
+def _equals(left: Any, right: Any) -> bool:
+    if left is None or right is None:
+        return left is right
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return left == right
+    if isinstance(left, str) and isinstance(right, str):
+        return left == right
+    return left is right
+
+
+# Integer opcodes of decoded code.  ``step`` tests them in this order, most
+# frequently executed first.
+(_LOAD, _GETFIELD, _CONST, _JMP_FALSE, _STORE, _ADD, _CALL, _ALOAD, _ASTORE,
+ _POP, _RET, _JUMP, _PUTFIELD, _SUB, _BINARY, _DUP, _LT, _GT, _GE, _LE, _MUL,
+ _GETSTATIC, _PUTSTATIC, _CONST_STR, _JMP_TRUE, _ARRAYLEN, _UNARY, _BUILTIN,
+ _NEW, _NEWARRAY, _CONST_OBJ, _DIV, _DUP2, _DUP_X1, _DUP_X2, _INSTANCEOF,
+ _CHECKCAST, _STR_CONCAT, _UNKNOWN) = range(39)
+
+#: bytecode ops decoded as ``(opcode, args[0], args[1])``, absent args None
+_PLAIN_OPS: Dict[str, int] = {
+    "LOAD": _LOAD, "STORE": _STORE, "CONST_INT": _CONST,
+    "CONST_DOUBLE": _CONST, "CONST_BOOL": _CONST, "CONST_NULL": _CONST,
+    "CONST_OBJ": _CONST_OBJ, "GETFIELD": _GETFIELD, "PUTFIELD": _PUTFIELD,
+    "GETSTATIC": _GETSTATIC, "PUTSTATIC": _PUTSTATIC, "ALOAD": _ALOAD,
+    "ASTORE": _ASTORE, "ARRAYLEN": _ARRAYLEN, "NEWARRAY": _NEWARRAY,
+    "NEW": _NEW, "ADD": _ADD, "SUB": _SUB, "MUL": _MUL, "DIV": _DIV,
+    "LT": _LT, "LE": _LE, "GT": _GT, "GE": _GE, "JUMP": _JUMP,
+    "JMP_FALSE": _JMP_FALSE, "JMP_TRUE": _JMP_TRUE, "DUP": _DUP,
+    "DUP2": _DUP2, "DUP_X1": _DUP_X1, "DUP_X2": _DUP_X2, "POP": _POP,
+    "BUILTIN": _BUILTIN, "INSTANCEOF": _INSTANCEOF, "CHECKCAST": _CHECKCAST,
+    "STR_CONCAT": _STR_CONCAT,
+}
+
+#: the less frequent binary and unary ops, decoded as ``(opcode, fn, None)``
+_BINARY_FNS: Dict[str, Callable[[Any, Any], Any]] = {
+    "EQ": _equals,
+    "NE": lambda left, right: not _equals(left, right),
+    "MOD": _mod,
+    "BAND": operator.and_,
+    "BOR": operator.or_,
+    "BXOR": operator.xor,
+    "SHL": operator.lshift,
+    "SHR": operator.rshift,
+}
+_UNARY_FNS: Dict[str, Callable[[Any], Any]] = {
+    "NEG": operator.neg,
+    "NOT": operator.not_,
+    "BNOT": operator.invert,
+    "I2D": float,
+    "D2I": int,
+}
+
+
+class _Code:
+    """A method decoded for one interpreter."""
+
+    __slots__ = ("method", "code", "num_params", "padding", "leaders")
+
+    def __init__(self, method: CompiledMethod, code: List[tuple],
+                 leaders: Optional[frozenset]) -> None:
+        self.method = method
+        self.code = code
+        self.num_params = method.num_params
+        #: locals beyond the parameters, appended to the arguments on entry
+        self.padding = [None] * (method.num_slots - method.num_params)
+        self.leaders = leaders
+
+
+class _CallSite:
+    """A call instruction and the targets it resolved on execution.
+
+    Static, super and constructor calls resolve once; a virtual call keeps
+    one target per receiver class it has seen.
+    """
+
+    __slots__ = ("op", "owner", "name", "virtual", "discard", "callee", "targets")
+
+    def __init__(self, op: str, owner: str, name: str) -> None:
+        self.op = op
+        self.owner = owner
+        self.name = name
+        self.virtual = op == "CALL_VIRTUAL"
+        # Constructors are void: the DUP before the args keeps the new
+        # object on the caller stack, so drop the pushed null on return.
+        self.discard = op == "CALL_CTOR"
+        self.callee: Optional[_Code] = None
+        self.targets: Dict[ClassInfo, _Code] = {}
+
+
 class Interpreter:
     """Executes a compiled program, cooperatively scheduling its threads."""
 
@@ -171,13 +284,18 @@ class Interpreter:
         self.stop_requested = False
         self.output: List[str] = []
         self._yield_requested = False
+        #: id(method) -> its decoded code (the entry keeps the method alive)
+        self._decoded: Dict[int, _Code] = {}
 
     # -- thread management ---------------------------------------------------
 
     def spawn(self, method: CompiledMethod, args: Optional[List[Any]] = None,
               name: str = "") -> ThreadState:
         """Create a new runnable thread entering ``method``."""
-        frame = self._make_frame(method, list(args or []))
+        decoded = self._code_of(method)
+        slots = list(args or [])
+        slots += [None] * (method.num_slots - len(slots))
+        frame = Frame(method, decoded.code, slots, decoded.leaders)
         thread = ThreadState(frame, name=name)
         self.threads.append(thread)
         self.hooks.on_method_enter(frame, None, thread)
@@ -185,11 +303,6 @@ class Interpreter:
 
     def spawn_main(self) -> ThreadState:
         return self.spawn(self.program.entry_method(), [], name="main")
-
-    def _make_frame(self, method: CompiledMethod, args: List[Any]) -> Frame:
-        frame = Frame(method, args)
-        frame.leaders = self.hooks.leaders_for(method)
-        return frame
 
     # -- scheduling ------------------------------------------------------------
 
@@ -211,242 +324,323 @@ class Interpreter:
             self.step(thread, self.quantum)
         return thread.result
 
+    # -- decoding ----------------------------------------------------------------
+
+    def _code_of(self, method: CompiledMethod) -> _Code:
+        decoded = self._decoded.get(id(method))
+        if decoded is None:
+            decoded = _Code(method, self._decode(method),
+                            self.hooks.leaders_for(method))
+            self._decoded[id(method)] = decoded
+        return decoded
+
+    def _decode(self, method: CompiledMethod) -> List[tuple]:
+        code: List[tuple] = []
+        for instr in method.code:
+            op, args = instr.op, instr.args
+            if op in _PLAIN_OPS:
+                a, b = (tuple(args) + (None, None))[:2]
+                code.append((_PLAIN_OPS[op], a, b))
+            elif op == "CONST_STR":
+                code.append((_CONST_STR, args[0],
+                             self.program.string_literals[args[0]]))
+            elif op == "RET_VAL" or op == "RET_VOID":
+                code.append((_RET, op == "RET_VAL", None))
+            elif op in _BINARY_FNS:
+                code.append((_BINARY, _BINARY_FNS[op], None))
+            elif op in _UNARY_FNS:
+                code.append((_UNARY, _UNARY_FNS[op], None))
+            elif op == "CALL_STATIC" or op == "CALL_SUPER":
+                owner, name, argc = args
+                # A super call pops its receiver as well.
+                code.append((_CALL, _CallSite(op, owner, name),
+                             argc + (op == "CALL_SUPER")))
+            elif op == "CALL_VIRTUAL":
+                name, argc = args
+                code.append((_CALL, _CallSite(op, "", name), argc + 1))
+            elif op == "CALL_CTOR":
+                owner, argc = args
+                code.append((_CALL, _CallSite(op, owner, "<init>"), argc + 1))
+            else:
+                code.append((_UNKNOWN, op, None))
+        return code
+
     # -- core step loop ----------------------------------------------------------
 
     def step(self, thread: ThreadState, budget: int) -> None:
-        """Execute up to ``budget`` instructions on ``thread``."""
-        hooks = self.hooks
-        self._yield_requested = False
-        while budget > 0 and not thread.done and not self._yield_requested:
-            if self.ops_executed >= self.max_ops:
-                raise OpsBudgetError(self.max_ops)
-            frame = thread.frames[-1]
-            code = frame.code
-            pc = frame.pc
-            instr = code[pc]
-            if frame.leaders is not None and pc in frame.leaders:
-                hooks.on_block(frame, pc, thread)
-            self.ops_executed += 1
-            budget -= 1
-            op = instr.op
-            stack = frame.stack
-            args = instr.args
+        """Execute up to ``budget`` instructions on ``thread``.
 
-            if op == "LOAD":
-                stack.append(frame.locals[args[0]])
-            elif op == "STORE":
-                frame.locals[args[0]] = stack.pop()
-            elif op == "CONST_INT" or op == "CONST_DOUBLE" or op == "CONST_BOOL":
-                stack.append(args[0])
-            elif op == "CONST_NULL":
-                stack.append(None)
-            elif op == "CONST_STR":
-                hooks.on_const_str(args[0])
-                stack.append(self.program.string_literals[args[0]])
-            elif op == "CONST_OBJ":
-                hooks.on_const_obj(args[1])
-                stack.append(args[0])
-            elif op == "GETFIELD":
-                obj = stack.pop()
-                if obj is None:
-                    raise VMError(self._err(frame, "null dereference (GETFIELD)"))
-                hooks.on_object_access(obj, op, thread)
-                if isinstance(obj, ObjectInstance):
-                    stack.append(obj.get_field(args[0]))
-                else:
-                    raise VMError(self._err(frame, f"GETFIELD on {type_name_of(obj)}"))
-            elif op == "PUTFIELD":
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise VMError(self._err(frame, "null dereference (PUTFIELD)"))
-                hooks.on_object_access(obj, op, thread)
-                if isinstance(obj, ObjectInstance):
-                    obj.set_field(args[0], value)
-                else:
-                    raise VMError(self._err(frame, f"PUTFIELD on {type_name_of(obj)}"))
-            elif op == "GETSTATIC":
-                holder = self.statics[args[0]]
-                hooks.on_object_access(holder, op, thread)
-                stack.append(holder.get(args[1]))
-            elif op == "PUTSTATIC":
-                holder = self.statics[args[0]]
-                hooks.on_object_access(holder, op, thread)
-                holder.set(args[1], stack.pop())
-            elif op == "ALOAD":
-                index = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise VMError(self._err(frame, "null dereference (ALOAD)"))
-                hooks.on_object_access(arr, op, thread)
-                if isinstance(arr, ArrayInstance):
-                    stack.append(arr.load(index))
-                elif isinstance(arr, str):
-                    stack.append(ord(arr[index]))
-                else:
-                    raise VMError(self._err(frame, f"ALOAD on {type_name_of(arr)}"))
-            elif op == "ASTORE":
-                value = stack.pop()
-                index = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise VMError(self._err(frame, "null dereference (ASTORE)"))
-                hooks.on_object_access(arr, op, thread)
-                if not isinstance(arr, ArrayInstance):
-                    raise VMError(self._err(frame, f"ASTORE on {type_name_of(arr)}"))
-                arr.store(index, value)
-            elif op == "ARRAYLEN":
-                arr = stack.pop()
-                if arr is None:
-                    raise VMError(self._err(frame, "null dereference (.length)"))
-                if isinstance(arr, ArrayInstance):
-                    hooks.on_object_access(arr, op, thread)
-                    stack.append(arr.length)
-                elif isinstance(arr, str):
-                    stack.append(len(arr))
-                else:
-                    raise VMError(self._err(frame, f".length on {type_name_of(arr)}"))
-            elif op == "NEWARRAY":
-                length = stack.pop()
-                arr = ArrayInstance(args[0], length)
-                hooks.on_allocate(arr)
-                stack.append(arr)
-            elif op == "NEW":
-                obj = ObjectInstance(self.program.get_class(args[0]))
-                hooks.on_allocate(obj)
-                stack.append(obj)
-            elif op in ("ADD", "SUB", "MUL", "DIV", "MOD", "BAND", "BOR", "BXOR",
-                        "SHL", "SHR", "EQ", "NE", "LT", "LE", "GT", "GE"):
-                right = stack.pop()
-                left = stack.pop()
-                stack.append(self._binary(frame, op, left, right))
-            elif op == "NEG":
-                stack.append(-stack.pop())
-            elif op == "NOT":
-                stack.append(not stack.pop())
-            elif op == "BNOT":
-                stack.append(~stack.pop())
-            elif op == "I2D":
-                stack.append(float(stack.pop()))
-            elif op == "D2I":
-                stack.append(int(stack.pop()))
-            elif op == "JUMP":
-                frame.pc = args[0]
-                continue
-            elif op == "JMP_FALSE":
-                if not stack.pop():
-                    frame.pc = args[0]
-                    continue
-            elif op == "JMP_TRUE":
-                if stack.pop():
-                    frame.pc = args[0]
-                    continue
-            elif op == "DUP":
-                stack.append(stack[-1])
-            elif op == "DUP2":
-                stack.extend(stack[-2:])
-            elif op == "DUP_X1":
-                stack.insert(-2, stack[-1])
-            elif op == "DUP_X2":
-                stack.insert(-3, stack[-1])
-            elif op == "POP":
-                stack.pop()
-            elif op in ("CALL_STATIC", "CALL_VIRTUAL", "CALL_SUPER", "CALL_CTOR"):
-                frame.pc = pc + 1
-                handled = self._dispatch_call(thread, frame, op, args)
-                if handled:
-                    continue  # a new frame was pushed (or intrinsic handled)
-                continue
-            elif op == "BUILTIN":
-                frame.pc = pc + 1
-                self._builtin(thread, frame, args[0], args[1])
-                continue
-            elif op == "RET_VAL" or op == "RET_VOID":
-                value = stack.pop() if op == "RET_VAL" else None
-                hooks.on_method_exit(frame, thread)
-                thread.frames.pop()
-                if thread.frames:
+        The loop keeps pc, stack, locals and the op count in local
+        variables.  It writes ``frame.pc`` and :attr:`ops_executed` back
+        before a call, a return, a builtin or a statics access (at build
+        time a statics access may run a ``<clinit>`` on this interpreter),
+        and when it stops or raises.
+        """
+        self._yield_requested = False
+        if budget <= 0 or thread.done:
+            return
+        hooks = self.hooks
+        on_block = hooks.on_block
+        on_access = hooks.on_object_access
+        statics = self.statics
+        frames = thread.frames
+        frame = frames[-1]
+        code = frame.code
+        pc = frame.pc
+        stack = frame.stack
+        slots = frame.locals
+        leaders = frame.leaders
+        ops = self.ops_executed
+        max_ops = self.max_ops
+        end = ops + budget  # the op count that spends this step's budget
+        stop = min(end, max_ops)
+        try:
+            while True:
+                if ops >= stop:
+                    if ops >= end:
+                        return
+                    raise OpsBudgetError(max_ops)
+                if leaders is not None and pc in leaders:
+                    on_block(frame, pc, thread)
+                ops += 1
+                op, a, b = code[pc]
+                pc += 1
+
+                if op == _LOAD:
+                    stack.append(slots[a])
+                elif op == _GETFIELD:
+                    obj = stack[-1]
+                    if obj is None:
+                        raise VMError(self._err(frame, pc, "null dereference (GETFIELD)"))
+                    on_access(obj, "GETFIELD", thread)
+                    if not isinstance(obj, ObjectInstance):
+                        raise VMError(self._err(frame, pc, f"GETFIELD on {type_name_of(obj)}"))
+                    fields = obj.fields
+                    stack[-1] = fields[a] if a in fields else obj.get_field(a)
+                elif op == _CONST:
+                    stack.append(a)
+                elif op == _JMP_FALSE:
+                    if not stack.pop():
+                        pc = a
+                elif op == _STORE:
+                    slots[a] = stack.pop()
+                elif op == _ADD:
+                    right = stack.pop()
+                    left = stack[-1]
+                    if isinstance(left, str) or isinstance(right, str):
+                        stack[-1] = to_display(left) + to_display(right)
+                    else:
+                        stack[-1] = left + right
+                elif op == _CALL:
+                    # a: the call site; b: values popped, receiver included
+                    if b:
+                        args = stack[-b:]
+                        del stack[-b:]
+                    else:
+                        args = []
+                    if a.virtual:
+                        receiver = args[0]
+                        callee = (a.targets.get(receiver.klass)
+                                  if isinstance(receiver, ObjectInstance) else None)
+                        if callee is None:
+                            callee = self._dispatch_virtual(a, receiver, args, frame, pc)
+                            if callee is None:  # a String method ran in place
+                                continue
+                    else:
+                        callee = a.callee or self._resolve(a, frame, pc)
+                    if b != callee.num_params:
+                        raise VMError(f"{callee.method.signature} expects "
+                                      f"{callee.num_params} args, got {b}")
+                    if len(frames) > 4000:
+                        raise VMError(f"stack overflow calling {callee.method.signature}")
+                    args += callee.padding
+                    callee_frame = Frame(callee.method, callee.code, args, callee.leaders)
+                    callee_frame.discard_result = a.discard
+                    frame.pc = pc
+                    frames.append(callee_frame)
+                    self.ops_executed = ops
+                    hooks.on_method_enter(callee_frame, frame, thread)
+                    frame = callee_frame
+                    code = callee.code
+                    pc = 0
+                    stack = callee_frame.stack
+                    slots = args
+                    leaders = callee.leaders
+                elif op == _ALOAD:
+                    index = stack.pop()
+                    arr = stack[-1]
+                    if arr is None:
+                        raise VMError(self._err(frame, pc, "null dereference (ALOAD)"))
+                    on_access(arr, "ALOAD", thread)
+                    if isinstance(arr, ArrayInstance):
+                        values = arr.values
+                        if type(index) is int and 0 <= index < len(values):
+                            stack[-1] = values[index]
+                        else:
+                            stack[-1] = arr.load(index)  # raises the index error
+                    elif isinstance(arr, str):
+                        stack[-1] = ord(arr[index])
+                    else:
+                        raise VMError(self._err(frame, pc, f"ALOAD on {type_name_of(arr)}"))
+                elif op == _ASTORE:
+                    value = stack.pop()
+                    index = stack.pop()
+                    arr = stack.pop()
+                    if arr is None:
+                        raise VMError(self._err(frame, pc, "null dereference (ASTORE)"))
+                    on_access(arr, "ASTORE", thread)
+                    if not isinstance(arr, ArrayInstance):
+                        raise VMError(self._err(frame, pc, f"ASTORE on {type_name_of(arr)}"))
+                    values = arr.values
+                    if type(index) is int and 0 <= index < len(values):
+                        values[index] = value
+                    else:
+                        arr.store(index, value)  # raises the index error
+                elif op == _POP:
+                    stack.pop()
+                elif op == _RET:
+                    value = stack.pop() if a else None
+                    frame.pc = pc - 1
+                    self.ops_executed = ops
+                    hooks.on_method_exit(frame, thread)
+                    frames.pop()
+                    if not frames:
+                        thread.done = True
+                        thread.result = value
+                        return
                     if not frame.discard_result:
-                        thread.frames[-1].stack.append(value)
-                else:
-                    thread.done = True
-                    thread.result = value
-                continue
-            elif op == "INSTANCEOF":
-                value = stack.pop()
-                stack.append(self._instanceof(value, args[0]))
-            elif op == "CHECKCAST":
-                value = stack[-1]
-                if value is not None and not self._castable(value, args[0]):
-                    raise VMError(
-                        self._err(frame, f"cannot cast {type_name_of(value)} to {args[0]}")
-                    )
-            elif op == "STR_CONCAT":
-                right = stack.pop()
-                left = stack.pop()
-                stack.append(to_display(left) + to_display(right))
-            else:  # pragma: no cover - exhaustive opcode set
-                raise VMError(self._err(frame, f"unknown opcode {op}"))
-            frame.pc = pc + 1
+                        frames[-1].stack.append(value)
+                    frame = frames[-1]
+                    code = frame.code
+                    pc = frame.pc
+                    stack = frame.stack
+                    slots = frame.locals
+                    leaders = frame.leaders
+                elif op == _JUMP:
+                    pc = a
+                elif op == _PUTFIELD:
+                    value = stack.pop()
+                    obj = stack.pop()
+                    if obj is None:
+                        raise VMError(self._err(frame, pc, "null dereference (PUTFIELD)"))
+                    on_access(obj, "PUTFIELD", thread)
+                    if not isinstance(obj, ObjectInstance):
+                        raise VMError(self._err(frame, pc, f"PUTFIELD on {type_name_of(obj)}"))
+                    obj.set_field(a, value)
+                elif op == _SUB:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] - right
+                elif op == _BINARY:
+                    right = stack.pop()
+                    stack[-1] = a(stack[-1], right)
+                elif op == _DUP:
+                    stack.append(stack[-1])
+                elif op == _LT:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] < right
+                elif op == _GT:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] > right
+                elif op == _GE:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] >= right
+                elif op == _LE:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] <= right
+                elif op == _MUL:
+                    right = stack.pop()
+                    stack[-1] = stack[-1] * right
+                elif op == _GETSTATIC or op == _PUTSTATIC:
+                    self.ops_executed = ops
+                    holder = statics[a]
+                    if self.ops_executed != ops:
+                        # A <clinit> ran: its ops count toward max_ops but
+                        # not toward this step's budget.
+                        end += self.ops_executed - ops
+                        ops = self.ops_executed
+                        stop = min(end, max_ops)
+                    if op == _GETSTATIC:
+                        on_access(holder, "GETSTATIC", thread)
+                        stack.append(holder.get(b))
+                    else:
+                        on_access(holder, "PUTSTATIC", thread)
+                        holder.set(b, stack.pop())
+                elif op == _CONST_STR:
+                    hooks.on_const_str(a)
+                    stack.append(b)
+                elif op == _JMP_TRUE:
+                    if stack.pop():
+                        pc = a
+                elif op == _ARRAYLEN:
+                    arr = stack[-1]
+                    if arr is None:
+                        raise VMError(self._err(frame, pc, "null dereference (.length)"))
+                    if isinstance(arr, ArrayInstance):
+                        on_access(arr, "ARRAYLEN", thread)
+                        stack[-1] = len(arr.values)
+                    elif isinstance(arr, str):
+                        stack[-1] = len(arr)
+                    else:
+                        raise VMError(self._err(frame, pc, f".length on {type_name_of(arr)}"))
+                elif op == _UNARY:
+                    stack[-1] = a(stack[-1])
+                elif op == _BUILTIN:
+                    frame.pc = pc
+                    self.ops_executed = ops
+                    self._builtin(thread, frame, a, b)
+                    if self._yield_requested:
+                        return
+                elif op == _NEW:
+                    obj = ObjectInstance(self.program.get_class(a))
+                    hooks.on_allocate(obj)
+                    stack.append(obj)
+                elif op == _NEWARRAY:
+                    arr = ArrayInstance(a, stack.pop())
+                    hooks.on_allocate(arr)
+                    stack.append(arr)
+                elif op == _CONST_OBJ:
+                    hooks.on_const_obj(b)
+                    stack.append(a)
+                elif op == _DIV:
+                    right = stack.pop()
+                    left = stack[-1]
+                    if isinstance(left, float) or isinstance(right, float):
+                        if right == 0:
+                            raise VMError(self._err(frame, pc, "division by zero"))
+                        stack[-1] = left / right
+                    else:
+                        stack[-1] = _int_div(left, right)
+                elif op == _DUP2:
+                    stack.extend(stack[-2:])
+                elif op == _DUP_X1:
+                    stack.insert(-2, stack[-1])
+                elif op == _DUP_X2:
+                    stack.insert(-3, stack[-1])
+                elif op == _INSTANCEOF:
+                    stack[-1] = self._instanceof(stack[-1], a)
+                elif op == _CHECKCAST:
+                    value = stack[-1]
+                    if value is not None and not self._castable(value, a):
+                        raise VMError(
+                            self._err(frame, pc, f"cannot cast {type_name_of(value)} to {a}")
+                        )
+                elif op == _STR_CONCAT:
+                    right = stack.pop()
+                    stack[-1] = to_display(stack[-1]) + to_display(right)
+                else:  # _UNKNOWN
+                    raise VMError(self._err(frame, pc, f"unknown opcode {a}"))
+        finally:
+            frame.pc = pc
+            if ops > self.ops_executed:
+                self.ops_executed = ops
 
     # -- helpers ------------------------------------------------------------------
 
-    def _err(self, frame: Frame, message: str) -> str:
-        instr = frame.code[frame.pc]
-        return f"{message} in {frame.method.signature} (line {instr.line})"
-
-    def _binary(self, frame: Frame, op: str, left: Any, right: Any) -> Any:
-        if op == "ADD":
-            if isinstance(left, str) or isinstance(right, str):
-                return to_display(left) + to_display(right)
-            return left + right
-        if op == "SUB":
-            return left - right
-        if op == "MUL":
-            return left * right
-        if op == "DIV":
-            if isinstance(left, float) or isinstance(right, float):
-                if right == 0:
-                    raise VMError(self._err(frame, "division by zero"))
-                return left / right
-            return _int_div(left, right)
-        if op == "MOD":
-            if isinstance(left, float) or isinstance(right, float):
-                return math.fmod(left, right)
-            return _int_mod(left, right)
-        if op == "BAND":
-            return left & right
-        if op == "BOR":
-            return left | right
-        if op == "BXOR":
-            return left ^ right
-        if op == "SHL":
-            return left << right
-        if op == "SHR":
-            return left >> right
-        if op == "EQ":
-            return self._equals(left, right)
-        if op == "NE":
-            return not self._equals(left, right)
-        if op == "LT":
-            return left < right
-        if op == "LE":
-            return left <= right
-        if op == "GT":
-            return left > right
-        if op == "GE":
-            return left >= right
-        raise VMError(self._err(frame, f"unknown binary op {op}"))
-
     @staticmethod
-    def _equals(left: Any, right: Any) -> bool:
-        if left is None or right is None:
-            return left is right
-        if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-            return left == right
-        if isinstance(left, str) and isinstance(right, str):
-            return left == right
-        return left is right
+    def _err(frame: Frame, pc: int, message: str) -> str:
+        """``message`` located at the instruction before ``pc``."""
+        line = frame.method.code[pc - 1].line
+        return f"{message} in {frame.method.signature} (line {line})"
 
     def _instanceof(self, value: Any, type_name: str) -> bool:
         if value is None:
@@ -471,59 +665,44 @@ class Interpreter:
 
     # -- calls ----------------------------------------------------------------------
 
-    def _dispatch_call(self, thread: ThreadState, frame: Frame, op: str, args) -> bool:
-        stack = frame.stack
-        if op == "CALL_STATIC":
-            cls_name, name, argc = args
-            method = self._find_static(cls_name, name)
-            call_args = _pop_n(stack, argc)
-            self._push_frame(thread, frame, method, call_args)
-            return True
-        if op == "CALL_VIRTUAL":
-            name, argc = args
-            call_args = _pop_n(stack, argc)
-            receiver = stack.pop()
-            if receiver is None:
-                raise VMError(self._err_at(frame, f"null dereference calling {name}"))
-            if isinstance(receiver, str):
-                stack.append(self._string_method(frame, receiver, name, call_args))
-                return True
-            if not isinstance(receiver, ObjectInstance):
-                raise VMError(
-                    self._err_at(frame, f"cannot call {name} on {type_name_of(receiver)}")
-                )
-            method = receiver.klass.lookup_method(name)
-            if method is None or method.is_static:
-                raise VMError(
-                    self._err_at(frame, f"no method {name} on {receiver.klass.name}")
-                )
-            self._push_frame(thread, frame, method, [receiver] + call_args)
-            return True
-        if op == "CALL_SUPER":
-            super_name, name, argc = args
-            call_args = _pop_n(stack, argc)
-            receiver = stack.pop()
-            super_cls = self.program.get_class(super_name)
-            method = super_cls.lookup_method(name)
+    def _resolve(self, site: _CallSite, frame: Frame, pc: int) -> _Code:
+        """The one target of a static, super or constructor call."""
+        if site.op == "CALL_STATIC":
+            method = self._find_static(site.owner, site.name)
+        elif site.op == "CALL_SUPER":
+            method = self.program.get_class(site.owner).lookup_method(site.name)
             if method is None:
-                raise VMError(self._err_at(frame, f"no super method {super_name}.{name}"))
-            self._push_frame(thread, frame, method, [receiver] + call_args)
-            return True
-        if op == "CALL_CTOR":
-            cls_name, argc = args
-            call_args = _pop_n(stack, argc)
-            receiver = stack.pop()
-            ctor = self.program.get_class(cls_name).methods["<init>"]
-            # Constructors are void: the DUP before the args keeps the new
-            # object on the caller stack, so drop the pushed null on return.
-            self._push_frame(thread, frame, ctor, [receiver] + call_args,
-                             discard_result=True)
-            return True
-        raise VMError(self._err_at(frame, f"unknown call op {op}"))
+                raise VMError(self._err(
+                    frame, pc, f"no super method {site.owner}.{site.name}"))
+        else:
+            method = self.program.get_class(site.owner).methods["<init>"]
+        site.callee = self._code_of(method)
+        return site.callee
 
-    def _err_at(self, frame: Frame, message: str) -> str:
-        pc = max(frame.pc - 1, 0)
-        return f"{message} in {frame.method.signature} (line {frame.code[pc].line})"
+    def _dispatch_virtual(self, site: _CallSite, receiver: Any, args: List[Any],
+                          frame: Frame, pc: int) -> Optional[_Code]:
+        """Resolve a virtual call on a receiver class the site has not seen.
+
+        A String receiver runs its method in place, pushes the result and
+        returns None.
+        """
+        name = site.name
+        if receiver is None:
+            raise VMError(self._err(frame, pc, f"null dereference calling {name}"))
+        if isinstance(receiver, str):
+            frame.stack.append(self._string_method(frame, pc, receiver, name, args[1:]))
+            return None
+        if not isinstance(receiver, ObjectInstance):
+            raise VMError(
+                self._err(frame, pc, f"cannot call {name} on {type_name_of(receiver)}")
+            )
+        method = receiver.klass.lookup_method(name)
+        if method is None or method.is_static:
+            raise VMError(
+                self._err(frame, pc, f"no method {name} on {receiver.klass.name}")
+            )
+        callee = site.targets[receiver.klass] = self._code_of(method)
+        return callee
 
     def _find_static(self, cls_name: str, name: str) -> CompiledMethod:
         cls: Optional[ClassInfo] = self.program.get_class(cls_name)
@@ -534,34 +713,15 @@ class Interpreter:
             cls = cls.superclass
         raise VMError(f"no static method {cls_name}.{name}")
 
-    def _push_frame(
-        self,
-        thread: ThreadState,
-        caller: Frame,
-        method: CompiledMethod,
-        call_args: List[Any],
-        discard_result: bool = False,
-    ) -> None:
-        if len(call_args) != method.num_params:
-            raise VMError(
-                f"{method.signature} expects {method.num_params} args, "
-                f"got {len(call_args)}"
-            )
-        if len(thread.frames) > 4000:
-            raise VMError(f"stack overflow calling {method.signature}")
-        new_frame = self._make_frame(method, call_args)
-        new_frame.discard_result = discard_result
-        thread.frames.append(new_frame)
-        self.hooks.on_method_enter(new_frame, caller, thread)
-
-    def _string_method(self, frame: Frame, receiver: str, name: str, call_args) -> Any:
+    def _string_method(self, frame: Frame, pc: int, receiver: str, name: str,
+                       call_args: List[Any]) -> Any:
         handler = _STRING_METHODS.get(name)
         if handler is None:
-            raise VMError(self._err_at(frame, f"no String method {name}"))
+            raise VMError(self._err(frame, pc, f"no String method {name}"))
         try:
             return handler(receiver, *call_args)
         except IndexError:
-            raise VMError(self._err_at(frame, f"String.{name} index out of bounds"))
+            raise VMError(self._err(frame, pc, f"String.{name} index out of bounds"))
 
     # -- builtins -----------------------------------------------------------------
 
@@ -614,7 +774,7 @@ class Interpreter:
             self._yield_requested = True
             stack.append(None)
         else:
-            raise VMError(self._err_at(frame, f"unknown builtin {name}"))
+            raise VMError(self._err(frame, frame.pc, f"unknown builtin {name}"))
 
 
 def _pop_n(stack: List[Any], n: int) -> List[Any]:

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact cache (keys + store + pipeline)."""
 
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -341,6 +342,18 @@ class TestSelfHealing:
         assert not orphan.exists()
         # the real entry survived the sweep
         assert reopened.get(KIND_METRICS, self.KEY) == [1, 2, 3]
+
+    def test_sweep_keeps_a_live_writers_staging_file(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.put(KIND_METRICS, self.KEY, [1, 2, 3])
+        shard = (tmp_path / KIND_METRICS / self.KEY[:2])
+        in_flight = shard / f".tmp-{os.getpid()}-abcd1234"
+        in_flight.write_bytes(b"a put in progress")
+        dead = shard / ".tmp-2147483646-abcd1234"  # no such process
+        dead.write_bytes(b"half a payload")
+        ArtifactCache(tmp_path)
+        assert in_flight.exists()
+        assert not dead.exists()
 
     def test_transient_read_error_is_a_miss_not_a_raise(self, tmp_path):
         cache = ArtifactCache(tmp_path, memo_entries=0)

@@ -157,6 +157,27 @@ class TestScheduler:
         # counted inside the shipped delta, so pool workers report it too
         assert merged.counters.get("sched.tasks.dispatched") == len(sweep.tasks)
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_cold_sweep_profiles_each_program_once(self, tmp_path,
+                                                            workers):
+        from repro.obs import get_registry
+
+        # Distinct sources: the cache keys compiles on source alone.
+        workloads = [Workload(name=f"wl{i}",
+                              source=PROGRAM.replace("40", str(40 + i)))
+                     for i in range(3)]
+        sweep = SweepScheduler(SchedulerConfig(
+            cache_dir=str(tmp_path / "cache"), max_workers=workers,
+        )).run(workloads, SPECS, parallel=True)
+        assert sweep.ok
+        counters = get_registry().snapshot().counters
+        assert {name: counters.get(f"phase.{name}")
+                for name in ("compile", "trace", "post-process")} == {
+            "compile": 3, "trace": 3, "post-process": 3}
+        inline = SweepScheduler(SchedulerConfig(max_workers=1)).run(
+            workloads, SPECS, parallel=False)
+        assert _canonical_json(sweep) == _canonical_json(inline)
+
     def test_parallel_failed_cell_folds_into_parent_once(self, tmp_path):
         from repro.obs import get_event_log, get_registry
 
@@ -286,6 +307,28 @@ class TestBench:
         failures = check_payload(payload)
         assert len(failures) == 3
         assert "compile x1, optimize x6" in failures[2]
+
+    def test_check_payload_flags_duplicate_cold_work(self):
+        payload = {
+            "ok": True,
+            "deterministic": True,
+            "config": {"workloads": ["Bounce", "Sieve"]},
+            "phases": {
+                "cold": {"phases_run": {"build": 20, "compile": 2,
+                                        "post-process": 4, "trace": 3}},
+                "warm": {"cache_misses": 0, "cache_hit_rate": 1.0,
+                         "phases_run": {}},
+            },
+        }
+        assert check_payload(payload) == [
+            "cold phase ran trace x3 for 2 program(s) "
+            "(want at most one per program)",
+            "cold phase ran post-process x4 for 2 program(s) "
+            "(want at most one per program)",
+        ]
+        payload["phases"]["cold"]["phases_run"].update(
+            {"post-process": 2, "trace": 2})
+        assert check_payload(payload) == []
 
 
 class TestRegressionGate:

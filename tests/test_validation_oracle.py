@@ -10,6 +10,7 @@ from repro.eval.pipeline import (
     STRATEGY_INCREMENTAL,
     STRATEGY_METHOD,
     STRATEGY_STRUCTURAL,
+    Workload,
     WorkloadPipeline,
 )
 from repro.runtime.executor import RunMetrics
@@ -67,6 +68,17 @@ class TestWatchdog:
                                    WatchdogBudget(deadline_s=1e-6))
         assert report.outcome == "deadline-exceeded"
         assert report.timed_out
+
+    def test_run_finishing_past_its_deadline_trips(self):
+        # The run ends well within one GIL switch interval, so the watchdog
+        # thread only wakes after it finished; it still overran 1 us.
+        source = "class Main { static int main() { return 6 * 7; } }"
+        pipeline = WorkloadPipeline(Workload(name="tiny", source=source))
+        binary = pipeline.build_baseline(seed=1)
+        report = run_with_watchdog(binary, pipeline.exec_config,
+                                   WatchdogBudget(deadline_s=1e-6))
+        assert report.outcome == "deadline-exceeded"
+        assert report.metrics is None
 
     def test_generous_budget_completes(self):
         pipeline = WorkloadPipeline(small_awfy())
