@@ -253,16 +253,13 @@ class NativeImageToolchain:
     def optimize(self, seed: int = 0):
         """Run the search-based layout optimizer (``repro optimize``).
 
-        Builds the co-access graph and cost model from this workload's
-        profiles, searches the CU order with the two optimizers (greedy
-        chain merging, seeded annealing), builds the winning ``cu-opt``
-        layout through the cached pipeline, verifies it against the
-        structural + differential oracle, and scores it and ``cu`` with
-        the common simulated-fault oracle.  Tune budget/seed/window by
-        constructing the pipeline with an
-        :class:`repro.ordering.OptimizeConfig`.  Returns the
-        :class:`repro.ordering.OptimizationReport`; ``report.ok`` is the
-        never-worse-than-seed invariant.
+        Records the reference build's ``.text`` touches, searches the CU
+        order with greedy chain merging over the co-access graph, builds
+        the winning ``cu-opt`` layout through the cached pipeline,
+        verifies it against the structural + differential oracle, and
+        scores it and ``cu`` by their measured ``.text`` faults.  Returns
+        the :class:`repro.ordering.OptimizationReport`; ``report.ok`` is
+        the never-worse-than-seed invariant.
         """
         from .ordering.optimize import optimize_workload
         return optimize_workload(self._pipeline, seed=seed)

@@ -47,12 +47,12 @@ Commands mirror the paper's artifact scripts:
   machine-readable report, ``--csv`` for the full per-unit table;
   ``--baseline-strategy`` diffs two optimized layouts instead — e.g.
   where ``cu-opt`` beats ``cu``, per CU);
-* ``optimize`` — the search-based layout optimizer: build the page
-  co-access graph from trace data, search the CU order with greedy chain
-  merging and seeded annealing against the exact simulated-fault oracle,
-  build the winning ``cu-opt`` layout, verify it (structural +
-  differential), and report optimizer-vs-``cu`` fault counts (exit 1 if
-  it is worse than ``cu`` or fails verification);
+* ``optimize`` — the search-based layout optimizer: record the reference
+  build's ``.text`` touches, search the CU order with greedy chain merging
+  over the page co-access graph, build the winning ``cu-opt`` layout,
+  verify it (structural + differential), and report the measured
+  optimizer-vs-``cu`` fault counts (exit 1 if it is worse than ``cu`` or
+  fails verification);
 * ``list``     — available workloads.
 
 Option defaults that mirror a config dataclass are read from that
@@ -643,16 +643,13 @@ def cmd_why(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from .cache import ArtifactCache
-    from .ordering.optimize import OptimizeConfig, optimize_workload
+    from .ordering.optimize import optimize_workload
 
-    config = OptimizeConfig(budget=args.budget, seed=args.search_seed,
-                            window=args.window)
     cache = ArtifactCache(Path(args.cache_dir)) if args.cache_dir else None
     reports = []
     for workload_name in args.workloads:
         workload = _find_workload(workload_name)
-        pipeline = WorkloadPipeline(workload, cache=cache,
-                                    optimize_config=config)
+        pipeline = WorkloadPipeline(workload, cache=cache)
         reports.append(optimize_workload(pipeline, seed=args.seed))
     if args.json:
         print(json.dumps([report.as_dict() for report in reports],
@@ -1163,8 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "per-CU where the search beat first-use order)")
     p_why.set_defaults(func=cmd_why)
 
-    from .ordering.optimize import OptimizeConfig as _OptimizeConfig
-
     p_opt = sub.add_parser(
         "optimize",
         help="search-based layout optimizer: beat first-use ordering, "
@@ -1172,21 +1167,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument("workloads", nargs="+",
                        help="workload names (AWFY or microservice)")
-    p_opt.add_argument("--budget", type=int,
-                       default=_field_default(_OptimizeConfig, "budget"),
-                       help="annealing cost evaluations "
-                       "(default: %(default)s)")
     p_opt.add_argument("--seed", type=int, default=0,
                        help="pipeline seed for profiling and builds "
-                       "(default: %(default)s)")
-    p_opt.add_argument("--search-seed", type=int,
-                       default=_field_default(_OptimizeConfig, "seed"),
-                       help="search RNG seed; same seed => byte-identical "
-                       "layout (default: %(default)s)")
-    p_opt.add_argument("--window", type=int,
-                       default=_field_default(_OptimizeConfig, "window"),
-                       help="co-access window: first-touch pairs closer than "
-                       "this many ranks gain edge weight "
                        "(default: %(default)s)")
     p_opt.add_argument("--cache-dir",
                        help="artifact-cache directory shared with other "

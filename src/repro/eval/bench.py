@@ -43,15 +43,14 @@ any epoch.
 
 A seventh, optional phase (``optimize``, on by default) runs the
 search-based layout optimizer (:mod:`repro.ordering.optimize`) on every
-workload of the matrix against the warm cache: the two optimizers
-(greedy chain merging, seeded annealing) search the CU order once per
-workload, the ``cu-opt`` layout is loaded from the cache the sweep filled
-(same default :class:`~repro.ordering.OptimizeConfig`, so the phase
-scores the very images the sweep measured) and verified (structural +
-differential), and the payload records ``cu-opt``-vs-``cu`` simulated
-first-touch ``.text`` fault counts.  ``--check`` asserts the never-worse
-invariant — the optimizer layout never loses to ``cu`` — and that every
-built candidate passed verification.
+workload of the matrix against the warm cache: greedy chain merging
+searches the CU order once per workload, the ``cu`` and ``cu-opt``
+layouts are loaded from the cache the sweep filled and verified
+(structural + differential), and the payload records their measured
+``.text`` fault counts — the sweep's own cells.  ``--check`` asserts
+that the optimizer layout never loses to ``cu``, that the search
+predicted the measured count exactly, and that every built candidate
+passed verification.
 
 A fifth, optional phase (``chaos``, on by default) reruns the identical
 matrix through the scheduler with a recoverable
@@ -376,32 +375,29 @@ def _optimize_phase(workloads: Sequence[Workload],
                     cache_dir: str) -> Dict[str, Any]:
     """The search-based layout optimizer on every workload, warm cache.
 
-    Seed-strategy and ``cu-opt`` builds are warm-cache hits from the
-    cold/warm phases (same per-task seeds, same default
-    :class:`~repro.ordering.OptimizeConfig`); the new work is one search
-    per workload plus verification of the winning layout.  Fault counts
-    come from :func:`repro.ordering.optimize.simulated_faults` on the
-    built binaries — one oracle for seed and optimizer, so the recorded
-    never-worse verdicts are apples-to-apples.  ``phases_run`` records
-    the pipeline phases the builds ran; with ``cu-opt`` in the matrix it
-    holds no ``optimize``.
+    Seed-strategy and ``cu-opt`` builds and their measurements are
+    warm-cache hits from the cold/warm phases (same per-task seeds and
+    iterations); the new work is one recording run and one search per
+    workload plus verification of the winning layout.  Fault counts are
+    the measured ``.text`` cells of both builds, so the recorded
+    never-worse verdicts compare real runs.  ``phases_run`` records the
+    pipeline phases the builds ran; with ``cu`` and ``cu-opt`` in the
+    matrix it is empty.
     """
     from ..obs import get_registry
-    from ..ordering.optimize import OptimizeConfig, optimize_workload
+    from ..ordering.optimize import optimize_workload
 
-    search = OptimizeConfig()
     entries: Dict[str, Any] = {}
     improved = 0
     sections_total = 0
     before = get_registry().snapshot()
     start = time.perf_counter()
     for workload in workloads:
-        pipeline = WorkloadPipeline(
-            workload, cache=ArtifactCache(Path(cache_dir)),
-            optimize_config=search,
-        )
+        pipeline = WorkloadPipeline(workload,
+                                    cache=ArtifactCache(Path(cache_dir)))
         report = optimize_workload(
-            pipeline, seed=task_seed(config.base_seed, workload.name)
+            pipeline, seed=task_seed(config.base_seed, workload.name),
+            iterations=config.iterations,
         )
         entries[workload.name] = {
             "ok": report.ok,
@@ -414,8 +410,6 @@ def _optimize_phase(workloads: Sequence[Workload],
     wall = time.perf_counter() - start
     counters = get_registry().snapshot().diff(before).counters
     return {
-        "budget": search.budget,
-        "search_seed": search.seed,
         "wall_s": round(wall, 4),
         "phases_run": _phases_run(counters),
         "workloads": entries,
@@ -841,7 +835,7 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
                     failures.append(
                         f"optimize phase: {cell} search predicted "
                         f"{section.get('predicted_faults')} faults but the "
-                        f"built binary replayed "
+                        f"built binary's measured run took "
                         f"{section.get('optimized_faults')} (cost model "
                         "drifted from the executor)"
                     )
@@ -927,10 +921,9 @@ def format_summary(payload: Dict[str, Any]) -> str:
     optimize = payload.get("optimize")
     if optimize:
         lines.append(
-            f"  optimize (budget {optimize['budget']}, seed "
-            f"{optimize['search_seed']}): "
+            f"  optimize: "
             f"cu-opt strictly beat cu on {optimize['improved_sections']}/"
-            f"{optimize['sections']} workload(s) (simulated), never-worse "
+            f"{optimize['sections']} workload(s) (measured), never-worse "
             f"{'OK' if optimize['ok'] else 'VIOLATED'}, "
             f"{optimize['wall_s']:.2f}s"
         )

@@ -50,11 +50,7 @@ from ..image.sections import HEAP_SECTION, TEXT_SECTION
 from ..minijava.bytecode import Program
 from ..minijava.frontend import compile_source
 from ..obs import phase
-from ..ordering.optimize import (
-    CU_OPT_ORDERING,
-    OptimizeConfig,
-    synthesize_optimizer_profiles,
-)
+from ..ordering.optimize import CU_OPT_ORDERING, synthesize_optimizer_profiles
 from ..ordering.profiles import ProfileBundle, ProfileCompleteness
 from ..postproc.framework import build_profiles
 from ..profiling.tracebuf import TraceSession
@@ -152,8 +148,8 @@ PAPER_STRATEGY_SPECS = (
 )
 
 #: The search-based strategy (repro.ordering.optimize): the pipeline
-#: derives its profile by optimizing against the paging-simulator cost
-#: oracle (see :meth:`WorkloadPipeline.optimize_profiles`).
+#: derives its profile by searching against the reference build's
+#: recorded touches (see :meth:`WorkloadPipeline.optimize_profiles`).
 STRATEGY_CU_OPT = StrategySpec("cu-opt", code_ordering=CU_OPT_ORDERING)
 
 #: Everything the scheduler/bench/api can run: paper strategies + cu-opt.
@@ -210,7 +206,6 @@ class WorkloadPipeline:
         fault_hook: Optional[object] = None,
         verification: Optional[VerificationPolicy] = None,
         cache: Optional[ArtifactCache] = None,
-        optimize_config: Optional[OptimizeConfig] = None,
     ) -> None:
         self.workload = workload
         self.build_config = build_config or BuildConfig()
@@ -224,9 +219,6 @@ class WorkloadPipeline:
         self.fault_hook = fault_hook
         self.verification = verification
         self.cache = cache
-        #: drives the search-based cu-opt strategy; part of its image
-        #: keys, so cache keys stay honest
-        self.optimize_config = optimize_config or OptimizeConfig()
         self.quarantine = QuarantineRegistry()
         self.last_degradation_report: Optional[DegradationReport] = None
         self.last_verification_report: Optional[LayoutVerificationReport] = None
@@ -318,7 +310,7 @@ class WorkloadPipeline:
 
         With a cache armed, the key binds the strategy, the *content
         digest* of the seed ``profiles``, both policies, the seed and, for
-        the search-based strategies, ``self.optimize_config``; a hit
+        the search-based strategies, the execution config; a hit
         restores the built image, its verification report, the degradation
         report, and any quarantine conviction of the building run without
         running the reference build or the layout search.
@@ -367,15 +359,15 @@ class WorkloadPipeline:
 
         For ``cu-opt`` this runs the layout search of
         :mod:`repro.ordering.optimize` against a cached *reference* build
-        (default layout, PGO inlining — the source of unit sizes) and
-        returns a new bundle carrying the derived profile; for every other
-        strategy — or when the bundle already carries the profile — the
-        input bundle returns unchanged.  Pure and deterministic given
-        (profiles, strategy, ``self.optimize_config``, seed) — the key
-        material of :meth:`_optimized_key` — so :meth:`build_optimized`
-        runs it only on a cache miss.  When the seed profiles the search
-        needs are missing, no profile is added and the degradation ladder
-        falls back as usual.
+        (default layout, PGO inlining — the source of unit sizes and of
+        the recorded touches) and returns a new bundle carrying the derived
+        profile; for every other strategy — or when the bundle already
+        carries the profile — the input bundle returns unchanged.  Pure
+        and deterministic given (profiles, strategy, ``self.exec_config``,
+        seed) — the key material of :meth:`_optimized_key` — so
+        :meth:`build_optimized` runs it only on a cache miss.  When the
+        seed profiles the search needs are missing, no profile is added
+        and the degradation ladder falls back as usual.
         """
         if (strategy is None or not strategy.is_search
                 or CU_OPT_ORDERING in profiles.code):
@@ -387,7 +379,7 @@ class WorkloadPipeline:
         with phase("optimize", workload=self.workload.name,
                    strategy=strategy.name):
             return synthesize_optimizer_profiles(
-                reference, profiles, self.optimize_config)
+                reference, profiles, self.exec_config)
 
     def _optimized_key(self, profiles: ProfileBundle,
                        strategy: Optional[StrategySpec],
@@ -395,8 +387,9 @@ class WorkloadPipeline:
         """Cache key of one optimized build; ``None`` = do not cache.
 
         Binds the build's *inputs* (seed ``profiles``, strategy, policies,
-        seed, and ``self.optimize_config`` for search-based strategies),
-        never a search's output, so it resolves without searching.
+        seed, and for search-based strategies the execution config the
+        touches are recorded under), never a search's output, so it
+        resolves without searching.
         """
         if not self._cache_armed:
             return None
@@ -409,7 +402,7 @@ class WorkloadPipeline:
         }) if self.verification is not None else ""
         material = f"{profiles.digest()}/{self._policy_fp}/{verif_fp}"
         if strategy is not None and strategy.is_search:
-            material += f"/{self.optimize_config.fingerprint()}"
+            material += f"/{self._exec_fp}"
         return image_key(
             self._src_digest, self._build_fp, MODE_OPTIMIZED,
             strategy.code_ordering if strategy else None,

@@ -64,10 +64,13 @@ class NativeImageBinary:
         for placed in self.text.placed:
             self._cu_by_root[placed.cu.name] = placed
         # Fallback CU for methods inlined everywhere (no standalone CU):
-        # the first CU (in layout order) containing a copy.
+        # the carrier with the smallest CU name, so every layout of one
+        # build runs the same copy.
         for placed in self.text.placed:
             for member in placed.cu.members[1:]:
-                self._inline_home.setdefault(member.signature, placed)
+                home = self._inline_home.get(member.signature)
+                if home is None or placed.cu.name < home.cu.name:
+                    self._inline_home[member.signature] = placed
 
     # -- code lookup --------------------------------------------------------
 
@@ -82,7 +85,7 @@ class NativeImageBinary:
         If the caller's CU inlined the method, execution stays in the caller
         CU (the inlined copy's bytes).  Otherwise control transfers to the
         method's own CU.  Methods with no standalone CU (inlined everywhere)
-        fall back to their first inlined copy.
+        fall back to the copy in the carrier CU with the smallest name.
         """
         signature = method.signature
         if caller_cu is not None:

@@ -22,14 +22,11 @@ from .ids import (
     heap_path_hash,
 )
 from .optimize import (
-    ALL_OPTIMIZERS,
     CU_OPT_ORDERING,
     OptimizationReport,
-    OptimizeConfig,
     SearchResult,
     optimize_workload,
     search_order,
-    simulated_faults,
     synthesize_optimizer_profiles,
 )
 from .profiles import (
@@ -50,10 +47,8 @@ __all__ = [
     "STRUCTURAL_HASH", "StructuralHasher", "assign_all_ids",
     "assign_heap_path_hashes", "assign_incremental_ids",
     "assign_structural_hashes", "heap_path_hash",
-    "ALL_OPTIMIZERS", "CU_OPT_ORDERING",
-    "OptimizationReport", "OptimizeConfig", "SearchResult",
-    "optimize_workload", "search_order", "simulated_faults",
-    "synthesize_optimizer_profiles",
+    "CU_OPT_ORDERING", "OptimizationReport", "SearchResult",
+    "optimize_workload", "search_order", "synthesize_optimizer_profiles",
     "CallCountProfile", "CodeOrderProfile", "HeapOrderProfile",
     "ProfileBundle", "load_bundle", "save_bundle",
 ]

@@ -1,7 +1,7 @@
 """Page-co-access graph over placeable units.
 
-The search-based layout optimizers (:mod:`repro.ordering.optimize`) do not
-consume first-use *orderings* directly; they consume a weighted graph that
+The search-based layout optimizer (:mod:`repro.ordering.optimize`) does not
+consume first-use *orderings* directly; it consumes a weighted graph that
 says which units are touched close together in time.  Nodes are placeable
 units (compilation units for ``.text``, heap-path placement groups for
 ``.svm_heap``); an edge's weight accumulates, over every input trace, how

@@ -1,32 +1,21 @@
 """Search-based layout optimization: beat first-use ordering.
 
-The paper's strategies *replay* first-use order; this module *searches* for
-a better ``.text`` CU order against an exact cost oracle.  Two optimizers
-run over the page-co-access graph (:mod:`repro.ordering.coaccess`) and a
-:class:`CostModel` whose cost function is the exact simulated first-touch
-fault count of a virtual layout — the same accounting the PR-7
-``replay_faults`` machinery applies to real binaries:
+The paper's strategies *replay* first-use order; this module *searches*
+for a better ``.text`` CU order.  A :class:`CostModel` scores a virtual
+layout by replaying the executor's own ``.text`` touches, recorded once
+from the default-layout reference build
+(:func:`repro.runtime.executor.record_text_touches`), over the CU offsets
+that layout would have.  The executor touches the same CU-relative ranges
+in every layout of one build, so the model's count is the count a real
+start of that layout takes (tested against built binaries).
 
-* **greedy chain merging** (ext-TSP-style, Newell & Pupyrev) — merge unit
-  chains at the junction with the highest co-access gain until no merge
-  helps; maximizes the locality objective
-  :func:`~repro.ordering.coaccess.layout_objective`;
-* **seeded annealing** — local search over hot-unit permutations (swap +
-  segment-relocate moves) whose cost is the exact simulated fault count;
-  same seed ⇒ byte-identical layout.
-
-Why search can win at all: under whole-CU touches, first-use order is
-provably optimal (any permutation of a contiguous hot prefix spans the same
-pages).  But the executor touches the *prologue prefix* ``[cu_start,
-member_end)`` on a non-inlined entry — a CU whose tail members were inlined
-elsewhere and never entered leaves cold bytes behind its hot prefix, so the
-hot bytes of many CUs can be packed into fewer pages by interleaving short
-hot prefixes, which plain first-use order never does.  The cost model
-mirrors exactly that member-granular touch rule, so "optimizer never loses
-to its seed strategy" holds by construction: the seed strategy's own
-layout is always a candidate, and the search keeps the best-seen order.
-The heap is not searched: the paper's heap-path ordering already packs the
-hot heap into one page, the floor.
+One optimizer proposes a candidate: **greedy chain merging**
+(ext-TSP-style, Newell & Pupyrev), which merges unit chains at the
+junction with the highest co-access gain over the page-co-access graph
+(:mod:`repro.ordering.coaccess`) until no merge helps.  The seed ``cu``
+order is always a candidate too and wins ties, so the search never
+predicts worse than ``cu``.  The heap is not searched: the paper's
+heap-path ordering already packs the hot heap into one page, the floor.
 
 The winner flows back into the pipeline as a first-class strategy:
 ``cu-opt`` is a :class:`~repro.ordering.profiles.CodeOrderProfile` whose
@@ -36,26 +25,18 @@ built candidate passes the PR-2 structural oracle before it is measured.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..image.sections import CU_ALIGN, PAGE_SIZE, TEXT_SECTION
-from ..util.murmur3 import murmur3_32
-from .coaccess import (
-    CoAccessGraph,
-    DEFAULT_WINDOW,
-    build_coaccess_graph,
-    layout_objective,
-)
+from .coaccess import CoAccessGraph, build_coaccess_graph, layout_objective
 from .profiles import CodeOrderProfile, ProfileBundle
 
 if TYPE_CHECKING:  # annotation-only: the image/runtime layers must not be
     # imported at module scope — ordering/__init__ is reached from
-    # graal.inliner while image.binary is still initializing, so executor
-    # and paging are imported lazily inside the functions that need them.
+    # graal.inliner while image.binary is still initializing, so the
+    # executor is imported lazily inside the functions that need it.
     from ..image.binary import NativeImageBinary
     from ..runtime.executor import ExecutionConfig
 
@@ -63,50 +44,29 @@ if TYPE_CHECKING:  # annotation-only: the image/runtime layers must not be
 CU_OPT_ORDERING = "cu-opt"
 
 OPTIMIZER_GREEDY = "greedy"
-OPTIMIZER_ANNEAL = "anneal"
-ALL_OPTIMIZERS = (OPTIMIZER_GREEDY, OPTIMIZER_ANNEAL)
-
-#: Candidate preference on cost ties — the seed strategy's own order wins
-#: ties so an optimizer only replaces the paper's layout when strictly
-#: better-or-equal-by-this-order, keeping results stable across runs.
-_CANDIDATE_PREFERENCE = ("seed",) + ALL_OPTIMIZERS
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Knobs of the layout search (all deterministic given ``seed``)."""
-
-    #: annealing cost evaluations (greedy chain merging is budget-free)
-    budget: int = 600
-    #: RNG seed for the annealing refiner; same seed ⇒ identical layout
-    seed: int = 13
-    #: co-access temporal-proximity window (first-touch rank positions)
-    window: int = DEFAULT_WINDOW
-
-    def fingerprint(self) -> str:
-        return f"budget{self.budget}/seed{self.seed}/win{self.window}"
 
 
 # ---------------------------------------------------------------------------
-# The cost oracle: exact simulated faults of a virtual layout
+# The cost oracle: the recorded touches replayed over a virtual layout
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CostModel:
-    """Exact simulated first-touch fault count of a CU permutation.
+    """First-touch ``.text`` fault count of a CU permutation.
 
     Mirrors the paging simulator byte-for-byte: CUs pack at ``CU_ALIGN``
-    (the ``layout_text`` rule), each event touches the first ``end``
-    bytes of its CU in the virtual layout, and the fault count is the
-    number of distinct pages touched plus ``constant_faults`` (the
-    startup native-blob pages, which no permutation can avoid).
+    (the ``layout_text`` rule), each recorded touch covers
+    ``[base + start, base + end)`` of its CU in the virtual layout, and the
+    fault count is the number of distinct pages touched plus
+    ``constant_faults`` (the startup native-blob pages, which no
+    permutation can avoid).
     """
 
     #: CU name -> size in bytes
     units: Dict[str, int]
-    #: first-touch stream of (CU name, prologue-prefix end)
-    events: Tuple[Tuple[str, int], ...]
+    #: distinct (CU name, CU-relative start, end) touches, first-touch order
+    touches: Tuple[Tuple[str, int, int], ...]
     page_size: int = PAGE_SIZE
     constant_faults: int = 0
 
@@ -120,14 +80,14 @@ class CostModel:
         return result
 
     def faults(self, order: Sequence[str]) -> int:
-        """Simulated first-touch faults of the layout ``order``."""
+        """First-touch faults of the layout ``order``."""
         offsets = self.offsets(order)
         resident: set = set()
         page = self.page_size
-        for name, end in self.events:
-            if end > 0:
+        for name, start, end in self.touches:
+            if end > start:
                 base = offsets[name]
-                resident.update(range(base // page,
+                resident.update(range((base + start) // page,
                                       (base + end - 1) // page + 1))
         return len(resident) + self.constant_faults
 
@@ -144,7 +104,7 @@ class LayoutProblem:
     graph: CoAccessGraph
     #: the seed strategy's full layout order (always a candidate)
     seed_order: Tuple[str, ...]
-    #: units the events actually touch, in first-touch order
+    #: units the run touches, in first-touch order
     hot: Tuple[str, ...]
     #: untouched units, placed after every hot unit (their order is
     #: cost-neutral; kept in seed-relative order for stability)
@@ -156,81 +116,38 @@ class LayoutProblem:
 # ---------------------------------------------------------------------------
 
 
-def _method_homes(binary: "NativeImageBinary") -> Dict[str, Tuple[str, int]]:
-    """Map method signature -> (home CU name, prologue-prefix end).
-
-    The home is the method's own CU when it has one, else the
-    lexicographically-smallest CU carrying an inlined copy — a
-    layout-invariant stand-in for the executor's "first inlined copy"
-    fallback, so the event stream does not depend on the layout being
-    scored.  The prefix end is ``member.offset + member.size``: a
-    non-inlined entry executes the CU prologue up to the member's end.
-    """
-    carriers: Dict[str, List[Tuple[str, int]]] = {}
-    for placed in binary.text.placed:
-        cu = placed.cu
-        for member in cu.members:
-            carriers.setdefault(member.signature, []).append(
-                (cu.name, member.offset + member.size))
-    homes: Dict[str, Tuple[str, int]] = {}
-    for signature, copies in carriers.items():
-        own = [entry for entry in copies if entry[0] == signature]
-        homes[signature] = own[0] if own else min(copies)
-    return homes
-
-
-def _code_events(binary: "NativeImageBinary",
-                 bundle: ProfileBundle) -> Optional[List[Tuple[str, int]]]:
-    """(CU name, prefix end) touch stream in method-first-entry order.
-
-    Prefers the member-granular ``method`` profile; falls back to
-    whole-CU touches from the ``cu`` profile; ``None`` when neither is
-    usable (the caller then skips code optimization entirely).
-    """
-    method_profile = bundle.code_profile("method")
-    if method_profile is not None and method_profile.signatures:
-        homes = _method_homes(binary)
-        events = [homes[sig] for sig in method_profile.signatures
-                  if sig in homes]
-        if events:
-            return events
-    cu_profile = bundle.code_profile("cu")
-    if cu_profile is not None and cu_profile.signatures:
-        sizes = {placed.cu.name: placed.cu.size
-                 for placed in binary.text.placed}
-        events = [(sig, sizes[sig]) for sig in cu_profile.signatures
-                  if sig in sizes]
-        if events:
-            return events
-    return None
-
-
 def code_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
-                 config: OptimizeConfig,
-                 exec_config: Optional[ExecutionConfig] = None,
+                 exec_config: Optional["ExecutionConfig"] = None,
                  ) -> Optional[LayoutProblem]:
-    """Build the ``.text`` search instance, or ``None`` without profiles."""
-    from ..runtime.executor import ExecutionConfig, native_startup_pages
+    """Build the ``.text`` search instance, or ``None`` without profiles.
 
-    raw_events = _code_events(binary, bundle)
-    if raw_events is None:
+    ``binary`` is the default-layout reference build; one run of it under
+    ``exec_config`` records the touches the model replays.  Without a
+    usable ``cu`` or ``method`` seed profile there is nothing to search
+    from, and the caller skips code optimization entirely.
+    """
+    from ..runtime.executor import (
+        ExecutionConfig,
+        native_startup_pages,
+        record_text_touches,
+    )
+
+    if not any(profile is not None and profile.signatures
+               for profile in (bundle.code_profile("cu"),
+                               bundle.code_profile("method"))):
         return None
+    config = exec_config or ExecutionConfig()
+    touches = record_text_touches(binary, config)
     units = {placed.cu.name: placed.cu.size for placed in binary.text.placed}
-    model = CostModel(units=units, events=tuple(raw_events),
-                      constant_faults=native_startup_pages(
-                          binary, exec_config or ExecutionConfig()))
-    hot: List[str] = []
-    seen: set = set()
-    for name, _end in raw_events:
-        if name not in seen:
-            seen.add(name)
-            hot.append(name)
+    model = CostModel(units=units, touches=tuple(touches),
+                      constant_faults=native_startup_pages(binary, config))
+    hot = tuple(dict.fromkeys(name for name, _start, _end in touches))
     seed_order = _code_seed_order(binary, bundle)
-    cold_tail = tuple(name for name in seed_order if name not in seen)
-    graph = build_coaccess_graph([(hot, 1)], window=config.window)
+    hot_set = set(hot)
     return LayoutProblem(
-        model=model, graph=graph, seed_order=tuple(seed_order),
-        hot=tuple(hot), cold_tail=cold_tail,
+        model=model, graph=build_coaccess_graph([(hot, 1)]),
+        seed_order=tuple(seed_order), hot=hot,
+        cold_tail=tuple(name for name in seed_order if name not in hot_set),
     )
 
 
@@ -248,7 +165,7 @@ def _code_seed_order(binary: "NativeImageBinary",
 
 
 # ---------------------------------------------------------------------------
-# The two optimizers
+# The optimizer
 # ---------------------------------------------------------------------------
 
 
@@ -315,48 +232,6 @@ def _junction_gain(graph: CoAccessGraph, left: Sequence[str],
     return gain
 
 
-def anneal_order(model: CostModel, start_hot: Sequence[str],
-                 cold_tail: Sequence[str], config: OptimizeConfig,
-                 rng: random.Random) -> Tuple[List[str], int]:
-    """Seeded simulated annealing over hot-unit permutations.
-
-    Cost is the exact simulated fault count (:meth:`CostModel.faults`);
-    moves are position swaps and short segment relocations; the best-seen
-    state is kept, so the result never costs more than the start.  Fully
-    reproducible: all randomness comes from ``rng``.
-    """
-    state = list(start_hot)
-    tail = list(cold_tail)
-    if len(state) < 2 or config.budget <= 0:
-        return state, model.faults(state + tail)
-    cost = model.faults(state + tail)
-    best, best_cost = list(state), cost
-    temperature = max(2.0, 0.1 * cost)
-    floor = 0.05
-    alpha = (floor / temperature) ** (1.0 / max(config.budget, 1))
-    n = len(state)
-    for _step in range(config.budget):
-        neighbor = list(state)
-        if rng.random() < 0.5:
-            i, j = rng.randrange(n), rng.randrange(n)
-            neighbor[i], neighbor[j] = neighbor[j], neighbor[i]
-        else:
-            length = 1 + rng.randrange(min(3, n))
-            i = rng.randrange(n - length + 1)
-            segment = neighbor[i:i + length]
-            del neighbor[i:i + length]
-            k = rng.randrange(len(neighbor) + 1)
-            neighbor[k:k] = segment
-        new_cost = model.faults(neighbor + tail)
-        delta = new_cost - cost
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            state, cost = neighbor, new_cost
-            if cost < best_cost:
-                best, best_cost = list(state), cost
-        temperature = max(temperature * alpha, floor)
-    return best, best_cost
-
-
 # ---------------------------------------------------------------------------
 # The search driver
 # ---------------------------------------------------------------------------
@@ -376,41 +251,25 @@ class SearchResult:
     units: int = 0
     hot_units: int = 0
 
-    @property
-    def improved(self) -> bool:
-        return self.best_cost < self.seed_cost
 
+def search_order(problem: LayoutProblem) -> SearchResult:
+    """Score the seed order and the greedy order; keep the cheaper.
 
-def search_order(problem: LayoutProblem,
-                 config: OptimizeConfig) -> SearchResult:
-    """Run both optimizers and keep the cheapest layout.
-
-    Greedy chain merging runs first; annealing then starts from the
-    cheaper of the seed and greedy orders.  The seed strategy's own order
-    is always a candidate and wins ties, so the result never simulates
-    worse than the seed strategy — the never-worse gate the bench
-    ``optimize`` phase asserts.
+    The seed strategy's own order is always a candidate and wins ties, so
+    the result never predicts worse than the seed strategy — the
+    never-worse gate the bench ``optimize`` phase asserts on measured
+    runs.
     """
     model = problem.model
-    tail = list(problem.cold_tail)
     candidates: Dict[str, List[str]] = {"seed": list(problem.seed_order)}
-    costs = {"seed": model.faults(candidates["seed"])}
     if problem.hot:
-        greedy = chain_merge_order(problem.graph, problem.hot,
-                                   config.window) + tail
-        candidates[OPTIMIZER_GREEDY] = greedy
-        costs[OPTIMIZER_GREEDY] = model.faults(greedy)
-        start = candidates[_cheapest(costs)]
-        hot_set = set(problem.hot)
-        start_hot = [name for name in start if name in hot_set]
-        # the salt is the searched section's name; a different salt would
-        # move every annealed layout
-        rng = random.Random((config.seed << 16) ^ murmur3_32(b"code"))
-        annealed, annealed_cost = anneal_order(model, start_hot, tail,
-                                               config, rng)
-        candidates[OPTIMIZER_ANNEAL] = annealed + tail
-        costs[OPTIMIZER_ANNEAL] = annealed_cost
-    best_name = _cheapest(costs)
+        candidates[OPTIMIZER_GREEDY] = (
+            chain_merge_order(problem.graph, problem.hot)
+            + list(problem.cold_tail))
+    costs = {name: model.faults(order) for name, order in candidates.items()}
+    # the seed order wins ties, so cu-opt replaces cu only when strictly
+    # better, keeping results stable across runs
+    best_name = min(costs, key=lambda name: (costs[name], name != "seed"))
     return SearchResult(
         order=list(candidates[best_name]),
         best_name=best_name,
@@ -422,77 +281,31 @@ def search_order(problem: LayoutProblem,
     )
 
 
-def _cheapest(costs: Dict[str, int]) -> str:
-    """The lowest-cost candidate, ties broken by ``_CANDIDATE_PREFERENCE``."""
-    return min(costs, key=lambda name: (costs[name],
-                                        _CANDIDATE_PREFERENCE.index(name)))
-
-
 def synthesize_optimizer_profiles(
     binary: "NativeImageBinary",
     bundle: ProfileBundle,
-    config: Optional[OptimizeConfig] = None,
+    exec_config: Optional["ExecutionConfig"] = None,
 ) -> ProfileBundle:
     """Augment ``bundle`` with the search-derived ``cu-opt`` ordering.
 
     ``binary`` is a *reference* build (default layout, PGO inlining) that
-    supplies unit sizes.  Returns a new bundle carrying the ``cu-opt``
-    profile (an existing one is kept — synthesis is idempotent); the
-    input bundle is never mutated.  Without a usable seed profile nothing
-    is added, and the existing degradation ladder falls back to the
-    default layout.  Deterministic: same (binary, bundle, config) ⇒
-    byte-identical profiles.
+    supplies unit sizes and, run once under ``exec_config``, the touches
+    the search scores layouts with.  Returns a new bundle carrying the
+    ``cu-opt`` profile (an existing one is kept — synthesis is
+    idempotent); the input bundle is never mutated.  Without a usable
+    seed profile nothing is added, and the existing degradation ladder
+    falls back to the default layout.  Deterministic: same (binary,
+    bundle, exec_config) ⇒ byte-identical profiles.
     """
     if CU_OPT_ORDERING in bundle.code:
         return bundle
-    config = config or OptimizeConfig()
-    problem = code_problem(binary, bundle, config)
+    problem = code_problem(binary, bundle, exec_config)
     if problem is None:
         return bundle
-    result = search_order(problem, config)
+    result = search_order(problem)
     profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
                                signatures=list(result.order))
     return replace(bundle, code={**bundle.code, CU_OPT_ORDERING: profile})
-
-
-# ---------------------------------------------------------------------------
-# The common oracle on real binaries (apples-to-apples comparison)
-# ---------------------------------------------------------------------------
-
-
-def simulated_faults(
-    binary: "NativeImageBinary",
-    bundle: ProfileBundle,
-    config: Optional[ExecutionConfig] = None,
-) -> int:
-    """Member-granular simulated first-touch ``.text`` faults of a *real*
-    binary.
-
-    The same touch rules the :class:`CostModel` scores virtual layouts
-    with, applied to a built binary's actual offsets: startup native-blob
-    pages, then each profiled method's CU-prologue prefix (``method``
-    profile first-entry order; whole-CU touches when only a ``cu`` profile
-    exists).  Scoring the seed and optimizer binaries with this one oracle
-    makes optimizer-vs-paper comparisons apples-to-apples; for a
-    ``cu-opt`` build it reproduces the search's predicted cost exactly
-    (property-tested).  Pure: same inputs ⇒ same count.
-    """
-    from ..runtime.executor import ExecutionConfig, touch_native_startup
-    from ..runtime.paging import PageCache
-
-    config = config or ExecutionConfig()
-    cache = PageCache()
-    cache.set_limit(TEXT_SECTION, binary.text.size)
-    touch_native_startup(cache, binary, config)
-    raw_events = _code_events(binary, bundle)
-    if raw_events is not None:
-        placed_by_name = {placed.cu.name: placed
-                          for placed in binary.text.placed}
-        for name, end in raw_events:
-            placed = placed_by_name.get(name)
-            if placed is not None:
-                cache.touch(TEXT_SECTION, placed.offset, end)
-    return cache.snapshot_counts().get(TEXT_SECTION, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +324,11 @@ class SectionOptimization:
     reason: str = ""
     units: int = 0
     hot_units: int = 0
-    #: oracle faults of the seed strategy's built binary
+    #: measured ``.text`` faults of the seed strategy's built binary
     seed_faults: int = 0
-    #: oracle faults of the optimizer strategy's built binary
+    #: measured ``.text`` faults of the optimizer strategy's built binary
     optimized_faults: int = 0
-    #: the search's predicted cost (== optimized_faults; property-tested)
+    #: the search's predicted cost (== optimized_faults; tested)
     predicted_faults: int = 0
     #: per-family candidate costs from the search
     optimizer_costs: Dict[str, int] = field(default_factory=dict)
@@ -560,7 +373,6 @@ class OptimizationReport:
 
     workload: str
     seed: int
-    config: OptimizeConfig
     sections: List[SectionOptimization] = field(default_factory=list)
 
     @property
@@ -580,18 +392,13 @@ class OptimizationReport:
         return {
             "workload": self.workload,
             "seed": self.seed,
-            "budget": self.config.budget,
-            "search_seed": self.config.seed,
-            "window": self.config.window,
-            "optimizers": list(ALL_OPTIMIZERS),
             "sections": [section.as_dict() for section in self.sections],
             "ok": self.ok,
             "improved_sections": self.improved_sections,
         }
 
     def describe(self) -> str:
-        lines = [f"optimize [{self.workload}] budget {self.config.budget}, "
-                 f"search seed {self.config.seed}:"]
+        lines = [f"optimize [{self.workload}] seed {self.seed}:"]
         for section in self.sections:
             if section.skipped:
                 lines.append(f"  {section.strategy}: skipped ({section.reason})")
@@ -613,34 +420,36 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
-def optimize_workload(pipeline, seed: int = 0) -> OptimizationReport:
+def optimize_workload(pipeline, seed: int = 0,
+                      iterations: int = 1) -> OptimizationReport:
     """Search one workload's ``.text`` layout and score the winner vs ``cu``.
 
-    ``pipeline`` is a :class:`~repro.eval.pipeline.WorkloadPipeline`; its
-    ``optimize_config`` drives the search (so the builds the pipeline
-    produces and the search scored here agree exactly).  The built
-    ``cu-opt`` candidate runs the PR-2 structural verifier and the
-    differential execution oracle before its faults count.  Fault numbers
-    come from :func:`simulated_faults` on the *built* binaries — the same
-    oracle for the seed strategy and the optimizer.
+    ``pipeline`` is a :class:`~repro.eval.pipeline.WorkloadPipeline`; the
+    search runs on the reference build it caches, under its
+    ``exec_config``, so the ``cu-opt`` build it produces places the order
+    scored here.  The built ``cu-opt`` candidate runs the structural
+    layout verifier and the differential execution oracle.  Fault numbers
+    are the measured ``.text`` faults (at first response for
+    microservices) of ``pipeline.measure`` runs of the *built* ``cu`` and
+    ``cu-opt`` binaries; with a warm cache and the sweep's ``iterations``
+    and ``seed`` these are the sweep's own cells.
     """
     from ..eval.pipeline import STRATEGY_CU, STRATEGY_CU_OPT
     from ..validation.differential import run_differential
     from ..validation.invariants import verify_layout
 
-    config = pipeline.optimize_config
     bundle = pipeline.profile(seed=seed).profiles
     entry = SectionOptimization()
     report = OptimizationReport(workload=pipeline.workload.name, seed=seed,
-                                config=config, sections=[entry])
+                                sections=[entry])
     reference = pipeline.build_optimized(bundle, None, seed=seed)
     baseline = pipeline.build_baseline(seed=seed)
-    problem = code_problem(reference, bundle, config)
+    problem = code_problem(reference, bundle, pipeline.exec_config)
     if problem is None:
         entry.skipped = True
         entry.reason = "no usable seed profile for code"
         return report
-    result = search_order(problem, config)
+    result = search_order(problem)
     entry.units = result.units
     entry.hot_units = result.hot_units
     entry.optimizer_costs = dict(result.costs)
@@ -654,8 +463,8 @@ def optimize_workload(pipeline, seed: int = 0) -> OptimizationReport:
         workload=pipeline.workload.name, strategy=STRATEGY_CU_OPT.name,
         microservice=pipeline.workload.microservice,
     ).matches
-    entry.seed_faults = simulated_faults(seed_binary, bundle,
-                                         pipeline.exec_config)
-    entry.optimized_faults = simulated_faults(opt_binary, bundle,
-                                              pipeline.exec_config)
+    entry.seed_faults, entry.optimized_faults = (
+        pipeline.measure(binary, iterations, seed)[0]
+        .faults_at_response(TEXT_SECTION)
+        for binary in (seed_binary, opt_binary))
     return report

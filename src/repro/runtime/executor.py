@@ -21,8 +21,9 @@ paper.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..image.binary import NativeImageBinary, RuntimeImage
 from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
@@ -90,6 +91,32 @@ def touch_native_startup(cache: PageCache, binary: NativeImageBinary,
                     pages * PAGE_SIZE)
 
 
+def record_text_touches(binary: NativeImageBinary,
+                        config: ExecutionConfig) -> List[Tuple[str, int, int]]:
+    """The distinct ``.text`` touches of one run, in first-touch order.
+
+    Runs ``binary`` once through :class:`ExecHooks` and returns each
+    range it touched as (CU name, CU-relative start, end), up to the
+    first response when ``config.stop_on_first_response`` is set — the
+    point a microservice's startup is measured at.  The native-blob
+    startup pages are not included (see :func:`native_startup_pages`).
+    """
+    hooks = ExecHooks(binary, PageCache(), config)
+    _execute(binary, config, hooks)
+    touched = list(hooks._touched)
+    if hooks.response_touches is not None:
+        touched = touched[:hooks.response_touches]
+    placed = binary.text.placed
+    starts = [cu.offset for cu in placed]
+    touches = []
+    for section, offset, size in touched:
+        if section == TEXT_SECTION:
+            cu = placed[bisect_right(starts, offset) - 1]
+            start = offset - cu.offset
+            touches.append((cu.cu.name, start, start + size))
+    return touches
+
+
 @dataclass
 class RunMetrics:
     """Everything one execution produced."""
@@ -146,17 +173,19 @@ class ExecHooks(RuntimeHooks):
         self.responded = False
         self.response_snapshot: Optional[Dict[str, int]] = None
         self.response_ops: Optional[int] = None
+        self.response_touches: Optional[int] = None
         #: (id of caller CU, id of method) -> (the entered frame's CU, the
         #: CU's root signature when the entry runs its prologue, else None)
         self._entries: Dict[Tuple[int, int], Tuple[Any, Optional[str]]] = {}
-        #: (section, offset, size) of every touch this run made; pages stay
-        #: resident, so repeating one can never fault again
-        self._touched: Set[Tuple[str, int, int]] = set()
+        #: (section, offset, size) of every touch this run made, in
+        #: first-touch order; pages stay resident, so repeating one can
+        #: never fault again
+        self._touched: Dict[Tuple[str, int, int], None] = {}
 
     def _touch(self, section: str, offset: int, size: int) -> None:
         key = (section, offset, size)
         if key not in self._touched:
-            self._touched.add(key)
+            self._touched[key] = None
             self._cache.touch(section, offset, size)
 
     # -- code ------------------------------------------------------------------
@@ -235,6 +264,7 @@ class ExecHooks(RuntimeHooks):
             self.response_snapshot = self._cache.snapshot_counts()
             assert self.interpreter is not None
             self.response_ops = self.interpreter.ops_executed
+            self.response_touches = len(self._touched)
             on_respond = getattr(self._tracer, "on_respond", None)
             if on_respond is not None:
                 on_respond(value)
@@ -270,21 +300,10 @@ class BinaryExecutor:
         cache.set_limit(HEAP_SECTION, binary.heap.size)
         hooks = ExecHooks(binary, cache, config, tracer=self._tracer)
 
-        image: RuntimeImage = binary.instantiate()
-        interp = Interpreter(
-            binary.program,
-            statics=image.statics,
-            hooks=hooks,
-            max_ops=config.max_ops,
-            quantum=config.quantum,
-        )
-        hooks.interpreter = interp
-
         # Process startup: native-library pages (unmovable code) fault first.
         touch_native_startup(cache, binary, config)
 
-        thread = interp.spawn_main()
-        interp.run()
+        interp, thread = _execute(binary, config, hooks)
         if self._tracer is not None:
             if config.stop_on_first_response and hooks.responded:
                 self._tracer.kill(interp)  # SIGKILL after first response
@@ -343,6 +362,23 @@ class BinaryExecutor:
             rng = random.Random((config.jitter_seed << 16) ^ run_index)
             time_s *= max(0.5, 1.0 + rng.gauss(0.0, config.time_jitter))
         return time_s
+
+
+def _execute(binary: NativeImageBinary, config: ExecutionConfig,
+             hooks: ExecHooks) -> Tuple[Interpreter, ThreadState]:
+    """Run ``binary``'s main on a fresh image heap under ``hooks``."""
+    image: RuntimeImage = binary.instantiate()
+    interp = Interpreter(
+        binary.program,
+        statics=image.statics,
+        hooks=hooks,
+        max_ops=config.max_ops,
+        quantum=config.quantum,
+    )
+    hooks.interpreter = interp
+    thread = interp.spawn_main()
+    interp.run()
+    return interp, thread
 
 
 def run_binary(binary: NativeImageBinary,

@@ -25,7 +25,6 @@ from repro.eval.scheduler import (
     SweepScheduler,
     task_seed,
 )
-from repro.ordering.optimize import OptimizeConfig
 
 PROGRAM = """
 class Counter {
@@ -290,11 +289,42 @@ class TestBench:
         payload = run_bench(config)
         optimize = payload["optimize"]
         assert optimize["phases_run"] == {}
-        assert optimize["budget"] == OptimizeConfig().budget
         [section] = optimize["workloads"]["Bounce"]["sections"]
         assert section["strategy"] == "cu-opt"
         assert section["never_worse"] and section["verified"]
+        # the verdict compares the sweep's own measured .text cells
+        cells = {result["strategy"]: result["optimized"][0]["text_faults"]
+                 for result in payload["results"]}
+        assert (section["seed_faults"], section["optimized_faults"]) == (
+            cells["cu"], cells["cu-opt"])
         assert check_payload(payload) == []
+
+    def test_check_payload_flags_optimize_gate(self):
+        """The optimize gate fails a cu-opt cell that measured worse than
+        cu, and one whose measured faults the search did not predict."""
+        def payload(seed_faults, optimized_faults, predicted_faults):
+            section = {
+                "strategy": "cu-opt", "seed_strategy": "cu",
+                "skipped": False, "verified": True, "differential_ok": True,
+                "seed_faults": seed_faults,
+                "optimized_faults": optimized_faults,
+                "predicted_faults": predicted_faults,
+                "never_worse": optimized_faults <= seed_faults,
+            }
+            return {"ok": True, "deterministic": True,
+                    "phases": {"warm": {"cache_misses": 0,
+                                        "cache_hit_rate": 1.0}},
+                    "optimize": {"workloads": {"Json": {
+                        "sections": [section]}}}}
+
+        assert check_payload(payload(12, 11, 11)) == []
+        assert check_payload(payload(9, 10, 10)) == [
+            "optimize phase: Json/cu-opt lost to its seed strategy cu "
+            "(9 -> 10 faults)"]
+        assert check_payload(payload(12, 11, 10)) == [
+            "optimize phase: Json/cu-opt search predicted 10 faults but "
+            "the built binary's measured run took 11 (cost model drifted "
+            "from the executor)"]
 
     def test_check_payload_flags_cold_cache(self):
         payload = {
