@@ -10,22 +10,23 @@ faults on every benchmark with cu >= method; heap strategies never increase
 faults materially; cu+heap path is >= the individual strategies.
 """
 
-from conftest import awfy_suite_result, save_figure
+from conftest import figure_cells, save_figure
 
-from repro.eval.figures import render_fig2
+from repro.eval.figures import aggregate_cells, render_fig2
 
 
 def test_fig2_awfy_page_fault_reduction(benchmark):
-    suite = benchmark.pedantic(awfy_suite_result, rounds=1, iterations=1)
-    chart = render_fig2(suite)
+    cells = benchmark.pedantic(figure_cells, rounds=1, iterations=1)
+    chart = render_fig2(cells)
     print("\n" + chart)
     save_figure("fig2_awfy_pagefaults.txt", chart)
 
-    cu = suite.geomean_fault_factor("cu")
-    method = suite.geomean_fault_factor("method")
-    combined = suite.geomean_fault_factor("cu+heap path")
-    incremental = suite.geomean_fault_factor("incremental id")
-    heap_path = suite.geomean_fault_factor("heap path")
+    _, geomean = aggregate_cells(cells, "fault_factor", "awfy")
+    cu = geomean["cu"]
+    method = geomean["method"]
+    combined = geomean["cu+heap path"]
+    incremental = geomean["incremental id"]
+    heap_path = geomean["heap path"]
 
     # Paper-shape assertions (B.3.1).
     assert cu > 1.2, "cu ordering must reduce .text faults"

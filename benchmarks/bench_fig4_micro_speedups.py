@@ -6,20 +6,21 @@ largest single-strategy speedup; combined cu+heap path is the best overall
 (paper: 1.61x geomean).
 """
 
-from conftest import microservice_suite_result, save_figure
+from conftest import figure_cells, save_figure
 
-from repro.eval.figures import render_fig4
+from repro.eval.figures import aggregate_cells, render_fig4
 
 
 def test_fig4_micro_speedups(benchmark):
-    suite = benchmark.pedantic(microservice_suite_result, rounds=1, iterations=1)
-    chart = render_fig4(suite)
+    cells = benchmark.pedantic(figure_cells, rounds=1, iterations=1)
+    chart = render_fig4(cells)
     print("\n" + chart)
     save_figure("fig4_micro_speedups.txt", chart)
 
-    cu = suite.geomean_speedup("cu")
-    method = suite.geomean_speedup("method")
-    combined = suite.geomean_speedup("cu+heap path")
+    _, geomean = aggregate_cells(cells, "speedup", "micro")
+    cu = geomean["cu"]
+    method = geomean["method"]
+    combined = geomean["cu+heap path"]
 
     assert cu >= 1.0 and method >= 1.0
     assert cu >= method

@@ -6,24 +6,25 @@ strategies; code strategies yield larger speedups than heap strategies;
 cu+heap path yields the largest speedup (paper: 1.59x geomean).
 """
 
-from conftest import awfy_suite_result, save_figure
+from conftest import figure_cells, save_figure
 
-from repro.eval.figures import render_fig5
+from repro.eval.figures import aggregate_cells, render_fig5
 
 
 def test_fig5_awfy_speedups(benchmark):
-    suite = benchmark.pedantic(awfy_suite_result, rounds=1, iterations=1)
-    chart = render_fig5(suite)
+    cells = benchmark.pedantic(figure_cells, rounds=1, iterations=1)
+    chart = render_fig5(cells)
     print("\n" + chart)
     save_figure("fig5_awfy_speedups.txt", chart)
 
-    cu = suite.geomean_speedup("cu")
-    method = suite.geomean_speedup("method")
-    combined = suite.geomean_speedup("cu+heap path")
+    _, geomean = aggregate_cells(cells, "speedup", "awfy")
+    cu = geomean["cu"]
+    method = geomean["method"]
+    combined = geomean["cu+heap path"]
     heap = max(
-        suite.geomean_speedup("incremental id"),
-        suite.geomean_speedup("structural hash"),
-        suite.geomean_speedup("heap path"),
+        geomean["incremental id"],
+        geomean["structural hash"],
+        geomean["heap path"],
     )
 
     assert cu >= 1.0 and method >= 1.0, "code strategies must not slow down"

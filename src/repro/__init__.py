@@ -18,14 +18,13 @@ Entry points:
 # module is still initializing (version is part of every cache key)
 __version__ = "1.1.0"
 
-from .api import STRATEGIES, ComparisonReport, NativeImageToolchain, compare_all_strategies
+from .api import STRATEGIES, ComparisonReport, NativeImageToolchain
 from .eval.pipeline import Workload
 
 __all__ = [
     "STRATEGIES",
     "ComparisonReport",
     "NativeImageToolchain",
-    "compare_all_strategies",
     "Workload",
     "__version__",
 ]

@@ -414,28 +414,3 @@ class NativeImageToolchain:
             baseline=self.run(baseline)[0],
             optimized=self.run(optimized)[0],
         )
-
-
-def compare_all_strategies(
-    workload: Workload, seed: int = 0,
-    cache: Union[ArtifactCache, Path, str, None] = None,
-) -> Dict[str, ComparisonReport]:
-    """Run every registered strategy on one workload.
-
-    Covers the six paper strategies plus the search-based ``cu-opt``
-    optimizer.  One profiling run is shared across all of
-    them; pass ``cache`` to also share builds and measurements with
-    previous invocations.  Returns ``{strategy name: ComparisonReport}``
-    in strategy-table order.
-    """
-    toolchain = NativeImageToolchain(workload, cache=cache)
-    toolchain.profile(seed=seed)
-    return {
-        name: ComparisonReport(
-            workload=workload.name,
-            strategy=name,
-            baseline=toolchain.run(toolchain.build(seed=seed))[0],
-            optimized=toolchain.run(toolchain.build_optimized(name, seed=seed))[0],
-        )
-        for name in STRATEGIES
-    }

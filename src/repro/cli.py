@@ -70,20 +70,20 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .api import STRATEGIES, ComparisonReport, NativeImageToolchain
-from .eval.experiments import ExperimentConfig
 from .eval.figures import (
+    SUITE_WORKLOADS,
     render_fig2,
     render_fig3,
     render_fig4,
     render_fig5,
     render_overhead,
-    run_awfy_evaluation,
     run_fig6,
-    run_microservice_evaluation,
     run_overhead_evaluation,
+    sweep_figure_cells,
 )
 from .eval.heapmap import compare_heap_maps, heap_page_map
 from .eval.pipeline import STRATEGY_CU, STRATEGY_HEAP_PATH, Workload, WorkloadPipeline
+from .eval.scheduler import SchedulerConfig
 from .eval.textmap import compare_page_maps, text_page_map
 from .image.fileformat import read_snib, write_snib
 from .workloads.awfy.suite import AWFY_NAMES, awfy_workload
@@ -94,7 +94,7 @@ def _field_default(cls: type, field_name: str):
     """The default of one dataclass field (the single source of truth).
 
     CLI options whose semantics come from a config dataclass
-    (:class:`ExperimentConfig`, :class:`DegradationPolicy`,
+    (:class:`SchedulerConfig`, :class:`DegradationPolicy`,
     :class:`BenchConfig`, ...) must take their ``default=`` from here so
     ``--help`` output always matches what the code actually does.
     """
@@ -118,6 +118,10 @@ def _find_workload(name: str) -> Workload:
     )
 
 
+def _suite_of(workload: Workload) -> str:
+    return "micro" if workload.microservice else "awfy"
+
+
 def cmd_list(_args: argparse.Namespace) -> int:
     print("AWFY benchmarks (run-to-completion, end-to-end time):")
     for name in AWFY_NAMES:
@@ -130,21 +134,35 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(n_builds=args.builds, n_runs=args.runs)
-    if args.suite in ("awfy", "all"):
-        suite = run_awfy_evaluation(config, names=args.only or None)
-        print(render_fig2(suite))
-        print()
-        print(render_fig5(suite))
-    if args.suite in ("micro", "all"):
-        suite = run_microservice_evaluation(config, names=args.only or None)
-        print(render_fig3(suite))
-        print()
-        print(render_fig4(suite))
+    suites = ("awfy", "micro") if args.suite == "all" else (args.suite,)
+    names = args.only or [name for suite in suites
+                          for name in SUITE_WORKLOADS[suite]]
+    # each --only name goes to the suite it belongs to
+    workloads = {workload.name: workload
+                 for workload in map(_find_workload, names)
+                 if _suite_of(workload) in suites}
+    if not workloads:
+        raise SystemExit(f"--only selects no workload of --suite {args.suite}")
+    selected = {_suite_of(workload) for workload in workloads.values()}
+    renderers = {"awfy": (render_fig2, render_fig5),
+                 "micro": (render_fig3, render_fig4)}
+    try:
+        cells = sweep_figure_cells(list(workloads.values()), args.builds,
+                                   args.runs)
+        charts = [render(cells) for suite in suites if suite in selected
+                  for render in renderers[suite]]
+    except ValueError as exc:  # a failed cell, or builds/runs < 1
+        raise SystemExit(str(exc))
+    print("\n\n".join(charts))
     return 0
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
+    for name in args.only or ():
+        if name in MICROSERVICE_NAMES:
+            raise SystemExit(f"--only restricts the AWFY benchmarks; "
+                             f"{name!r} is a microservice, and those always run")
+        _find_workload(name)  # exits on an unknown name
     results = run_overhead_evaluation(awfy_names=args.only or None)
     print(render_overhead(results))
     return 0
@@ -426,7 +444,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     from .eval.bench import BenchConfig, resolve_matrix
     from .eval.chaosrun import run_chaos
-    from .eval.scheduler import RetryPolicy, SchedulerConfig
+    from .eval.scheduler import RetryPolicy
     from .robustness.chaos import (
         ALL_CHAOS_CLASSES,
         CHAOS_STALE_PROFILE,
@@ -542,11 +560,7 @@ def cmd_pgo(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .eval.scheduler import (
-        STRATEGY_BY_NAME,
-        SchedulerConfig,
-        SweepScheduler,
-    )
+    from .eval.scheduler import STRATEGY_BY_NAME, SweepScheduler
     from .obs import format_stats, get_registry, stats_dict
 
     workloads = [_find_workload(name) for name in args.workloads]
@@ -758,12 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_figures = sub.add_parser("figures", help="regenerate Figures 2-5")
     p_figures.add_argument("--suite", choices=("awfy", "micro", "all"),
                            default="all")
-    p_figures.add_argument("--builds", type=int,
-                           default=_field_default(ExperimentConfig, "n_builds"),
-                           help="image builds per configuration "
-                           "(default: %(default)s)")
+    p_figures.add_argument("--builds", type=int, default=1,
+                           help="builds per configuration: one sweep per "
+                           "base seed 1..N (default: %(default)s)")
     p_figures.add_argument("--runs", type=int,
-                           default=_field_default(ExperimentConfig, "n_runs"),
+                           default=_field_default(SchedulerConfig, "iterations"),
                            help="cold-cache runs per build (default: %(default)s)")
     p_figures.add_argument("--only", nargs="*", help="restrict to workloads")
     p_figures.set_defaults(func=cmd_figures)
@@ -979,7 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_history.set_defaults(func=cmd_history)
 
     from .eval.scheduler import RetryPolicy as _RetryPolicy
-    from .eval.scheduler import SchedulerConfig as _SchedulerConfig
     from .robustness.chaos import CHAOS_CLASS_UNIVERSE as _CHAOS_CLASSES
     from .robustness.chaos import ChaosPolicy as _ChaosPolicy
 
@@ -1020,16 +1032,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attempts per task before poison conviction "
                          "(default: %(default)s)")
     p_chaos.add_argument("--workers", type=int,
-                         default=_field_default(_SchedulerConfig,
+                         default=_field_default(SchedulerConfig,
                                                 "max_workers"),
                          help="worker processes; 0 = one per core, 1 = inline "
                          "(default: %(default)s)")
     p_chaos.add_argument("--base-seed", type=int,
-                         default=_field_default(_SchedulerConfig, "base_seed"),
+                         default=_field_default(SchedulerConfig, "base_seed"),
                          help="base seed for per-task seeding "
                          "(default: %(default)s)")
     p_chaos.add_argument("--iterations", type=int,
-                         default=_field_default(_SchedulerConfig,
+                         default=_field_default(SchedulerConfig,
                                                 "iterations"),
                          help="measurement runs per binary "
                          "(default: %(default)s)")
@@ -1100,19 +1112,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--strategy", action="append",
                          help="a strategy to run (repeatable; default: all)")
     p_stats.add_argument("--seed", type=int,
-                         default=_field_default(_SchedulerConfig, "base_seed"),
+                         default=_field_default(SchedulerConfig, "base_seed"),
                          help="base seed for per-task seeding "
                          "(default: %(default)s)")
     p_stats.add_argument("--iterations", type=int,
-                         default=_field_default(_SchedulerConfig, "iterations"),
+                         default=_field_default(SchedulerConfig, "iterations"),
                          help="measurement runs per binary "
                          "(default: %(default)s)")
     p_stats.add_argument("--workers", type=int,
-                         default=_field_default(_SchedulerConfig, "max_workers"),
+                         default=_field_default(SchedulerConfig, "max_workers"),
                          help="worker processes; 0 = one per core, 1 = inline "
                          "(default: %(default)s)")
     p_stats.add_argument("--cache-dir",
-                         default=_field_default(_SchedulerConfig, "cache_dir"),
+                         default=_field_default(SchedulerConfig, "cache_dir"),
                          help="persistent artifact-cache directory "
                          "(default: uncached)")
     p_stats.add_argument("--json", action="store_true",

@@ -1,6 +1,6 @@
-"""Evaluation harness: pipelines, experiments, figures, visualizations."""
+"""Evaluation harness: pipelines, sweeps, figures, visualizations."""
 
-from .experiments import ExperimentConfig, evaluate_suite, evaluate_workload, profiling_overhead
+from .experiments import profiling_overhead
 from .heapmap import compare_heap_maps, heap_page_map
 from .sweeps import ballast_sweep, page_size_sweep, render_sweep
 from .textmap import compare_page_maps, front_density, text_page_map
@@ -32,7 +32,7 @@ from .pipeline import (
 )
 
 __all__ = [
-    "ExperimentConfig", "evaluate_suite", "evaluate_workload", "profiling_overhead",
+    "profiling_overhead",
     "BenchConfig", "run_bench",
     "ChaosOutcome", "check_identity", "run_chaos",
     "EvalTask", "RetryPolicy", "SchedulerConfig", "SweepHealthReport",

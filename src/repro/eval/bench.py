@@ -66,11 +66,13 @@ invariant and requires zero quarantined or failed cells.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cache import ArtifactCache
 from ..cache.keys import TOOLCHAIN_VERSION
@@ -256,6 +258,25 @@ def _attribution_picks(workloads: Sequence[Workload]) -> List[Workload]:
     return picks
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run a timed block with no garbage collection inside it.
+
+    Collects first, then keeps the collector off inside the block and
+    restores its state after.  A full collection inside only one of the
+    attribution phase's two timed blocks would otherwise count as
+    observer overhead (or hide it).
+    """
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _attribution_phase(workloads: Sequence[Workload],
                        strategies: Sequence[StrategySpec],
                        config: BenchConfig,
@@ -287,18 +308,20 @@ def _attribution_phase(workloads: Sequence[Workload],
         optimized_binary = pipeline.build_optimized(
             outcome.profiles, spec, seed=seed
         )
-        tick = time.perf_counter()
-        for binary in (baseline_binary, optimized_binary):
-            run_binary(binary, pipeline.exec_config)
-        plain_wall += time.perf_counter() - tick
-        tick = time.perf_counter()
-        baseline_report = attributed_run(
-            pipeline, baseline_binary, label=f"{workload.name}/baseline"
-        )
-        current_report = attributed_run(
-            pipeline, optimized_binary, label=f"{workload.name}/{spec.name}"
-        )
-        runs_wall += time.perf_counter() - tick
+        with _collector_paused():
+            tick = time.perf_counter()
+            for binary in (baseline_binary, optimized_binary):
+                run_binary(binary, pipeline.exec_config)
+            plain_wall += time.perf_counter() - tick
+        with _collector_paused():
+            tick = time.perf_counter()
+            baseline_report = attributed_run(
+                pipeline, baseline_binary, label=f"{workload.name}/baseline"
+            )
+            current_report = attributed_run(
+                pipeline, optimized_binary, label=f"{workload.name}/{spec.name}"
+            )
+            runs_wall += time.perf_counter() - tick
         why = explain_reports(
             baseline_report, current_report,
             workload=workload.name, strategy=spec.name,

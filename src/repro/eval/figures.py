@@ -1,26 +1,28 @@
 """Figure generators: regenerate every table/figure of the evaluation.
 
-One evaluation run of a suite feeds two figures (page faults + speedups),
-exactly as in the paper.  Each ``render_*`` function prints the same
-rows/series the paper reports: per-workload factors with 95% CIs and the
-geometric mean.
+Figs. 2-5 only aggregate scheduler sweep cells: the dicts of
+:meth:`~repro.eval.scheduler.SweepResult.canonical`, which are also the
+``results`` of a ``repro bench`` payload.  The sweep is the one place a
+fault factor or a speedup is measured.  The paper's methodology (Sec.
+7.1: N builds x M cold runs, factor ``M_baseline / M_optimized``, 95% CI
+across builds, geomean across a suite) maps onto N sweeps at base seeds
+1..N with ``iterations=M`` (:func:`sweep_figure_cells`);
+:func:`aggregate_cells` turns their cells into the per-workload CIs and
+the suite geomeans, and one set of cells feeds all four figures.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import tempfile
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..workloads.awfy.suite import awfy_suite
-from ..workloads.microservices.suite import microservice_suite
-from .experiments import (
-    ExperimentConfig,
-    OverheadResult,
-    SuiteResult,
-    evaluate_suite,
-    profiling_overhead,
-)
+from ..util.stats import ConfidenceInterval, confidence_interval_95, geomean
+from ..workloads.awfy.suite import AWFY_NAMES, awfy_suite
+from ..workloads.microservices.suite import MICROSERVICE_NAMES, microservice_suite
+from .experiments import OverheadResult, profiling_overhead
 from .pipeline import PAPER_STRATEGY_SPECS, Workload, WorkloadPipeline
 from .plotting import render_factor_chart, render_table
+from .scheduler import SchedulerConfig, SweepScheduler
 from .textmap import compare_page_maps, text_page_map
 
 # Paper figures reproduce the paper: only its six strategies appear
@@ -28,73 +30,109 @@ from .textmap import compare_page_maps, text_page_map
 # and EXPERIMENTS.md instead).
 _STRATEGY_NAMES = [spec.name for spec in PAPER_STRATEGY_SPECS]
 
+#: workload names of each suite a figure aggregates over
+SUITE_WORKLOADS: Dict[str, Sequence[str]] = {
+    "awfy": AWFY_NAMES,
+    "micro": MICROSERVICE_NAMES,
+}
 
-def run_awfy_evaluation(
-    config: Optional[ExperimentConfig] = None,
-    names: Optional[List[str]] = None,
-) -> SuiteResult:
-    """Evaluate the AWFY suite (feeds Fig. 2 and Fig. 5)."""
-    workloads = awfy_suite()
-    if names:
-        workloads = {name: workloads[name] for name in names}
-    return evaluate_suite(workloads, "AWFY", config)
+#: per workload, per strategy: the factor's 95% CI across base seeds
+Factors = Dict[str, Dict[str, ConfidenceInterval]]
 
 
-def run_microservice_evaluation(
-    config: Optional[ExperimentConfig] = None,
-    names: Optional[List[str]] = None,
-) -> SuiteResult:
-    """Evaluate the microservice suite (feeds Fig. 3 and Fig. 4)."""
-    workloads = microservice_suite()
-    if names:
-        workloads = {name: workloads[name] for name in names}
-    return evaluate_suite(workloads, "microservices", config)
+def sweep_figure_cells(workloads: Sequence[Workload], builds: int,
+                       runs: int) -> List[Dict[str, Any]]:
+    """Measure the paper strategies on ``workloads``: ``builds`` x ``runs``.
+
+    Runs one :class:`SweepScheduler` sweep per base seed 1..``builds``,
+    each with ``runs`` cold runs per binary.  The sweeps share one
+    temporary cache, so the strategies of a (workload, seed) share its
+    compile, baseline build and profile.  Returns every sweep's canonical
+    cells; a failed cell stays in the list (its ``error`` is set) and
+    :func:`aggregate_cells` refuses it.
+    """
+    if builds < 1 or runs < 1:
+        raise ValueError(f"builds and runs must be >= 1, got {builds} x {runs}")
+    cells: List[Dict[str, Any]] = []
+    with tempfile.TemporaryDirectory(prefix="repro-figures-") as cache_dir:
+        for base_seed in range(1, builds + 1):
+            config = SchedulerConfig(cache_dir=cache_dir, iterations=runs,
+                                     base_seed=base_seed)
+            sweep = SweepScheduler(config).run(workloads, PAPER_STRATEGY_SPECS)
+            cells.extend(sweep.canonical())
+    return cells
 
 
-def _chart(suite: SuiteResult, title: str, metric: str) -> str:
-    factors: Dict[str, Dict] = {}
-    for workload in suite.workloads:
-        factors[workload.workload] = {
-            name: (
-                result.fault_factor if metric == "faults" else result.speedup
-            )
-            for name, result in workload.strategies.items()
+def aggregate_cells(cells: Iterable[Dict[str, Any]], metric: str,
+                    suite: str) -> Tuple[Factors, Dict[str, float]]:
+    """One suite's figure data from canonical sweep cells.
+
+    ``metric`` is the cell field to aggregate (``fault_factor`` or
+    ``speedup``) and ``suite`` a key of :data:`SUITE_WORKLOADS`.  Returns
+    the per-(workload, strategy) 95% CI of that field across the cells'
+    base seeds, in suite and strategy order, and the per-strategy geomean
+    of those means across the suite's workloads.  Cells of other suites
+    and of strategies outside the paper's six (``cu-opt``) are ignored.
+    Raises :class:`ValueError` naming every failed cell it would
+    aggregate: a failed cell is never dropped from a geomean.
+    """
+    names = SUITE_WORKLOADS[suite]
+    samples: Dict[str, Dict[str, List[float]]] = {}
+    failed: List[str] = []
+    for cell in cells:
+        if cell["workload"] not in names or cell["strategy"] not in _STRATEGY_NAMES:
+            continue
+        if cell["error"] is not None:
+            failed.append(f"{cell['workload']}/{cell['strategy']}: {cell['error']}")
+            continue
+        per_strategy = samples.setdefault(cell["workload"], {})
+        per_strategy.setdefault(cell["strategy"], []).append(cell[metric])
+    if failed:
+        raise ValueError("failed sweep cell(s): " + "; ".join(failed))
+    factors: Factors = {
+        workload: {
+            strategy: confidence_interval_95(samples[workload][strategy])
+            for strategy in _STRATEGY_NAMES if strategy in samples[workload]
         }
-    geomeans = {
-        name: (
-            suite.geomean_fault_factor(name)
-            if metric == "faults"
-            else suite.geomean_speedup(name)
-        )
-        for name in _STRATEGY_NAMES
-        if any(name in w.strategies for w in suite.workloads)
+        for workload in names if workload in samples
     }
-    names = [w.workload for w in suite.workloads]
-    present = [
-        s for s in _STRATEGY_NAMES if any(s in w.strategies for w in suite.workloads)
-    ]
-    return render_factor_chart(title, names, present, factors, geomeans)
+    geomeans = {}
+    for strategy in _STRATEGY_NAMES:
+        means = [per[strategy].mean for per in factors.values() if strategy in per]
+        if means:
+            geomeans[strategy] = geomean(means)
+    return factors, geomeans
 
 
-def render_fig2(suite: SuiteResult) -> str:
+def _chart(cells: Iterable[Dict[str, Any]], suite: str, metric: str,
+           title: str) -> str:
+    factors, geomeans = aggregate_cells(cells, metric, suite)
+    return render_factor_chart(title, list(factors), list(geomeans),
+                               factors, geomeans)
+
+
+def render_fig2(cells: Iterable[Dict[str, Any]]) -> str:
     """Fig. 2: page-fault reduction on AWFY."""
-    return _chart(suite, "Figure 2: page-fault reduction (AWFY)", "faults")
+    return _chart(cells, "awfy", "fault_factor",
+                  "Figure 2: page-fault reduction (AWFY)")
 
 
-def render_fig3(suite: SuiteResult) -> str:
+def render_fig3(cells: Iterable[Dict[str, Any]]) -> str:
     """Fig. 3: page-fault reduction on microservices."""
-    return _chart(suite, "Figure 3: page-fault reduction (microservices)", "faults")
+    return _chart(cells, "micro", "fault_factor",
+                  "Figure 3: page-fault reduction (microservices)")
 
 
-def render_fig4(suite: SuiteResult) -> str:
+def render_fig4(cells: Iterable[Dict[str, Any]]) -> str:
     """Fig. 4: execution-time speedup on microservices."""
-    return _chart(suite, "Figure 4: time-to-first-response speedup (microservices)",
-                  "speedup")
+    return _chart(cells, "micro", "speedup",
+                  "Figure 4: time-to-first-response speedup (microservices)")
 
 
-def render_fig5(suite: SuiteResult) -> str:
+def render_fig5(cells: Iterable[Dict[str, Any]]) -> str:
     """Fig. 5: execution-time speedup on AWFY."""
-    return _chart(suite, "Figure 5: execution-time speedup (AWFY)", "speedup")
+    return _chart(cells, "awfy", "speedup",
+                  "Figure 5: execution-time speedup (AWFY)")
 
 
 def run_overhead_evaluation(

@@ -78,6 +78,7 @@ from ..robustness.chaos import (
 from ..robustness.degradation import DegradationPolicy, DegradationReport
 from ..runtime.executor import ExecutionConfig, RunMetrics
 from ..util.murmur3 import murmur3_64
+from ..util.stats import ratio_factor
 from ..validation.oracle import VerificationPolicy
 from ..validation.quarantine import QuarantineRegistry
 from ..validation.watchdog import call_with_deadline
@@ -508,8 +509,7 @@ def _run_task_body(result: TaskResult, task: EvalTask,
         opt_faults = sum(m["faults"] for m in result.optimized)
         base_time = sum(m["time_s"] for m in result.baseline)
         opt_time = sum(m["time_s"] for m in result.optimized)
-        result.fault_factor = (base_faults / opt_faults if opt_faults
-                               else float(base_faults or 1.0))
+        result.fault_factor = ratio_factor(base_faults, opt_faults)
         result.speedup = base_time / opt_time if opt_time else 1.0
 
         report = pipeline.last_degradation_report

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -10,14 +13,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_figures_defaults_track_experiment_config(self):
-        # the dataclass is the single source of truth for CLI defaults
-        from repro.eval.experiments import ExperimentConfig
+    def test_figures_defaults_track_scheduler_config(self):
+        # the dataclass is the single source of truth for CLI defaults; a
+        # bare `repro figures` is one sweep at base seed 1, like the bench
+        from repro.eval.scheduler import SchedulerConfig
 
         args = build_parser().parse_args(["figures"])
         assert args.suite == "all"
-        assert args.builds == ExperimentConfig().n_builds
-        assert args.runs == ExperimentConfig().n_runs
+        assert args.builds == 1
+        assert args.runs == SchedulerConfig().iterations
 
     def test_robustness_defaults_track_degradation_policy(self):
         from repro.robustness.degradation import DegradationPolicy
@@ -110,6 +114,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Sieve" in out and "micronaut" in out
 
+    @pytest.mark.parametrize("name, message", [
+        ("micronaut", "'micronaut' is a microservice"),
+        ("Bogus", "unknown workload 'Bogus'"),
+    ])
+    def test_overhead_only_names_awfy_benchmarks(self, name, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["overhead", "--only", name])
+        assert message in str(exc.value.code)
+        assert "\n" not in str(exc.value.code)
+
     def test_chaos_recoverable_sweep(self, capsys):
         assert main([
             "chaos", "--only", "Sieve", "--strategy", "cu",
@@ -140,3 +154,69 @@ class TestCommands:
         ]) == 1
         out = capsys.readouterr().out
         assert "quarantined: Sieve/cu" in out
+
+
+class TestFiguresSelection:
+    """`repro figures --only` routing, on the committed sweep's cells."""
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        payload = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+        results = json.loads(payload.read_text())["results"]
+        calls = []
+
+        def fake_sweep(workloads, builds, runs):
+            names = [w.name for w in workloads]
+            calls.append((names, builds, runs))
+            return [dict(c) for c in results if c["workload"] in names]
+
+        monkeypatch.setattr("repro.cli.sweep_figure_cells", fake_sweep)
+        return calls
+
+    def test_names_go_to_their_own_suites(self, swept, capsys):
+        assert main(["figures", "--only", "Bounce", "micronaut"]) == 0
+        assert swept == [(["Bounce", "micronaut"], 1, 1)]
+        charts = capsys.readouterr().out.split("Figure ")[1:]
+        assert [chart[0] for chart in charts] == ["2", "5", "3", "4"]
+        for chart in charts:
+            micro = chart[0] in "34"
+            assert ("micronaut" in chart) == micro
+            assert ("Bounce" in chart) != micro
+
+    def test_suite_filter_skips_the_other_suite(self, swept, capsys):
+        assert main(["figures", "--suite", "micro",
+                     "--only", "Bounce", "micronaut"]) == 0
+        assert swept == [(["micronaut"], 1, 1)]
+        out = capsys.readouterr().out
+        assert "Figure 3" in out and "Figure 4" in out
+        assert "Figure 2" not in out and "Bounce" not in out
+
+    def test_unknown_name_exits_with_one_line(self, swept):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--suite", "micro", "--only", "Bogus"])
+        assert str(exc.value.code).startswith("unknown workload 'Bogus'")
+        assert "\n" not in str(exc.value.code)
+        assert swept == []
+
+    def test_no_workload_of_the_suite_exits(self, swept):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--suite", "awfy", "--only", "micronaut"])
+        assert "no workload of --suite awfy" in str(exc.value.code)
+        assert swept == []
+
+    def test_failed_cell_exits_nonzero_and_names_it(self, monkeypatch, capsys):
+        def failing_sweep(workloads, builds, runs):
+            return [{"workload": "Bounce", "strategy": "cu", "seed": 1,
+                     "fault_factor": 1.0, "speedup": 1.0,
+                     "error": "RuntimeError: boom"}]
+
+        monkeypatch.setattr("repro.cli.sweep_figure_cells", failing_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--only", "Bounce"])
+        assert "Bounce/cu: RuntimeError: boom" in str(exc.value.code)
+        assert "Figure" not in capsys.readouterr().out
+
+    def test_rejects_zero_builds(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--only", "Bounce", "--builds", "0"])
+        assert "must be >= 1" in str(exc.value.code)
