@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from .cache import ArtifactCache, CacheStats
+from .cache import ArtifactCache
 from .obs import MetricsSnapshot, get_event_log, get_registry
 from .eval.pipeline import (
-    ALL_STRATEGY_SPECS,
-    StrategySpec,
+    STRATEGIES,  # noqa: F401 - re-exported as repro.api.STRATEGIES
     Workload,
     WorkloadPipeline,
+    strategy_spec,
 )
 from .image.binary import NativeImageBinary
 from .image.builder import BuildConfig
-from .image.sections import HEAP_SECTION, TEXT_SECTION
 from .robustness.degradation import DegradationPolicy, DegradationReport
 from .runtime.executor import ExecutionConfig, RunMetrics
 from .util.stats import ratio_factor
@@ -40,9 +39,6 @@ from .validation.oracle import (
 )
 from .validation.quarantine import QuarantineRegistry
 from .validation.watchdog import WatchdogBudget
-
-STRATEGIES: Dict[str, StrategySpec] = {spec.name: spec for spec in ALL_STRATEGY_SPECS}
-
 
 @dataclass
 class ComparisonReport:
@@ -105,8 +101,8 @@ class NativeImageToolchain:
     Pass ``cache`` (an :class:`repro.cache.ArtifactCache` or a directory
     path) to make every stage content-addressed: builds, profiling runs,
     and measurements whose inputs did not change are loaded from the cache
-    instead of recomputed.  :attr:`cache_stats` reports the session's
-    hit/miss accounting.
+    instead of recomputed; the registry's ``cache.*`` counters (see
+    :meth:`metrics_snapshot`) count its hits, misses and puts.
     """
 
     def __init__(
@@ -165,11 +161,6 @@ class NativeImageToolchain:
         """The armed artifact cache, or ``None`` when uncached."""
         return self._pipeline.cache
 
-    @property
-    def cache_stats(self) -> Optional[CacheStats]:
-        """Hit/miss accounting of the armed cache (``None`` when uncached)."""
-        return self._pipeline.cache.stats if self._pipeline.cache else None
-
     # -- observability -------------------------------------------------------
 
     def metrics_snapshot(self) -> MetricsSnapshot:
@@ -188,15 +179,6 @@ class NativeImageToolchain:
         Load the file in ``chrome://tracing`` or https://ui.perfetto.dev.
         """
         return get_event_log().export_chrome(path)
-
-    def export_events(self, path: Union[Path, str]) -> Path:
-        """Write the same run records as JSONL, one record per line.
-
-        Phase spans, scheduler tasks, cache, degradation, quarantine,
-        chaos and PGO epoch records, each carrying the phase/task ids
-        that were in scope when it was recorded.
-        """
-        return get_event_log().export(path)
 
     def history(self, path: Union[Path, str, None] = None):
         """The bench history store (``BENCH_history.jsonl`` by default).
@@ -243,11 +225,7 @@ class NativeImageToolchain:
         Raises :class:`KeyError` for unknown strategy names.
         """
         from .eval.explain import explain_strategy
-        spec = STRATEGIES.get(strategy)
-        if spec is None:
-            raise KeyError(
-                f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-            )
+        spec = strategy_spec(strategy)
         return explain_strategy(self._pipeline, spec, seed=seed)
 
     def optimize(self, seed: int = 0):
@@ -303,72 +281,10 @@ class NativeImageToolchain:
         strategy names and :class:`LayoutVerificationError` when even the
         rollback build fails structural verification.
         """
-        spec = STRATEGIES.get(strategy)
-        if spec is None:
-            raise KeyError(
-                f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-            )
+        spec = strategy_spec(strategy)
         if self._profiles is None:
             self.profile(seed=seed)
         return self._pipeline.build_optimized(self._profiles, spec, seed=seed)
-
-    # -- continuous PGO ----------------------------------------------------------
-
-    def pgo_loop(
-        self,
-        strategy: str = "cu+heap path",
-        thresholds: Optional[object] = None,
-        canary: Optional[object] = None,
-        seed: int = 0,
-    ):
-        """A :class:`repro.pgo.PgoLoop` bound to this workload's pipeline.
-
-        The loop owns a versioned :class:`~repro.pgo.ProfileStore`; feed
-        it weighted traffic mixes via ``bootstrap``/``observe`` and it
-        detects profile drift, rebuilds through the cached pipeline, and
-        only deploys candidates that pass the canary gate (structural +
-        differential oracle + fault-regression check).  Convicted
-        candidates land in :attr:`quarantine`.  Raises :class:`KeyError`
-        for unknown strategy names.
-        """
-        from .pgo import PgoLoop
-        spec = STRATEGIES.get(strategy)
-        if spec is None:
-            raise KeyError(
-                f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-            )
-        return PgoLoop(self._pipeline, spec, thresholds=thresholds,
-                       canary=canary, seed=seed)
-
-    def pgo_scenario(
-        self,
-        strategy: str = "cu+heap path",
-        epochs: int = 3,
-        seed: int = 7,
-        drift_epoch: int = 1,
-        inject_bad_epoch: Optional[int] = None,
-        chaos: Optional[object] = None,
-    ):
-        """Drive a seeded multi-epoch drift scenario (``repro pgo``).
-
-        Synthesizes traffic variants from this workload's real trace,
-        shifts the mix at ``drift_epoch`` (the loop must auto-refresh),
-        and optionally damages the candidate at ``inject_bad_epoch`` (the
-        canary gate must quarantine it and roll back).  Returns the
-        :class:`repro.pgo.ScenarioOutcome`; ``outcome.ok`` is the
-        no-unguarded-regression invariant.
-        """
-        from .pgo import DriftScenario, run_scenario
-        spec = STRATEGIES.get(strategy)
-        if spec is None:
-            raise KeyError(
-                f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-            )
-        scenario = DriftScenario(epochs=epochs, seed=seed,
-                                 drift_epoch=drift_epoch,
-                                 inject_bad_epoch=inject_bad_epoch)
-        return run_scenario(self._pipeline, spec, scenario=scenario,
-                            chaos=chaos)
 
     # -- verification -----------------------------------------------------------
 
@@ -386,11 +302,7 @@ class NativeImageToolchain:
         and (by default) differentially executes both binaries under the
         given watchdog budgets.
         """
-        spec = STRATEGIES.get(strategy)
-        if spec is None:
-            raise KeyError(
-                f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-            )
+        spec = strategy_spec(strategy)
         return verify_strategy(self._pipeline, spec, seed=seed,
                                differential=differential, watchdog=watchdog)
 

@@ -36,14 +36,12 @@ from .store import (
     KIND_REPORT,
     KIND_TRACE,
     ArtifactCache,
-    CacheStats,
 )
 
 __all__ = [
     "ALL_KINDS",
     "ArtifactCache",
     "CACHE_SCHEMA",
-    "CacheStats",
     "KIND_IMAGE",
     "KIND_METRICS",
     "KIND_PROFILE",

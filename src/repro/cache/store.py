@@ -40,9 +40,8 @@ import tempfile
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..obs import get_event_log, metrics
 from .keys import TOOLCHAIN_VERSION
@@ -58,58 +57,6 @@ KIND_METRICS = "metrics"
 KIND_REPORT = "report"
 ALL_KINDS = (KIND_PROGRAM, KIND_TRACE, KIND_PROFILE, KIND_IMAGE,
              KIND_METRICS, KIND_REPORT)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting of one :class:`ArtifactCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    #: corrupted/torn entries detected (checksum or unpickle failure),
-    #: evicted, and left for the caller to recompute
-    healed: int = 0
-    #: transient I/O errors absorbed (read served as a miss, write skipped)
-    io_errors: int = 0
-    #: per-kind breakdown of hits/misses, e.g. ``{"image": [3, 1]}``
-    by_kind: Dict[str, List[int]] = field(default_factory=dict)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when none)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def record(self, kind: str, hit: bool) -> None:
-        slot = self.by_kind.setdefault(kind, [0, 0])
-        if hit:
-            self.hits += 1
-            slot[0] += 1
-        else:
-            self.misses += 1
-            slot[1] += 1
-
-    def snapshot(self) -> Tuple[int, int]:
-        """(hits, misses) — for delta accounting around a task."""
-        return (self.hits, self.misses)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "healed": self.healed,
-            "io_errors": self.io_errors,
-            "hit_rate": round(self.hit_rate, 4),
-            "by_kind": {k: {"hits": v[0], "misses": v[1]}
-                        for k, v in sorted(self.by_kind.items())},
-        }
 
 
 def _writer_alive(name: str) -> bool:
@@ -152,7 +99,6 @@ class ArtifactCache:
         self.root = Path(root)
         self.toolchain = toolchain
         self.max_entries_per_kind = max_entries_per_kind
-        self.stats = CacheStats()
         #: chaos hook: ``before_io(op, kind, key)`` may raise OSError,
         #: ``after_put(kind, key, path)`` may damage the written payload.
         #: Armed per task by the scheduler's chaos machinery; None = off.
@@ -208,7 +154,6 @@ class ArtifactCache:
 
     def _transient_error(self, kind: str, op: str) -> None:
         """Account one absorbed I/O error (read → miss, write → skip)."""
-        self.stats.io_errors += 1
         metrics().counter(f"cache.io_error.{op}")
         get_event_log().emit("cache.io_error", artifact=kind, op=op)
 
@@ -232,7 +177,6 @@ class ArtifactCache:
         memo_key = (kind, key)
         if memo_key in self._memo:
             self._memo.move_to_end(memo_key)
-            self.stats.record(kind, hit=True)
             metrics().counter(f"cache.hit.{kind}")
             return self._memo[memo_key]
         injector = self.fault_injector
@@ -266,7 +210,6 @@ class ArtifactCache:
             # cannot see (it covers the bytes we read, not the pickle
             # semantics): still detect-evict-recompute.
             return self._heal(kind, key, "undecodable payload")
-        self.stats.record(kind, hit=True)
         metrics().counter(f"cache.hit.{kind}")
         if self._memo_entries > 0:
             self._memo[memo_key] = value
@@ -275,14 +218,12 @@ class ArtifactCache:
         return value
 
     def _miss(self, kind: str) -> None:
-        self.stats.record(kind, hit=False)
         metrics().counter(f"cache.miss.{kind}")
         return None
 
     def _heal(self, kind: str, key: str, reason: str) -> None:
         """Evict a corrupted entry and account the self-heal as a miss."""
         self._delete(kind, key)
-        self.stats.healed += 1
         metrics().counter(f"cache.heal.{kind}")
         get_event_log().emit("cache.heal", artifact=kind, key=key,
                              reason=reason)
@@ -328,7 +269,6 @@ class ArtifactCache:
         except OSError:
             self._transient_error(kind, "put")
             return False
-        self.stats.puts += 1
         metrics().counter(f"cache.put.{kind}")
         if injector is not None:
             injector.after_put(kind, key, path)
@@ -400,7 +340,6 @@ class ArtifactCache:
                 if meta.get("toolchain") != self.toolchain:
                     self._delete(kind, key)
                     evicted += 1
-        self.stats.evictions += evicted
         if evicted:
             metrics().counter("cache.evict", evicted)
             get_event_log().emit("cache.evict_stale", evicted=evicted)
@@ -423,7 +362,6 @@ class ArtifactCache:
         excess = len(aged) - limit
         for key, _meta in aged[:max(excess, 0)]:
             self._delete(kind, key)
-            self.stats.evictions += 1
             metrics().counter("cache.evict")
             get_event_log().emit("cache.evict", artifact=kind, key=key)
 
@@ -436,14 +374,18 @@ class ArtifactCache:
     # -- reporting ---------------------------------------------------------------
 
     def describe(self) -> str:
+        """Entry counts on disk plus this process's ``cache.*`` counters."""
         lines = [f"artifact cache at {self.root} ({self.toolchain})"]
         for kind in ALL_KINDS:
             count = self.entry_count(kind)
             if count:
                 lines.append(f"  {kind}: {count} entries")
-        stats = self.stats
-        lines.append(f"  session: {stats.hits} hits / {stats.misses} misses "
-                     f"({stats.hit_rate:.0%}), {stats.puts} puts, "
-                     f"{stats.evictions} evictions, {stats.healed} healed, "
-                     f"{stats.io_errors} I/O errors absorbed")
+        counts = metrics().snapshot()
+        hits, misses = counts.total("cache.hit."), counts.total("cache.miss.")
+        rate = hits / (hits + misses) if hits + misses else 0.0
+        lines.append(f"  this process: {hits} hits / {misses} misses "
+                     f"({rate:.0%}), {counts.total('cache.put.')} puts, "
+                     f"{counts.total('cache.evict')} evictions, "
+                     f"{counts.total('cache.heal.')} healed, "
+                     f"{counts.total('cache.io_error.')} I/O errors absorbed")
         return "\n".join(lines)

@@ -69,7 +69,7 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional
 
-from .api import STRATEGIES, ComparisonReport, NativeImageToolchain
+from .api import ComparisonReport, NativeImageToolchain
 from .eval.figures import (
     SUITE_WORKLOADS,
     render_fig2,
@@ -77,12 +77,19 @@ from .eval.figures import (
     render_fig4,
     render_fig5,
     render_overhead,
-    run_fig6,
     run_overhead_evaluation,
     sweep_figure_cells,
 )
 from .eval.heapmap import compare_heap_maps, heap_page_map
-from .eval.pipeline import STRATEGY_CU, STRATEGY_HEAP_PATH, Workload, WorkloadPipeline
+from .eval.pipeline import (
+    STRATEGIES,
+    STRATEGY_CU,
+    STRATEGY_HEAP_PATH,
+    StrategySpec,
+    Workload,
+    WorkloadPipeline,
+    strategy_spec,
+)
 from .eval.scheduler import SchedulerConfig
 from .eval.textmap import compare_page_maps, text_page_map
 from .image.fileformat import read_snib, write_snib
@@ -116,6 +123,13 @@ def _find_workload(name: str) -> Workload:
     raise SystemExit(
         f"unknown workload {name!r}; run `python -m repro list` for options"
     )
+
+
+def _strategy(name: str) -> StrategySpec:
+    try:
+        return strategy_spec(name)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0])
 
 
 def _suite_of(workload: Workload) -> str:
@@ -194,12 +208,10 @@ def cmd_pagemap(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     workload = _find_workload(args.workload)
+    names = [_strategy(args.strategy).name] if args.strategy else sorted(STRATEGIES)
     toolchain = NativeImageToolchain(workload)
     toolchain.profile(seed=args.seed)
-    names = [args.strategy] if args.strategy else sorted(STRATEGIES)
     for name in names:
-        if name not in STRATEGIES:
-            raise SystemExit(f"unknown strategy {name!r}")
         print(toolchain.optimize_and_compare(name, seed=args.seed))
     return 0
 
@@ -227,9 +239,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     from .robustness import DegradationPolicy, FaultInjector, FaultPlan
 
     workload = _find_workload(args.workload)
-    spec = STRATEGIES.get(args.strategy)
-    if spec is None:
-        raise SystemExit(f"unknown strategy {args.strategy!r}")
+    spec = _strategy(args.strategy)
     if args.faults:
         plan = FaultPlan(faults=tuple(_parse_fault(text) for text in args.faults))
     else:
@@ -277,12 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verify_strategy,
     )
 
-    names = args.strategy or sorted(STRATEGIES)
-    for name in names:
-        if name not in STRATEGIES:
-            raise SystemExit(
-                f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}"
-            )
+    specs = [_strategy(name) for name in args.strategy or sorted(STRATEGIES)]
     budget = None
     if args.max_ops is not None or args.deadline is not None:
         budget = WatchdogBudget(max_ops=args.max_ops, deadline_s=args.deadline)
@@ -301,9 +306,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         policy = VerificationPolicy(watchdog=budget, mutator=mutator)
         pipeline = WorkloadPipeline(workload, verification=policy)
-        for name in names:
+        for spec in specs:
             outcome = verify_strategy(
-                pipeline, STRATEGIES[name], seed=args.seed,
+                pipeline, spec, seed=args.seed,
                 differential=not args.no_differential, watchdog=budget,
             )
             if not outcome.ok:
@@ -316,7 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  {line}")
             print(pipeline.quarantine.describe())
             print()
-    total = len(args.workloads) * len(names)
+    total = len(args.workloads) * len(specs)
     print(f"verified {total} combination(s): "
           f"{total - failures} ok, {failures} failed")
     return 1 if failures else 0
@@ -362,7 +367,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         payload = run_bench(config, log=print)
     except KeyError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(exc.args[0])
     path = write_payload(payload, config.output)
     print()
     print(format_summary(payload))
@@ -457,7 +462,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             strategies=tuple(args.strategy or ()),
         ))
     except KeyError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(exc.args[0])
     classes = tuple(args.fault_classes or ALL_CHAOS_CLASSES)
     # stale_profile targets the PGO loop, not the sweep scheduler:
     # partition the requested classes into the two exercises
@@ -532,12 +537,7 @@ def cmd_pgo(args: argparse.Namespace) -> int:
     )
 
     workload = _find_workload(args.workload)
-    spec = STRATEGIES.get(args.strategy)
-    if spec is None:
-        raise SystemExit(
-            f"unknown strategy {args.strategy!r}; choose from "
-            f"{sorted(STRATEGIES)}"
-        )
+    spec = _strategy(args.strategy)
     cache = ArtifactCache(Path(args.cache_dir)) if args.cache_dir else None
     pipeline = WorkloadPipeline(workload, cache=cache)
     scenario = DriftScenario(
@@ -560,25 +560,18 @@ def cmd_pgo(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .eval.scheduler import STRATEGY_BY_NAME, SweepScheduler
+    from .eval.scheduler import SweepScheduler
     from .obs import format_stats, get_registry, stats_dict
 
     workloads = [_find_workload(name) for name in args.workloads]
-    names = args.strategy or sorted(STRATEGY_BY_NAME)
-    for name in names:
-        if name not in STRATEGY_BY_NAME:
-            raise SystemExit(
-                f"unknown strategy {name!r}; choose from {sorted(STRATEGY_BY_NAME)}"
-            )
+    specs = [_strategy(name) for name in args.strategy or sorted(STRATEGIES)]
     config = SchedulerConfig(
         cache_dir=args.cache_dir,
         max_workers=args.workers,
         iterations=args.iterations,
         base_seed=args.seed,
     )
-    sweep = SweepScheduler(config).run(
-        workloads, [STRATEGY_BY_NAME[name] for name in names]
-    )
+    sweep = SweepScheduler(config).run(workloads, specs)
     snapshot = get_registry().snapshot()
     if args.json:
         print(json.dumps(stats_dict(snapshot), indent=2, sort_keys=True))
@@ -603,11 +596,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import get_event_log, validate_trace
 
     workload = _find_workload(args.workload)
-    spec = STRATEGIES.get(args.strategy)
-    if spec is None:
-        raise SystemExit(
-            f"unknown strategy {args.strategy!r}; choose from {sorted(STRATEGIES)}"
-        )
+    spec = _strategy(args.strategy)
     pipeline = WorkloadPipeline(workload)
     pipeline.run_strategy(spec, seed=args.seed)
     log = get_event_log()
@@ -629,19 +618,11 @@ def cmd_why(args: argparse.Namespace) -> int:
     from .eval.explain import explain_strategies, explain_strategy
 
     workload = _find_workload(args.workload)
-    spec = STRATEGIES.get(args.strategy)
-    if spec is None:
-        raise SystemExit(
-            f"unknown strategy {args.strategy!r}; choose from {sorted(STRATEGIES)}"
-        )
+    spec = _strategy(args.strategy)
+    base_spec = (_strategy(args.baseline_strategy)
+                 if args.baseline_strategy else None)
     pipeline = WorkloadPipeline(workload)
-    if args.baseline_strategy:
-        base_spec = STRATEGIES.get(args.baseline_strategy)
-        if base_spec is None:
-            raise SystemExit(
-                f"unknown strategy {args.baseline_strategy!r}; choose from "
-                f"{sorted(STRATEGIES)}"
-            )
+    if base_spec is not None:
         why = explain_strategies(pipeline, base_spec, spec, seed=args.seed)
     else:
         why = explain_strategy(pipeline, spec, seed=args.seed)
@@ -743,9 +724,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     workload = _find_workload(args.workload)
     pipeline = WorkloadPipeline(workload)
     if args.strategy:
-        spec = STRATEGIES.get(args.strategy)
-        if spec is None:
-            raise SystemExit(f"unknown strategy {args.strategy!r}")
+        spec = _strategy(args.strategy)
         outcome = pipeline.profile(seed=args.seed)
         binary = pipeline.build_optimized(outcome.profiles, spec, seed=args.seed)
     else:

@@ -70,7 +70,7 @@ import gc
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,9 +80,14 @@ from ..obs.history import DEFAULT_HISTORY, BenchHistory, make_entry, matrix_hash
 from ..util.stats import MAD_SIGMA, cusum_alarm, mad, median
 from ..workloads.awfy.suite import AWFY_NAMES, awfy_suite
 from ..workloads.microservices.suite import MICROSERVICE_NAMES, microservice_suite
-from .pipeline import ALL_STRATEGY_SPECS, StrategySpec, Workload, WorkloadPipeline
+from .pipeline import (
+    ALL_STRATEGY_SPECS,
+    StrategySpec,
+    Workload,
+    WorkloadPipeline,
+    strategy_spec,
+)
 from .scheduler import (
-    STRATEGY_BY_NAME,
     SchedulerConfig,
     SweepResult,
     SweepScheduler,
@@ -165,13 +170,8 @@ def resolve_matrix(config: BenchConfig) -> Tuple[List[Workload], List[StrategySp
     if unknown:
         raise KeyError(f"unknown workload(s) {unknown}; choose from {sorted(suite)}")
     strategy_names = list(config.strategies) or [s.name for s in ALL_STRATEGY_SPECS]
-    unknown = [n for n in strategy_names if n not in STRATEGY_BY_NAME]
-    if unknown:
-        raise KeyError(
-            f"unknown strateg(ies) {unknown}; choose from {sorted(STRATEGY_BY_NAME)}"
-        )
     return ([suite[n] for n in names],
-            [STRATEGY_BY_NAME[n] for n in strategy_names])
+            [strategy_spec(n) for n in strategy_names])
 
 
 def _scheduler_config(config: BenchConfig, cache_dir: Optional[str],

@@ -20,7 +20,7 @@ and loaded instead of rebuilt when nothing they depend on changed.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cache import (
@@ -154,6 +154,17 @@ STRATEGY_CU_OPT = StrategySpec("cu-opt", code_ordering=CU_OPT_ORDERING)
 
 #: Everything the scheduler/bench/api can run: paper strategies + cu-opt.
 ALL_STRATEGY_SPECS = PAPER_STRATEGY_SPECS + (STRATEGY_CU_OPT,)
+
+#: The same strategies by name.
+STRATEGIES: Dict[str, StrategySpec] = {spec.name: spec for spec in ALL_STRATEGY_SPECS}
+
+
+def strategy_spec(name: str) -> StrategySpec:
+    """The strategy called ``name``; :class:`KeyError` lists the choices."""
+    spec = STRATEGIES.get(name)
+    if spec is None:
+        raise KeyError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
+    return spec
 
 
 @dataclass

@@ -19,10 +19,10 @@ while keeping three invariants:
   an attempt of its first cell has come back, so two workers never race
   to compute the same shared work.
 * **The verification rung survives** — pipelines run with whatever
-  :class:`VerificationPolicy`/:class:`DegradationPolicy` the scheduler was
-  configured with; watchdog budgets are reused across every task a worker
-  executes, and per-task quarantine convictions travel back in the
-  :class:`TaskResult` and are merged into the sweep-level registry.
+  :class:`VerificationPolicy` the scheduler was configured with; watchdog
+  budgets are reused across every task a worker executes, and per-task
+  quarantine convictions travel back in the :class:`TaskResult` and are
+  merged into the sweep-level registry.
 * **Failure is survivable** — with a :class:`RetryPolicy` armed, failed
   tasks are retried with capped exponential backoff and deterministic
   jitter (the retried attempt reuses the *same* seed, so a surviving
@@ -61,8 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..cache import ArtifactCache, CacheStats
-from ..image.builder import BuildConfig
+from ..cache import ArtifactCache
 from ..obs import MetricsSnapshot, get_event_log, get_registry
 from ..robustness.chaos import (
     CHAOS_CACHE_IO,
@@ -75,8 +74,8 @@ from ..robustness.chaos import (
     ChaosPolicy,
     SimulatedWorkerCrash,
 )
-from ..robustness.degradation import DegradationPolicy, DegradationReport
-from ..runtime.executor import ExecutionConfig, RunMetrics
+from ..robustness.degradation import DegradationReport
+from ..runtime.executor import RunMetrics
 from ..util.murmur3 import murmur3_64
 from ..util.stats import ratio_factor
 from ..validation.oracle import VerificationPolicy
@@ -88,11 +87,8 @@ from .pipeline import (
     Workload,
     WorkloadPipeline,
     metric_for_strategy,
+    strategy_spec,
 )
-
-STRATEGY_BY_NAME: Dict[str, StrategySpec] = {
-    spec.name: spec for spec in ALL_STRATEGY_SPECS
-}
 
 
 def task_seed(base_seed: int, workload_name: str) -> int:
@@ -158,9 +154,6 @@ class RetryPolicy:
 class SchedulerConfig:
     """Everything a worker needs to evaluate tasks (picklable by design)."""
 
-    build_config: Optional[BuildConfig] = None
-    exec_config: Optional[ExecutionConfig] = None
-    degradation_policy: Optional[DegradationPolicy] = None
     verification: Optional[VerificationPolicy] = None
     #: cache directory shared by all workers; None = run uncached
     cache_dir: Optional[str] = None
@@ -228,8 +221,6 @@ class TaskResult:
     optimized: List[Dict[str, float]] = field(default_factory=list)
     fault_factor: float = 1.0
     speedup: float = 1.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     degraded: bool = False
     quarantined: bool = False
     quarantine_reason: str = ""
@@ -257,8 +248,9 @@ class TaskResult:
 
         Two sweeps of the same matrix must agree on this dict byte-for-byte
         (the determinism tests compare its JSON serialization); ``wall_s``,
-        cache counters, and retry bookkeeping (``attempt``, ``error_kind``,
-        ``ballast``) legitimately differ run to run and are excluded.
+        the metrics delta and records, and retry bookkeeping (``attempt``,
+        ``error_kind``, ``ballast``) legitimately differ run to run and are
+        excluded.
         """
         return {
             "workload": self.workload,
@@ -320,9 +312,6 @@ def _worker_pipeline(workload: Workload,
     if pipeline is None:
         pipeline = WorkloadPipeline(
             workload,
-            build_config=config.build_config,
-            exec_config=config.exec_config,
-            degradation_policy=config.degradation_policy,
             verification=config.verification,
             cache=_worker_cache(config),
         )
@@ -482,11 +471,8 @@ def _record_sweep_counters(registry, result: TaskResult) -> None:
 def _run_task_body(result: TaskResult, task: EvalTask,
                    config: SchedulerConfig) -> None:
     try:
-        spec = STRATEGY_BY_NAME[task.strategy_name]
+        spec = strategy_spec(task.strategy_name)
         pipeline = _worker_pipeline(task.workload, config)
-        cache = pipeline.cache
-        before = cache.stats.snapshot() if cache else (0, 0)
-
         pipeline.last_degradation_report = None  # this task's decisions only
         fast = pipeline.cached_strategy_runs(spec, seed=task.seed,
                                              iterations=task.iterations)
@@ -520,10 +506,6 @@ def _run_task_body(result: TaskResult, task: EvalTask,
         if entry is not None:
             result.quarantined = True
             result.quarantine_reason = entry.reason
-        if cache:
-            after = cache.stats.snapshot()
-            result.cache_hits = after[0] - before[0]
-            result.cache_misses = after[1] - before[1]
     except Exception as exc:  # one bad cell must not sink the sweep
         result.error = f"{type(exc).__name__}: {exc}"
 
@@ -630,9 +612,6 @@ class SweepResult:
     tasks: List[TaskResult] = field(default_factory=list)
     wall_s: float = 0.0
     workers: int = 1
-    #: sum of per-task cache hit/miss deltas across all workers
-    cache_hits: int = 0
-    cache_misses: int = 0
     quarantine: QuarantineRegistry = field(default_factory=QuarantineRegistry)
     #: merged per-task metric deltas (all workers); the ``sweep.*`` plane
     #: of this snapshot is identical for serial and parallel runs
@@ -651,6 +630,16 @@ class SweepResult:
     @property
     def errors(self) -> List[TaskResult]:
         return [task for task in self.tasks if not task.ok]
+
+    @property
+    def cache_hits(self) -> int:
+        """Artifact-cache hits of the final attempts (all workers)."""
+        return self.metrics.total("cache.hit.")
+
+    @property
+    def cache_misses(self) -> int:
+        """Artifact-cache misses of the final attempts (all workers)."""
+        return self.metrics.total("cache.miss.")
 
     @property
     def cache_hit_rate(self) -> float:
@@ -705,8 +694,7 @@ class SweepScheduler:
         tasks = []
         for workload in workloads:
             for spec in strategies:
-                if spec.name not in STRATEGY_BY_NAME:
-                    raise KeyError(f"unknown strategy {spec.name!r}")
+                strategy_spec(spec.name)
                 tasks.append(EvalTask(
                     workload=workload,
                     strategy_name=spec.name,
@@ -749,8 +737,6 @@ class SweepScheduler:
         # attempts recorded here directly and pool attempts were folded in
         # on receipt.  The sweep-local snapshot sums the final results.
         for task in results:
-            sweep.cache_hits += task.cache_hits
-            sweep.cache_misses += task.cache_misses
             if task.metrics is not None:
                 sweep.metrics.merge(task.metrics)
             if task.quarantined:
@@ -765,10 +751,8 @@ class SweepScheduler:
                 fault = name[len("chaos.injected."):]
                 sweep.health.injected[fault] = (
                     sweep.health.injected.get(fault, 0) + value)
-            elif name.startswith("cache.heal."):
-                sweep.health.cache_healed += value
-            elif name.startswith("cache.io_error."):
-                sweep.health.cache_io_errors += value
+        sweep.health.cache_healed = delta.total("cache.heal.")
+        sweep.health.cache_io_errors = delta.total("cache.io_error.")
         return sweep
 
 

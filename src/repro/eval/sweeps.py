@@ -10,12 +10,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
-from ..image.sections import HEAP_SECTION, TEXT_SECTION
-from ..runtime.executor import ExecutionConfig, run_binary
+from ..runtime.executor import run_binary
 from ..runtime.paging import PageCache
+from ..util.stats import ratio_factor
 from ..workloads.awfy.suite import awfy_workload
 from .pipeline import STRATEGY_COMBINED, StrategySpec, Workload, WorkloadPipeline
 
@@ -31,7 +31,7 @@ class SweepPoint:
 
     @property
     def fault_factor(self) -> float:
-        return self.baseline_faults / max(self.optimized_faults, 1)
+        return ratio_factor(self.baseline_faults, self.optimized_faults)
 
 
 def _measure_pair(pipeline: WorkloadPipeline, strategy: StrategySpec,
@@ -57,8 +57,6 @@ def _measure_pair(pipeline: WorkloadPipeline, strategy: StrategySpec,
 
 def _run_with_page_size(pipeline: WorkloadPipeline, binary, page_size: int):
     """Run with a non-default page size by monkey-wiring the page cache."""
-    from ..runtime import executor as executor_module
-
     original = PageCache.__init__
 
     def patched(self, *args, **kwargs):  # pragma: no cover - thin shim

@@ -10,7 +10,7 @@ charge page touches per executed method copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..minijava.bytecode import CompiledMethod
 
@@ -82,7 +82,3 @@ def layout_members(
         inlined_signatures=frozenset(m.signature for m in inline_bodies),
     )
 
-
-def index_by_signature(cus: List[CompilationUnit]) -> Dict[str, CompilationUnit]:
-    """Map root signature -> CU."""
-    return {cu.name: cu for cu in cus}

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..minijava.bytecode import ClassInfo, CompiledMethod, Program
+from ..minijava.bytecode import CompiledMethod, Program
 
 
 @dataclass
@@ -46,11 +46,6 @@ class ReachabilityResult:
             if method.signature in self.methods and method.name != "<clinit>":
                 out.append(method)
         return out
-
-    def build_time_classes(self, program: Program) -> List[ClassInfo]:
-        """Reachable classes whose initializers run at build time."""
-        return [program.classes[name] for name in sorted(self.classes)
-                if name in program.classes]
 
 
 class ReachabilityAnalysis:

@@ -127,10 +127,6 @@ class NativeImageBinary:
     def heap_size(self) -> int:
         return self.heap.size
 
-    @property
-    def file_size(self) -> int:
-        return self.text.size + self.heap.size
-
     def heap_object_count(self) -> int:
         return len(self.snapshot)
 

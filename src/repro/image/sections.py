@@ -8,7 +8,7 @@ perf-traced faults to section offset ranges (Sec. 7.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..graal.cunits import CompilationUnit, CuMember
 from ..util.pagemath import PAGE_SIZE, pages_spanned as _pages_spanned
@@ -48,13 +48,6 @@ class TextSection:
     native_blob_offset: int = 0
     native_blob_size: int = 0
     size: int = 0
-    _by_root: Dict[str, PlacedCu] = field(default_factory=dict)
-
-    def cu_for_root(self, signature: str) -> Optional[PlacedCu]:
-        return self._by_root.get(signature)
-
-    def placed_for(self, cu: CompilationUnit) -> PlacedCu:
-        return self._by_root[cu.name]
 
 
 def layout_text(ordered_cus: List[CompilationUnit],
@@ -69,7 +62,6 @@ def layout_text(ordered_cus: List[CompilationUnit],
     for cu in ordered_cus:
         placed = PlacedCu(cu=cu, offset=offset)
         section.placed.append(placed)
-        section._by_root[cu.name] = placed
         offset += _align(cu.size, _CU_ALIGN)
     section.native_blob_offset = _align(offset, PAGE_SIZE)
     section.native_blob_size = native_blob_size

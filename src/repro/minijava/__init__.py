@@ -2,7 +2,7 @@
 
 from .bytecode import ClassInfo, CompiledMethod, FieldInfo, Instr, Program
 from .errors import CompileError, LexError, MiniJavaError, ParseError, SemanticError
-from .frontend import compile_source, compile_sources
+from .frontend import compile_source
 from .lexer import Token, tokenize
 from .parser import parse
 
@@ -18,7 +18,6 @@ __all__ = [
     "ParseError",
     "SemanticError",
     "compile_source",
-    "compile_sources",
     "Token",
     "tokenize",
     "parse",

@@ -9,7 +9,7 @@ generation (:mod:`repro.minijava.codegen`), which owns lexical scoping.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from . import ast_nodes as ast
 from .bytecode import ClassInfo, FieldInfo, Program
@@ -148,63 +148,3 @@ def validate_loop_control(unit: ast.CompilationUnitAst) -> None:
         for static_init in decl.static_inits:
             walk(static_init.body, False, f"{decl.name}.<clinit>")
 
-
-def collect_builtin_uses(unit: ast.CompilationUnitAst) -> List[str]:
-    """Best-effort list of builtin names referenced by the program (for tests)."""
-    used: List[str] = []
-
-    def walk_expr(expr) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.Call):
-            if expr.receiver is None and expr.name in BUILTINS:
-                used.append(expr.name)
-            walk_expr(expr.receiver)
-            for arg in expr.args:
-                walk_expr(arg)
-            return
-        for attr in ("obj", "array", "index", "operand", "left", "right", "value",
-                     "target", "cond", "then", "otherwise", "length"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, ast.Expr):
-                walk_expr(child)
-        for attr in ("args",):
-            children = getattr(expr, attr, None)
-            if isinstance(children, list):
-                for child in children:
-                    walk_expr(child)
-
-    def walk_stmt(stmt) -> None:
-        if stmt is None:
-            return
-        if isinstance(stmt, ast.Block):
-            for inner in stmt.stmts:
-                walk_stmt(inner)
-        elif isinstance(stmt, ast.VarDecl):
-            walk_expr(stmt.init)
-        elif isinstance(stmt, ast.ExprStmt):
-            walk_expr(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.then)
-            walk_stmt(stmt.otherwise)
-        elif isinstance(stmt, ast.While):
-            walk_expr(stmt.cond)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.For):
-            walk_stmt(stmt.init)
-            walk_expr(stmt.cond)
-            for upd in stmt.update:
-                walk_expr(upd)
-            walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.Return):
-            walk_expr(stmt.value)
-
-    for decl in unit.classes:
-        for method in decl.methods:
-            walk_stmt(method.body)
-        for static_init in decl.static_inits:
-            walk_stmt(static_init.body)
-        for field_decl in decl.fields:
-            walk_expr(field_decl.init)
-    return used

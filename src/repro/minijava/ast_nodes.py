@@ -19,14 +19,6 @@ class TypeRef:
     name: str  # "int", "double", "boolean", "String", "void", or a class name
     dims: int = 0
 
-    @property
-    def is_array(self) -> bool:
-        return self.dims > 0
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.dims == 0 and self.name in ("int", "double", "boolean")
-
     def element(self) -> "TypeRef":
         if self.dims == 0:
             raise ValueError("not an array type")

@@ -305,9 +305,3 @@ class Program:
             if cls.clinit is not None:
                 methods.append(cls.clinit)
         return methods
-
-    def method_by_signature(self, signature: str) -> Optional[CompiledMethod]:
-        for method in self.all_methods():
-            if method.signature == signature:
-                return method
-        return None

@@ -17,7 +17,7 @@ Responsibilities beyond parse/analyze/lower:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import ast_nodes as ast
 from .analysis import ClassTableBuilder, validate_loop_control
@@ -209,14 +209,3 @@ def _compile_clinit_body(program: Program, cls: ClassInfo, decl: ast.ClassDecl) 
     assert cls.clinit is not None
     compile_method_body(program, cls, cls.clinit, [], parts)
 
-
-def compile_sources(sources: Dict[str, str], main_class: str = "Main") -> Program:
-    """Compile several MiniJava source files into one program.
-
-    ``sources`` maps a file label (used only in error messages) to source
-    text.  All classes share one namespace, like a single classpath.
-    """
-    combined: List[str] = []
-    for label in sources:
-        combined.append(f"// file: {label}\n{sources[label]}")
-    return compile_source("\n".join(combined), main_class=main_class)

@@ -34,7 +34,6 @@ from .attrib import (
     StartupAttributionReport,
     UnitBlame,
     attribute,
-    attribute_run,
     binary_tenancies,
 )
 from .events import EventLog, get_event_log, phase
@@ -69,7 +68,6 @@ __all__ = [
     "StartupAttributionReport",
     "UnitBlame",
     "attribute",
-    "attribute_run",
     "binary_tenancies",
     "format_stats",
     "get_event_log",

@@ -418,11 +418,3 @@ def attribute(
         front_density=front_density,
     )
 
-
-def attribute_run(
-    binary: "NativeImageBinary",
-    metrics: Any,
-    label: str = "",
-) -> StartupAttributionReport:
-    """Attribute a finished run: joins ``metrics.fault_events`` to ``binary``."""
-    return attribute(binary, getattr(metrics, "fault_events", None), label=label)

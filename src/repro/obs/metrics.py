@@ -204,6 +204,11 @@ class MetricsSnapshot:
         return {name: n for name, n in sorted(self.counters.items())
                 if name.startswith(DETERMINISTIC_PREFIX)}
 
+    def total(self, prefix: str) -> int:
+        """Sum of the counters whose names start with ``prefix``."""
+        return sum(n for name, n in self.counters.items()
+                   if name.startswith(prefix))
+
     def as_dict(self) -> Dict[str, Any]:
         """Key-sorted plain-dict view (stable JSON serialization)."""
         return {

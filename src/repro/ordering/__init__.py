@@ -8,7 +8,7 @@ from .coaccess import (
 )
 from .code_order import default_order, order_compilation_units
 from .errors import OrderingError
-from .heap_order import MatchReport, match_and_order, order_heap_objects
+from .heap_order import MatchReport, match_and_order
 from .ids import (
     ALL_STRATEGIES,
     HEAP_PATH,
@@ -42,7 +42,7 @@ __all__ = [
     "CoAccessGraph", "DEFAULT_WINDOW", "build_coaccess_graph",
     "layout_objective",
     "default_order", "order_compilation_units", "OrderingError",
-    "MatchReport", "match_and_order", "order_heap_objects",
+    "MatchReport", "match_and_order",
     "ALL_STRATEGIES", "HEAP_PATH", "INCREMENTAL_ID",
     "STRUCTURAL_HASH", "StructuralHasher", "assign_all_ids",
     "assign_heap_path_hashes", "assign_incremental_ids",

@@ -56,29 +56,6 @@ class CoAccessGraph:
         key = (u, v) if u <= v else (v, u)
         self.weights[key] = self.weights.get(key, Fraction(0)) + weight
 
-    def neighbors(self, u: str) -> Dict[str, Fraction]:
-        """All units with a nonzero edge to ``u`` (built on demand)."""
-        result: Dict[str, Fraction] = {}
-        for (a, b), weight in self.weights.items():
-            if a == u:
-                result[b] = weight
-            elif b == u:
-                result[a] = weight
-        return result
-
-    def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
-    def cut_weight(self, left: Iterable[str], right: Iterable[str]) -> Fraction:
-        """Total weight of edges crossing a (left, right) partition."""
-        left_set = set(left)
-        right_set = set(right)
-        total = Fraction(0)
-        for (a, b), weight in self.weights.items():
-            if (a in left_set and b in right_set) or (a in right_set and b in left_set):
-                total += weight
-        return total
-
 
 def first_touch_ranks(sequence: Sequence[str]) -> Dict[str, int]:
     """First-occurrence rank of every unit in a touch sequence."""

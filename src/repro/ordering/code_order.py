@@ -17,7 +17,7 @@ match nothing keep the default (alphabetical) order after all matched CUs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..graal.cunits import CompilationUnit
 from .errors import OrderingError
@@ -103,15 +103,3 @@ def _rank_by_members(
             ranks[cu.name] = best
     return ranks
 
-
-def ordering_stats(
-    cus: List[CompilationUnit], profile: CodeOrderProfile
-) -> Tuple[int, int]:
-    """(matched, total) CU counts for a profile — diagnostic for reports."""
-    ordered = order_compilation_units(cus, profile)
-    if profile.kind in (CU_ORDERING, CU_OPT_ORDERING):
-        ranks = _rank_by_root(cus, profile)
-    else:
-        ranks = _rank_by_members(cus, profile)
-    del ordered
-    return len(ranks), len(cus)

@@ -18,7 +18,7 @@ hence reorders the former according to the latter" (Sec. 3).  Identities are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from .errors import OrderingError
 from .profiles import HeapOrderProfile
@@ -64,22 +64,6 @@ class MatchReport:
             f"{self.colliding_unmatched_ids} unmatched, "
             f"{self.colliding_objects} objects)"
         )
-
-
-def order_heap_objects(
-    snapshot: HeapSnapshot,
-    profile: Optional[HeapOrderProfile] = None,
-) -> List[HeapObject]:
-    """Produce the ``.svm_heap`` layout order.
-
-    Without a profile: the default traversal order (which itself follows the
-    CU order of the ``.text`` section, as in Native Image).
-    """
-    default = list(snapshot.objects)
-    if profile is None:
-        return default
-    order, _report = match_and_order(snapshot, profile)
-    return order
 
 
 def match_and_order(

@@ -8,8 +8,8 @@ simulated profile service that closes the loop safely:
 * :mod:`repro.pgo.lifecycle` — versioned profile artifacts with full
   provenance (source traces, weights, toolchain, age) and the deployed
   pointer;
-* :mod:`repro.pgo.merge` — salvage-aware ingestion of N weighted traces
-  into one first-use ordering profile;
+* :mod:`repro.pgo.merge` — weighted merge of N traffic slices into one
+  first-use ordering profile;
 * :mod:`repro.pgo.drift` — rank-distance + replayed-fault drift checks
   against the deployed layout;
 * :mod:`repro.pgo.loop` — the canary-gated refresh/rollback loop
@@ -47,9 +47,7 @@ from .loop import (
 )
 from .merge import (
     WeightedProfile,
-    WeightedTrace,
     coalesce_mix,
-    ingest_traces,
     merge_mix,
 )
 from .scenario import (
@@ -68,8 +66,7 @@ __all__ = [
     "ACTION_BOOTSTRAP", "ACTION_DEFAULT_LAYOUT", "ACTION_REFRESH",
     "ACTION_RETAIN", "ACTION_ROLLBACK",
     "CanaryPolicy", "EpochOutcome", "PgoLoop",
-    "WeightedProfile", "WeightedTrace", "coalesce_mix", "ingest_traces",
-    "merge_mix",
+    "WeightedProfile", "coalesce_mix", "merge_mix",
     "DriftScenario", "ScenarioOutcome", "TrafficVariant", "run_scenario",
     "synthesize_variants",
 ]

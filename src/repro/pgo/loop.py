@@ -1,11 +1,11 @@
 """The guarded continuous-PGO loop: drift → candidate → canary → deploy.
 
 One :class:`PgoLoop` keeps one workload's deployed layout fresh *and
-safe*.  Each epoch it merges the live traffic mix (salvage-aware,
-weighted), checks it against the deployed layout's profile
-(:mod:`repro.pgo.drift`), and on drift rebuilds a candidate layout
-through the cached pipeline.  The candidate does not ship until it clears
-the **canary gate**, which composes every prior safety rail:
+safe*.  Each epoch it merges the weighted live traffic mix, checks it
+against the deployed layout's profile (:mod:`repro.pgo.drift`), and on
+drift rebuilds a candidate layout through the cached pipeline.  The
+candidate does not ship until it clears the **canary gate**, which
+composes every prior safety rail:
 
 1. the PR-2 structural oracle (``verify_layout``) — a malformed candidate
    short-circuits the gate outright;
@@ -34,7 +34,7 @@ A :class:`~repro.robustness.chaos.ChaosPolicy` carrying the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..eval.explain import attributed_run, explain_reports
 from ..eval.pipeline import StrategySpec, WorkloadPipeline
@@ -249,8 +249,10 @@ class PgoLoop:
             notes=("served stale by chaos",) if outcome.stale_served else (),
         )
         if self.deployed is None or self.deployed_binary is None:
-            return self._first_deploy_gated(bundle, provenance, mix,
-                                            epoch, mutation_plan, outcome)
+            self._gated_deploy(bundle, provenance, mix, epoch, mutation_plan,
+                               outcome)
+            self._finalize(outcome, epoch)
+            return outcome
         deployed_profile = self.store.version(
             self.deployed.profile_version).bundle
         report = detect_drift(
@@ -277,7 +279,8 @@ class PgoLoop:
             registry.counter("pgo.retained")
             self._finalize(outcome, epoch)
             return outcome
-        self._refresh(bundle, provenance, mix, epoch, mutation_plan, outcome)
+        self._gated_deploy(bundle, provenance, mix, epoch, mutation_plan,
+                           outcome)
         self._finalize(outcome, epoch)
         return outcome
 
@@ -334,7 +337,7 @@ class PgoLoop:
         mutator.mutate(candidate)
         return candidate
 
-    def _refresh(
+    def _gated_deploy(
         self,
         bundle: ProfileBundle,
         provenance,
@@ -343,12 +346,21 @@ class PgoLoop:
         mutation_plan: Optional[LayoutMutationPlan],
         outcome: EpochOutcome,
     ) -> None:
-        """Drift confirmed: build a candidate and push it through the gate."""
+        """Publish the live profile, build a candidate, push it through
+        the gate, and deploy it (refresh) if it passes.
+
+        A failing candidate is quarantined and the epoch drops one rung:
+        with a deployed layout it is retained (rollback, retain-stale);
+        with none — drift was never measured, so this is the first
+        deployment — the ladder bottoms out in the default layout (PGO
+        inlining only, no ordering), which always verifies clean.
+        """
+        stale = self.deployed
         version = self.store.publish(bundle, provenance)
         outcome.candidate_version = version.version
         candidate = self._build_candidate(bundle, mutation_plan)
         outcome.candidate_layout_digest = candidate.layout_digest()
-        if mutation_plan is not None:
+        if mutation_plan is not None and stale is not None:
             outcome.notes.append(
                 "injected layout mutation(s): "
                 + ", ".join(m.describe() for m in mutation_plan.mutations)
@@ -362,67 +374,14 @@ class PgoLoop:
             outcome.deployed_faults_after = faults
             outcome.deployed_version_after = version.version
             registry.counter("pgo.refreshes")
-            outcome.notes.append(
-                f"canary gate passed; deployed profile v{version.version} "
-                f"({faults:.1f} vs {outcome.deployed_faults_before:.1f} "
-                "expected faults under live traffic)"
-            )
+            if stale is not None:
+                outcome.notes.append(
+                    f"canary gate passed; deployed profile v{version.version} "
+                    f"({faults:.1f} vs {outcome.deployed_faults_before:.1f} "
+                    "expected faults under live traffic)"
+                )
             return
         # -- rollback ladder -------------------------------------------------
-        outcome.gate_failures = failures
-        registry.counter("pgo.rollbacks")
-        registry.counter("pgo.quarantines")
-        key = f"{self.spec.name}@v{version.version}"
-        reason = "canary gate failed: " + "; ".join(failures)
-        self.quarantine.quarantine(
-            self.workload, key, reason,
-            layout_digest=outcome.candidate_layout_digest or 0,
-        )
-        outcome.quarantined = key
-        degradation = DegradationReport(workload=self.workload)
-        degradation.strategy = self.spec.name
-        degradation.layout_fallback = True
-        degradation.quarantined = True
-        outcome.action = ACTION_ROLLBACK
-        outcome.deployed_faults_after = outcome.deployed_faults_before
-        outcome.deployed_version_after = self.deployed.profile_version
-        degradation.note(
-            f"candidate layout {key} failed the canary gate "
-            f"({'; '.join(failures)}); rolled back to deployed profile "
-            f"v{self.deployed.profile_version} (retain-stale)"
-        )
-        outcome.degradation = degradation
-
-    def _first_deploy_gated(
-        self,
-        bundle: ProfileBundle,
-        provenance,
-        mix: Sequence[WeightedProfile],
-        epoch: int,
-        mutation_plan: Optional[LayoutMutationPlan],
-        outcome: EpochOutcome,
-    ) -> EpochOutcome:
-        """No healthy deployment exists: gate the candidate, else rung 3.
-
-        A candidate that fails here has no stale layout to retain — the
-        ladder bottoms out in a default-layout deployment (PGO inlining
-        only, no ordering), which always verifies clean.
-        """
-        version = self.store.publish(bundle, provenance)
-        outcome.candidate_version = version.version
-        candidate = self._build_candidate(bundle, mutation_plan)
-        outcome.candidate_layout_digest = candidate.layout_digest()
-        failures = self._canary(candidate, mix, outcome)
-        registry = metrics()
-        if not failures:
-            faults = outcome.candidate_faults
-            self._deploy(version, candidate, faults, epoch)
-            outcome.action = ACTION_REFRESH
-            outcome.deployed_faults_after = faults
-            outcome.deployed_version_after = version.version
-            registry.counter("pgo.refreshes")
-            self._finalize(outcome, epoch)
-            return outcome
         outcome.gate_failures = failures
         registry.counter("pgo.rollbacks")
         registry.counter("pgo.quarantines")
@@ -433,24 +392,34 @@ class PgoLoop:
             layout_digest=outcome.candidate_layout_digest or 0,
         )
         outcome.quarantined = key
-        fallback = self.pipeline.build_optimized(bundle, None, seed=self.seed)
-        faults = self._expected(fallback, mix)
-        self._deploy(version, fallback, faults, epoch,
-                     strategy_name="default")
-        outcome.action = ACTION_DEFAULT_LAYOUT
-        outcome.deployed_faults_after = faults
-        outcome.deployed_version_after = version.version
         degradation = DegradationReport(workload=self.workload)
         degradation.strategy = self.spec.name
         degradation.layout_fallback = True
         degradation.quarantined = True
-        degradation.note(
-            f"candidate layout {key} failed the canary gate with no healthy "
-            "deployment to retain; deployed the default layout (last rung)"
-        )
+        if stale is not None:
+            outcome.action = ACTION_ROLLBACK
+            outcome.deployed_faults_after = outcome.deployed_faults_before
+            outcome.deployed_version_after = stale.profile_version
+            degradation.note(
+                f"candidate layout {key} failed the canary gate "
+                f"({'; '.join(failures)}); rolled back to deployed profile "
+                f"v{stale.profile_version} (retain-stale)"
+            )
+        else:
+            fallback = self.pipeline.build_optimized(bundle, None,
+                                                     seed=self.seed)
+            faults = self._expected(fallback, mix)
+            self._deploy(version, fallback, faults, epoch,
+                         strategy_name="default")
+            outcome.action = ACTION_DEFAULT_LAYOUT
+            outcome.deployed_faults_after = faults
+            outcome.deployed_version_after = version.version
+            degradation.note(
+                f"candidate layout {key} failed the canary gate with no "
+                "healthy deployment to retain; deployed the default layout "
+                "(last rung)"
+            )
         outcome.degradation = degradation
-        self._finalize(outcome, epoch)
-        return outcome
 
     def _canary(self, candidate: NativeImageBinary,
                 mix: Sequence[WeightedProfile],

@@ -1,32 +1,20 @@
-"""Salvage-aware trace ingestion and weighted profile merge with provenance.
+"""Weighted profile merge with provenance.
 
-The profile service's front door: raw per-thread trace files from N
-traffic slices come in (possibly damaged — fleets lose flush chunks), the
-PR-1 lenient salvage pass recovers what it can, sources that yield no
-usable records are *rejected* rather than silently diluting the merge,
-and the survivors are folded by :func:`repro.ordering.profiles.merge_bundles`
-into one first-use ordering profile whose :class:`ProfileProvenance`
-records exactly which sources voted at which weights.
+The profile service's merge step: post-processed traffic slices, each a
+:class:`WeightedProfile`, are coalesced by content and folded by
+:func:`repro.ordering.profiles.merge_bundles` into one first-use ordering
+profile whose :class:`ProfileProvenance` records exactly which sources
+voted at which weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ordering.errors import OrderingError
 from ..ordering.profiles import ProfileBundle, merge_bundles
-from ..postproc.framework import build_profiles
 from .lifecycle import ProfileProvenance, TraceSource
-
-
-@dataclass(frozen=True)
-class WeightedTrace:
-    """Raw trace files from one traffic slice, pre-post-processing."""
-
-    label: str
-    weight: float
-    trace_files: Tuple[bytes, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -39,45 +27,6 @@ class WeightedProfile:
     #: usable records behind the bundle (0 = synthetic / unknown)
     records: int = 0
     salvaged: bool = False
-
-
-def ingest_traces(
-    manifest: object,
-    traces: Sequence[WeightedTrace],
-    min_records: int = 1,
-) -> Tuple[List[WeightedProfile], List[str]]:
-    """Post-process raw traces leniently; reject sources with no usable data.
-
-    Inputs: the instrumented build's manifest and N weighted raw-trace
-    sources.  Each source runs through the PR-1 salvage path
-    (``build_profiles(..., lenient=True)``); a source whose salvage yields
-    fewer than ``min_records`` usable records is dropped with a note
-    instead of contributing a degenerate vote.  Returns ``(kept sources,
-    rejection notes)`` — the caller decides whether an empty ``kept`` is
-    fatal (the merge itself will raise a typed :class:`OrderingError`).
-    """
-    kept: List[WeightedProfile] = []
-    notes: List[str] = []
-    for trace in traces:
-        bundle = build_profiles(manifest, list(trace.trace_files),
-                                lenient=True)
-        completeness = bundle.completeness
-        usable = completeness.usable_records if completeness else 0
-        if usable < min_records:
-            detail = completeness.summary() if completeness else "no traces"
-            notes.append(
-                f"rejected trace source {trace.label!r}: {usable} usable "
-                f"record(s) below the {min_records} floor ({detail})"
-            )
-            continue
-        kept.append(WeightedProfile(
-            label=trace.label,
-            weight=trace.weight,
-            bundle=bundle,
-            records=usable,
-            salvaged=not (completeness is None or completeness.complete),
-        ))
-    return kept, notes
 
 
 def coalesce_mix(mix: Sequence[WeightedProfile]) -> List[WeightedProfile]:

@@ -17,7 +17,7 @@ heap-access site (paper Sec. 3/6).  Two artifacts come out of planning:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..minijava.bytecode import CompiledMethod, Program
 from .cfg import MethodCfg, build_cfg
@@ -97,7 +97,3 @@ def instrumented_size_fn(
 
     return size_of
 
-
-def probe_event_estimate(cfg: MethodCfg) -> int:
-    """Rough per-invocation probe count (diagnostics/overhead model)."""
-    return 1 + cfg.block_count + cfg.heap_site_count

@@ -26,6 +26,7 @@ from repro.eval.pipeline import (
     Workload,
     WorkloadPipeline,
 )
+from repro.obs import get_registry
 from repro.runtime.executor import ExecutionConfig
 
 PROGRAM = """
@@ -39,6 +40,12 @@ class Main {
 """
 
 PROGRAM_EDITED = PROGRAM.replace("i * 2", "i * 3")
+
+
+def _counts(before=None):
+    """The registry's snapshot, or its delta since ``before``."""
+    now = get_registry().snapshot()
+    return now if before is None else now.diff(before)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,10 +95,11 @@ class TestStore:
         assert cache.get(KIND_TRACE, "ab" * 32) is None
         assert cache.put(KIND_TRACE, "ab" * 32, {"x": [1, 2, 3]})
         assert cache.get(KIND_TRACE, "ab" * 32) == {"x": [1, 2, 3]}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.puts == 1
-        assert 0.0 < cache.stats.hit_rate < 1.0
+        counters = _counts().counters
+        assert counters["cache.hit.trace"] == 1
+        assert counters["cache.miss.trace"] == 1
+        assert counters["cache.put.trace"] == 1
+        assert "1 hits / 1 misses (50%), 1 puts" in cache.describe()
 
     def test_put_existing_key_is_noop(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -143,7 +151,7 @@ class TestStore:
         assert cache.entry_count(KIND_TRACE) == 2
         assert not cache.contains(KIND_TRACE, keys[0])
         assert cache.contains(KIND_TRACE, keys[2])
-        assert cache.stats.evictions == 1
+        assert _counts().counters["cache.evict"] == 1
 
     def test_eviction_stable_when_clock_stands_still(self, tmp_path, monkeypatch):
         # puts faster than the wall clock's resolution used to scramble
@@ -210,9 +218,11 @@ class TestPipelineCaching:
         first = _pipeline(tmp_path)
         base_a, opt_a = first.run_strategy(STRATEGY_CU, seed=3)
         second = _pipeline(tmp_path)
+        before = get_registry().snapshot()
         base_b, opt_b = second.run_strategy(STRATEGY_CU, seed=3)
-        assert second.cache.stats.misses == 0
-        assert second.cache.stats.hits > 0
+        counts = _counts(before)
+        assert counts.total("cache.miss.") == 0
+        assert counts.total("cache.hit.") > 0
         assert base_a[0].faults == base_b[0].faults
         assert base_a[0].time_s == base_b[0].time_s
         assert opt_a[0].faults == opt_b[0].faults
@@ -221,19 +231,22 @@ class TestPipelineCaching:
     def test_source_edit_misses(self, tmp_path):
         _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
         edited = _pipeline(tmp_path, source=PROGRAM_EDITED)
+        before = get_registry().snapshot()
         edited.run_strategy(STRATEGY_CU, seed=3)
-        assert edited.cache.stats.hits == 0
-        assert edited.cache.stats.misses > 0
+        counts = _counts(before)
+        assert counts.total("cache.hit.") == 0
+        assert counts.total("cache.miss.") > 0
 
     def test_strategy_change_reuses_profile_but_rebuilds_image(self, tmp_path):
         _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
         other = _pipeline(tmp_path)
+        before = get_registry().snapshot()
         other.run_strategy(STRATEGY_HEAP_PATH, seed=3)
-        stats = other.cache.stats
+        counters = _counts(before).counters
         # baseline image + profile + baseline metrics come from the cache...
-        assert stats.by_kind[KIND_PROFILE][0] >= 1
+        assert counters[f"cache.hit.{KIND_PROFILE}"] >= 1
         # ...but the differently-ordered optimized image must be rebuilt
-        assert stats.by_kind[KIND_IMAGE][1] >= 1
+        assert counters[f"cache.miss.{KIND_IMAGE}"] >= 1
 
     def test_profiler_config_change_misses(self, tmp_path):
         _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
@@ -241,14 +254,16 @@ class TestPipelineCaching:
             tmp_path,
             exec_config=ExecutionConfig(probe_block_s=9e-9),
         )
+        before = get_registry().snapshot()
         slower.run_strategy(STRATEGY_CU, seed=3)
-        assert slower.cache.stats.by_kind[KIND_PROFILE][1] >= 1
+        assert _counts(before).counters[f"cache.miss.{KIND_PROFILE}"] >= 1
 
     def test_seed_change_misses(self, tmp_path):
         _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
         other = _pipeline(tmp_path)
+        before = get_registry().snapshot()
         other.run_strategy(STRATEGY_CU, seed=4)
-        assert other.cache.stats.by_kind[KIND_IMAGE][1] >= 1
+        assert _counts(before).counters[f"cache.miss.{KIND_IMAGE}"] >= 1
 
     def test_uncached_pipeline_unaffected(self, tmp_path):
         pipeline = WorkloadPipeline(Workload(name="plain", source=PROGRAM))
@@ -296,8 +311,9 @@ class TestSelfHealing:
         pkl.write_bytes(bytes(blob))
         # memo-free instance: the read must go to disk and verify the CRC
         fresh = ArtifactCache(tmp_path, memo_entries=0)
+        before = get_registry().snapshot()
         assert fresh.get(KIND_METRICS, self.KEY) is None
-        assert fresh.stats.healed == 1
+        assert _counts(before).counters[f"cache.heal.{KIND_METRICS}"] == 1
         assert not fresh.contains(KIND_METRICS, self.KEY)
         assert fresh.put(KIND_METRICS, self.KEY, [1, 2, 3])
         assert fresh.get(KIND_METRICS, self.KEY) == [1, 2, 3]
@@ -316,8 +332,9 @@ class TestSelfHealing:
         doc["crc32"] = _zlib.crc32(garbage)
         meta.write_text(_json.dumps(doc))
         fresh = ArtifactCache(tmp_path, memo_entries=0)
+        before = get_registry().snapshot()
         assert fresh.get(KIND_METRICS, self.KEY) is None
-        assert fresh.stats.healed == 1
+        assert _counts(before).counters[f"cache.heal.{KIND_METRICS}"] == 1
         assert not fresh.contains(KIND_METRICS, self.KEY)
 
     def test_memo_serves_before_disk_damage_is_seen(self, tmp_path):
@@ -360,7 +377,7 @@ class TestSelfHealing:
         cache.put(KIND_METRICS, self.KEY, [1, 2, 3])
         cache.fault_injector = _FlakyIO(failures=1)
         assert cache.get(KIND_METRICS, self.KEY) is None
-        assert cache.stats.io_errors == 1
+        assert _counts().counters["cache.io_error.get"] == 1
         # the entry was left in place for the next (healthy) read
         assert cache.get(KIND_METRICS, self.KEY) == [1, 2, 3]
 
@@ -368,7 +385,7 @@ class TestSelfHealing:
         cache = ArtifactCache(tmp_path)
         cache.fault_injector = _FlakyIO(failures=1)
         assert not cache.put(KIND_METRICS, self.KEY, [1, 2, 3])
-        assert cache.stats.io_errors == 1
+        assert _counts().counters["cache.io_error.put"] == 1
         assert not cache.contains(KIND_METRICS, self.KEY)
         assert cache.put(KIND_METRICS, self.KEY, [1, 2, 3])
 
@@ -380,4 +397,4 @@ class TestSelfHealing:
         cache.get(KIND_METRICS, self.KEY)
         text = cache.describe()
         assert "1 healed" in text
-        assert cache.stats.as_dict()["healed"] == 1
+        assert _counts().counters[f"cache.heal.{KIND_METRICS}"] == 1

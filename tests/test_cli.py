@@ -77,6 +77,41 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["compare", "Sieve", "--strategy", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["compare", "Sieve", "--strategy", "bogus"],
+                     id="compare"),
+        pytest.param(["robustness", "Sieve", "--strategy", "bogus"],
+                     id="robustness"),
+        pytest.param(["verify", "Sieve", "--strategy", "bogus"], id="verify"),
+        pytest.param(["bench", "--only", "Sieve", "--strategy", "bogus"],
+                     id="bench"),
+        pytest.param(["chaos", "--only", "Sieve", "--strategy", "bogus"],
+                     id="chaos"),
+        pytest.param(["pgo", "--workload", "Sieve", "--strategy", "bogus"],
+                     id="pgo"),
+        pytest.param(["stats", "Sieve", "--strategy", "bogus"], id="stats"),
+        pytest.param(["trace", "Sieve", "--strategy", "bogus"], id="trace"),
+        pytest.param(["why", "--workload", "Sieve", "--strategy", "bogus"],
+                     id="why"),
+        pytest.param(["why", "--workload", "Sieve",
+                      "--baseline-strategy", "bogus"], id="why-baseline"),
+        pytest.param(["emit", "Sieve", "--strategy", "bogus"], id="emit"),
+    ])
+    def test_unknown_strategy_exits_with_the_choices(self, argv):
+        from repro.api import STRATEGIES
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (f"unknown strategy 'bogus'; choose from "
+                                  f"{sorted(STRATEGIES)}")
+
+    def test_compare_rejects_the_strategy_before_compiling(self):
+        from repro.obs import get_registry
+
+        with pytest.raises(SystemExit):
+            main(["compare", "Sieve", "--strategy", "bogus"])
+        assert "phase.compile" not in get_registry().snapshot().counters
+
     def test_pagemap_text(self, capsys):
         assert main(["pagemap", "Sieve"]) == 0
         out = capsys.readouterr().out

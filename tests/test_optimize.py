@@ -263,10 +263,10 @@ def test_optimizer_strategies_flow_through_warm_cache(tmp_path):
     before = get_registry().snapshot()
     cached = warm.cached_strategy_runs(STRATEGY_CU_OPT, seed=3)
     assert cached is not None
-    assert warm.cache.stats.misses == 0
     counters = get_registry().snapshot().diff(before).counters
+    assert not [name for name in counters if name.startswith("cache.miss.")]
     assert not [name for name in counters if name.startswith("phase.")]
-    assert "image" not in warm.cache.stats.by_kind
+    assert "cache.hit.image" not in counters
     baseline_runs, optimized_runs = cached
     assert baseline_runs and optimized_runs
 
@@ -284,10 +284,9 @@ def test_optimizer_image_keys_on_search_inputs(tmp_path):
                                     exec_config=config)
         bundle = pipeline.profile(seed=0).profiles
         before = get_registry().snapshot()
-        misses = pipeline.cache.stats.by_kind.get("image", [0, 0])[1]
         binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=0)
         counters = get_registry().snapshot().diff(before).counters
-        misses = pipeline.cache.stats.by_kind["image"][1] - misses
+        misses = counters.get("cache.miss.image", 0)
         return binary, misses, counters.get("phase.optimize", 0)
 
     cold, misses, searches = build(ExecutionConfig())

@@ -50,12 +50,40 @@ from repro.pgo import (
 )
 from repro.pgo.scenario import population
 from repro.robustness.chaos import CHAOS_STALE_PROFILE, ChaosPolicy
-from repro.validation.mutate import MUTATE_SWAP_CU_OFFSETS
+from repro.validation.mutate import MUTATE_SWAP_CU_OFFSETS, LayoutMutationPlan
 from repro.workloads import awfy_workload
 
 
 def _queens() -> WorkloadPipeline:
     return WorkloadPipeline(awfy_workload("Queens"))
+
+
+def _unbootstrapped_outcome(action, candidate_faults, digest, after,
+                            failures=(), quarantined=None):
+    return {
+        "epoch": 0, "action": action, "drift": None,
+        "deployed_version_before": None, "deployed_version_after": 1,
+        "candidate_version": 1, "candidate_layout_digest": digest,
+        "candidate_faults": candidate_faults,
+        "deployed_faults_before": None, "deployed_faults_after": after,
+        "gate_failures": list(failures), "blamed": [],
+        "quarantined": quarantined, "stale_served": False,
+        "unguarded_regression": False, "notes": [],
+    }
+
+
+#: ``observe()`` before any ``bootstrap()`` on Queens (seed 7, cu+heap
+#: path, uncached), by injected candidate mutation: a clean candidate is
+#: gated and deployed; a damaged one is quarantined and, with no deployed
+#: layout to retain, the default layout ships instead
+UNBOOTSTRAPPED_OUTCOMES = {
+    None: _unbootstrapped_outcome("refresh", 10.0, 7709628254651140161,
+                                  10.0),
+    MUTATE_SWAP_CU_OFFSETS: _unbootstrapped_outcome(
+        "default-layout", None, 2371712510015175430, 20.0,
+        failures=["structural verification failed (text.cu.overlap)"],
+        quarantined="cu+heap path@v1"),
+}
 
 
 def _bundle(signatures, ids=(), counts=None) -> ProfileBundle:
@@ -433,6 +461,24 @@ class TestLoopApi:
         epoch = loop.observe(mix, epoch=1)
         assert epoch.action == "retain"
         assert epoch.drift is not None and not epoch.drift.drifted
+
+    @pytest.mark.parametrize("mutation", list(UNBOOTSTRAPPED_OUTCOMES))
+    def test_observe_before_bootstrap_gates_first_deploy(self, mutation):
+        from repro.obs import get_event_log
+
+        pipeline = _queens()
+        mix = [WeightedProfile(label="live", weight=1.0,
+                               bundle=pipeline.profile(seed=7).profiles)]
+        loop = PgoLoop(pipeline, STRATEGY_COMBINED, seed=7)
+        plan = (LayoutMutationPlan.single(mutation, pick=7)
+                if mutation else None)
+        outcome = loop.observe(mix, epoch=0, mutation_plan=plan)
+        assert outcome.as_dict() == UNBOOTSTRAPPED_OUTCOMES[mutation]
+        assert loop.deployed.strategy == ("default" if mutation
+                                          else STRATEGY_COMBINED.name)
+        # the epoch is finalized exactly once
+        assert loop.history == [outcome]
+        assert len(get_event_log().of_kind("pgo.epoch")) == 1
 
 
 # ---------------------------------------------------------------------------
