@@ -16,7 +16,7 @@ Build modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..graal.inliner import InlinerConfig, default_size_fn, form_compilation_units
 from ..graal.reachability import analyze

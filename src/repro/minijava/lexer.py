@@ -3,12 +3,20 @@
 MiniJava stands in for Java in the simulated Native-Image toolchain: AWFY
 benchmarks and the microservice startup workloads are written in it.  The
 lexer produces a flat token stream consumed by :mod:`repro.minijava.parser`.
+
+Lexical rules are ASCII: identifiers are ``[A-Za-z_][A-Za-z0-9_]*``, digits
+are ``[0-9]``, a hex literal ``0x``/``0X`` needs at least one hex digit, and
+whitespace is space, tab, carriage return and newline.  Any other character
+outside string literals, char literals and comments raises
+:class:`LexError` ("unexpected character"), so malformed input never escapes
+as anything but a typed error.  One compiled pattern matches a whole token
+at each position; only escapes and errors take a Python path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from .errors import LexError
 
@@ -40,64 +48,47 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "<<",
-    ">>",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "=",
-    "!",
-    "&",
-    "|",
-    "^",
-    "~",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
-    ".",
-    "?",
-    ":",
-]
+# Longest first, so the first alternative that matches is the maximal munch.
+_OPERATORS = (
+    "<<= >>= == != <= >= && || ++ -- += -= *= /= %= &= |= ^= << >> "
+    "+ - * / % < > = ! & | ^ ~ ( ) { } [ ] ; , . ? :"
+).split()
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "0": "\0", "'": "'"}
 
+# One alternative per token class; ``lastgroup`` names the class matched.
+# ``error`` matches any one character, so every position matches something.
+# Each match also takes the blanks after it, which saves a match per blank.
+_TOKEN = re.compile(
+    "(?:"
+    + "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("space", r"[ \t\r]+|//[^\n]*"),
+            ("newline", r"\n[ \t\r]*"),
+            ("comment", r"/\*(?:[\s\S]*?\*/)?"),
+            ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("hex", r"0[xX][0-9A-Fa-f]*"),
+            ("double", r"[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"),
+            ("int", r"[0-9]+"),
+            ("string", r'"(?:[^"\\\n]|\\.)*"'),
+            ("char", r"'(?:\\[\s\S]|[^\\])'"),
+            ("op", "|".join(map(re.escape, _OPERATORS))),
+            ("error", r"[\s\S]"),
+        )
+    )
+    + r")[ \t\r]*"
+)
 
-@dataclass(frozen=True)
-class Token:
+_ESCAPE = re.compile(r"\\([\s\S]?)")
+
+
+class Token(NamedTuple):
     """A single lexical token.
 
     ``kind`` is one of ``ident``, ``keyword``, ``int``, ``double``,
     ``string``, ``char``, ``op``, or ``eof``; ``text`` is the raw spelling
-    (decoded for string/char literals).
+    (decoded for string/char literals, decimal for hex literals).
     """
 
     kind: str
@@ -111,173 +102,73 @@ class Token:
     def is_keyword(self, text: str) -> bool:
         return self.kind == "keyword" and self.text == text
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
-
-class Lexer:
-    """Tokenizes MiniJava source text."""
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> List[Token]:
-        """Return the full token list, terminated by a single EOF token."""
-        return list(self._tokens())
-
-    def _tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self._pos >= len(self._source):
-                yield Token("eof", "", self._line, self._col)
-                return
-            yield self._next_token()
-
-    def _skip_trivia(self) -> None:
-        src = self._source
-        while self._pos < len(src):
-            ch = src[self._pos]
-            if ch in " \t\r":
-                self._advance(1)
-            elif ch == "\n":
-                self._pos += 1
-                self._line += 1
-                self._col = 1
-            elif ch == "/" and src.startswith("//", self._pos):
-                end = src.find("\n", self._pos)
-                self._advance((end if end != -1 else len(src)) - self._pos)
-            elif ch == "/" and src.startswith("/*", self._pos):
-                end = src.find("*/", self._pos + 2)
-                if end == -1:
-                    raise LexError("unterminated block comment", self._line, self._col)
-                block = src[self._pos : end + 2]
-                newlines = block.count("\n")
-                if newlines:
-                    self._line += newlines
-                    self._col = len(block) - block.rfind("\n")
-                else:
-                    self._col += len(block)
-                self._pos = end + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        src = self._source
-        ch = src[self._pos]
-        line, col = self._line, self._col
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, col)
-        if ch.isdigit():
-            return self._lex_number(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-        if ch == "'":
-            return self._lex_char(line, col)
-        for op in _OPERATORS:
-            if src.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token("op", op, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def _lex_word(self, line: int, col: int) -> Token:
-        src = self._source
-        start = self._pos
-        while self._pos < len(src) and (src[self._pos].isalnum() or src[self._pos] == "_"):
-            self._pos += 1
-        text = src[start : self._pos]
-        self._col += len(text)
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        src = self._source
-        start = self._pos
-        if src.startswith("0x", self._pos) or src.startswith("0X", self._pos):
-            self._pos += 2
-            while self._pos < len(src) and src[self._pos] in "0123456789abcdefABCDEF":
-                self._pos += 1
-            text = src[start : self._pos]
-            self._col += len(text)
-            return Token("int", str(int(text, 16)), line, col)
-        while self._pos < len(src) and src[self._pos].isdigit():
-            self._pos += 1
-        is_double = False
-        if (
-            self._pos + 1 < len(src)
-            and src[self._pos] == "."
-            and src[self._pos + 1].isdigit()
-        ):
-            is_double = True
-            self._pos += 1
-            while self._pos < len(src) and src[self._pos].isdigit():
-                self._pos += 1
-        if self._pos < len(src) and src[self._pos] in "eE":
-            peek = self._pos + 1
-            if peek < len(src) and src[peek] in "+-":
-                peek += 1
-            if peek < len(src) and src[peek].isdigit():
-                is_double = True
-                self._pos = peek
-                while self._pos < len(src) and src[self._pos].isdigit():
-                    self._pos += 1
-        text = src[start : self._pos]
-        self._col += len(text)
-        return Token("double" if is_double else "int", text, line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        src = self._source
-        pos = self._pos + 1
-        chars: List[str] = []
-        while True:
-            if pos >= len(src) or src[pos] == "\n":
-                raise LexError("unterminated string literal", line, col)
-            ch = src[pos]
-            if ch == '"':
-                pos += 1
-                break
-            if ch == "\\":
-                esc = src[pos + 1 : pos + 2]
-                if esc not in _ESCAPES:
-                    raise LexError(f"bad escape \\{esc}", line, col)
-                chars.append(_ESCAPES[esc])
-                pos += 2
-            else:
-                chars.append(ch)
-                pos += 1
-        self._col += pos - self._pos
-        self._pos = pos
-        return Token("string", "".join(chars), line, col)
-
-    def _lex_char(self, line: int, col: int) -> Token:
-        src = self._source
-        pos = self._pos + 1
-        if pos >= len(src):
-            raise LexError("unterminated char literal", line, col)
-        if src[pos] == "\\":
-            esc = src[pos + 1 : pos + 2]
-            if esc not in _ESCAPES:
-                raise LexError(f"bad escape \\{esc}", line, col)
-            value = _ESCAPES[esc]
-            pos += 2
-        else:
-            value = src[pos]
-            pos += 1
-        if pos >= len(src) or src[pos] != "'":
-            raise LexError("unterminated char literal", line, col)
-        pos += 1
-        self._col += pos - self._pos
-        self._pos = pos
-        # Char literals are integers in MiniJava (their code point).
-        return Token("char", value, line, col)
-
-    def _advance(self, n: int) -> None:
-        self._pos += n
-        self._col += n
+# Builds a Token without a call to the NamedTuple's Python-level __new__.
+_new_token = tuple.__new__
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize MiniJava ``source`` text."""
-    return Lexer(source).tokenize()
+    """Tokenize MiniJava ``source`` text, ending with a single EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0  # line_start: offset of the current line's first char
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        start = match.start()
+        if kind == "newline":
+            line += 1
+            line_start = start + 1
+            continue
+        text = match[kind]
+        col = start - line_start + 1
+        if kind == "op" or kind == "int" or kind == "double":
+            append(_new_token(Token, (kind, text, line, col)))
+        elif kind == "word":
+            kind = "keyword" if text in KEYWORDS else "ident"
+            append(_new_token(Token, (kind, text, line, col)))
+        elif kind == "comment":
+            if len(text) == 2:
+                raise LexError("unterminated block comment", line, col)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+        elif kind == "hex":
+            if len(text) == 2:
+                raise LexError(f"hex literal {text!r} needs a hex digit", line, col)
+            append(_new_token(Token, ("int", str(int(text, 16)), line, col)))
+        elif kind == "string" or kind == "char":
+            # Char literals are integers in MiniJava (their code point).
+            append(_new_token(Token, (kind, _unescape(text[1:-1], line, col), line, col)))
+        else:
+            _reject(source, start, line, col)
+    append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _unescape(body: str, line: int, col: int) -> str:
+    """Decode the escapes of a literal's ``body``; the first bad one raises."""
+
+    def decode(match: re.Match) -> str:
+        esc = match.group(1)
+        if esc not in _ESCAPES:
+            raise LexError(f"bad escape \\{esc}", line, col)
+        return _ESCAPES[esc]
+
+    return _ESCAPE.sub(decode, body)
+
+
+def _reject(source: str, start: int, line: int, col: int) -> None:
+    """Raise the error for the character at ``start``, where no token matched."""
+    ch = source[start]
+    if ch == '"':
+        end = source.find("\n", start)
+        _unescape(source[start + 1 : len(source) if end == -1 else end + 1], line, col)
+        raise LexError("unterminated string literal", line, col)
+    if ch == "'":
+        if source.startswith("\\", start + 1):
+            _unescape(source[start + 1 : start + 3], line, col)
+        raise LexError("unterminated char literal", line, col)
+    raise LexError(f"unexpected character {ch!r}", line, col)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for MiniJava.
+"""Recursive-descent parser for MiniJava; binary operators by precedence climbing.
 
 The grammar is a compact Java subset sufficient for the AWFY benchmarks and
 the microservice startup workloads: classes with single inheritance,
@@ -32,6 +32,9 @@ _BINARY_TIERS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_PRECEDENCE = {op: level for level, tier in enumerate(_BINARY_TIERS) for op in tier}
+# instanceof sits at the relational tier.
+_INSTANCEOF_LEVEL = _PRECEDENCE["<"]
 
 
 class Parser:
@@ -44,8 +47,10 @@ class Parser:
     # -- token helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        try:
+            return self._tokens[self._pos + offset]
+        except IndexError:  # lookahead past the end sees the EOF token
+            return self._tokens[-1]
 
     def _next(self) -> Token:
         tok = self._tokens[self._pos]
@@ -350,24 +355,26 @@ class Parser:
             return ast.Conditional(cond=cond, then=then, otherwise=otherwise, line=tok.line)
         return cond
 
-    def _parse_binary(self, tier: int) -> ast.Expr:
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: operators of ``min_level`` or tighter, left-associative."""
+        left = self._parse_unary()
         while True:
             tok = self._peek()
-            # instanceof sits at the relational tier.
-            if _BINARY_TIERS[tier] == ("<", "<=", ">", ">=") and tok.is_keyword("instanceof"):
-                self._next()
+            if tok.kind == "op":
+                level = _PRECEDENCE.get(tok.text, -1)
+            elif tok.is_keyword("instanceof"):
+                level = _INSTANCEOF_LEVEL
+            else:
+                return left
+            if level < min_level:
+                return left
+            self._next()
+            if tok.kind == "keyword":
                 type_name = self._expect_ident().text
                 left = ast.InstanceOf(operand=left, type_name=type_name, line=tok.line)
-                continue
-            if tok.kind == "op" and tok.text in _BINARY_TIERS[tier]:
-                self._next()
-                right = self._parse_binary(tier + 1)
+            else:
+                right = self._parse_binary(level + 1)
                 left = ast.Binary(op=tok.text, left=left, right=right, line=tok.line)
-                continue
-            return left
 
     def _looks_like_cast(self) -> bool:
         """Heuristic for ``(Type) expr`` vs parenthesized expression.
@@ -459,6 +466,12 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         tok = self._peek()
+        if tok.kind == "ident":
+            self._next()
+            if self._peek().is_op("("):
+                args = self._parse_args()
+                return ast.Call(receiver=None, name=tok.text, args=args, line=tok.line)
+            return ast.Name(ident=tok.text, line=tok.line)
         if tok.kind == "int":
             self._next()
             return ast.IntLit(value=int(tok.text), line=tok.line)
@@ -509,12 +522,6 @@ class Parser:
                 raise ParseError(f"cannot instantiate {new_type}", type_tok.line, type_tok.col)
             args = self._parse_args()
             return ast.NewObject(type_name=new_type, args=args, line=tok.line)
-        if tok.kind == "ident":
-            self._next()
-            if self._peek().is_op("("):
-                args = self._parse_args()
-                return ast.Call(receiver=None, name=tok.text, args=args, line=tok.line)
-            return ast.Name(ident=tok.text, line=tok.line)
         if tok.is_op("("):
             self._next()
             expr = self._parse_expr()

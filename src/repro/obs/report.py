@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import html
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..util.stats import MAD_SIGMA, mad, median
 

@@ -27,7 +27,6 @@ from ..profiling.instrument import InstrumentationManifest
 from ..profiling.tracefile import (
     CuEntryRecord,
     MethodEntryRecord,
-    PathRecord,
     SalvageReport,
     TraceDecodeError,
     TraceRecord,

@@ -28,7 +28,7 @@ Fault kinds:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..profiling.tracefile import HEADER_FIXED_BYTES

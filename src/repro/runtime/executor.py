@@ -29,7 +29,6 @@ from ..image.binary import NativeImageBinary, RuntimeImage
 from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
 from ..obs import metrics as obs_metrics
 from ..vm.interpreter import Frame, Interpreter, RuntimeHooks, ThreadState
-from ..vm.values import VMError
 from .paging import SSD, IoDevice, PageCache
 
 

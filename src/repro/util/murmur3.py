@@ -9,8 +9,13 @@ convenience wrapper (the low 64 bits of the 128-bit digest), plus the x86
 
 from __future__ import annotations
 
+import struct
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = 0xFFFFFFFF
+# Little-endian block readers: two 64-bit words (x64), one 32-bit word (x86).
+_BLOCKS_X64 = struct.Struct("<QQ")
+_BLOCKS_X86 = struct.Struct("<I")
 
 
 def _rotl64(x: int, r: int) -> int:
@@ -48,39 +53,31 @@ def murmur3_x64_128(data: bytes, seed: int = 0) -> int:
     h2 = seed & _MASK64
 
     nblocks = length // 16
-    for i in range(nblocks):
-        base = i * 16
-        k1 = int.from_bytes(data[base : base + 8], "little")
-        k2 = int.from_bytes(data[base + 8 : base + 16], "little")
-
+    # Rotations inlined.  One mask after each rotate-add-multiply-add is
+    # exact: the bits it drops never reach the low 64 of the result.
+    for k1, k2 in _BLOCKS_X64.iter_unpack(memoryview(data)[: nblocks * 16]):
         k1 = (k1 * c1) & _MASK64
-        k1 = _rotl64(k1, 31)
-        k1 = (k1 * c2) & _MASK64
+        k1 = (((k1 << 31) | (k1 >> 33)) * c2) & _MASK64
         h1 ^= k1
-        h1 = _rotl64(h1, 27)
-        h1 = (h1 + h2) & _MASK64
-        h1 = (h1 * 5 + 0x52DCE729) & _MASK64
+        h1 = ((((h1 << 27) | (h1 >> 37)) + h2) * 5 + 0x52DCE729) & _MASK64
 
         k2 = (k2 * c2) & _MASK64
-        k2 = _rotl64(k2, 33)
-        k2 = (k2 * c1) & _MASK64
+        k2 = (((k2 << 33) | (k2 >> 31)) * c1) & _MASK64
         h2 ^= k2
-        h2 = _rotl64(h2, 31)
-        h2 = (h2 + h1) & _MASK64
-        h2 = (h2 * 5 + 0x38495AB5) & _MASK64
+        h2 = ((((h2 << 31) | (h2 >> 33)) + h1) * 5 + 0x38495AB5) & _MASK64
 
     tail = data[nblocks * 16 :]
     k1 = 0
     k2 = 0
     tail_len = len(tail)
     if tail_len > 8:
-        k2 = int.from_bytes(tail[8:].ljust(8, b"\x00"), "little")
+        k2 = int.from_bytes(tail[8:], "little")
         k2 = (k2 * c2) & _MASK64
         k2 = _rotl64(k2, 33)
         k2 = (k2 * c1) & _MASK64
         h2 ^= k2
     if tail_len > 0:
-        k1 = int.from_bytes(tail[:8].ljust(8, b"\x00"), "little")
+        k1 = int.from_bytes(tail[:8], "little")
         k1 = (k1 * c1) & _MASK64
         k1 = _rotl64(k1, 31)
         k1 = (k1 * c2) & _MASK64
@@ -110,18 +107,15 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     h1 = seed & _MASK32
 
     nblocks = length // 4
-    for i in range(nblocks):
-        k1 = int.from_bytes(data[i * 4 : i * 4 + 4], "little")
+    for (k1,) in _BLOCKS_X86.iter_unpack(memoryview(data)[: nblocks * 4]):
         k1 = (k1 * c1) & _MASK32
-        k1 = _rotl32(k1, 15)
-        k1 = (k1 * c2) & _MASK32
+        k1 = (((k1 << 15) | (k1 >> 17)) * c2) & _MASK32
         h1 ^= k1
-        h1 = _rotl32(h1, 13)
-        h1 = (h1 * 5 + 0xE6546B64) & _MASK32
+        h1 = (((h1 << 13) | (h1 >> 19)) * 5 + 0xE6546B64) & _MASK32
 
     tail = data[nblocks * 4 :]
     if tail:
-        k1 = int.from_bytes(tail.ljust(4, b"\x00"), "little")
+        k1 = int.from_bytes(tail, "little")
         k1 = (k1 * c1) & _MASK32
         k1 = _rotl32(k1, 15)
         k1 = (k1 * c2) & _MASK32

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 #: relative accuracy of bucket-mode quantiles (1% of the true value)
 DEFAULT_ALPHA = 0.01

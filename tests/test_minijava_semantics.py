@@ -1,10 +1,18 @@
 """Semantic-analysis and front-end error-path tests."""
 
+import hashlib
+
 import pytest
 
 from repro.minijava import compile_source
-from repro.minijava.errors import CompileError, SemanticError
+from repro.minijava.errors import CompileError, LexError, SemanticError
 from repro.vm import Interpreter, VMError
+from repro.workloads import (
+    AWFY_NAMES,
+    MICROSERVICE_NAMES,
+    awfy_workload,
+    microservice_workload,
+)
 
 from conftest import run_source
 
@@ -197,3 +205,64 @@ class TestRuntimeErrors:
         """
         with pytest.raises(VMError):
             run_source(source)
+
+
+class TestTypedErrors:
+    """Malformed literals raise :class:`LexError`, never a bare ``ValueError``."""
+
+    @pytest.mark.parametrize("literal", ["0x", "\u00b2"])
+    def test_malformed_number_in_a_method(self, literal):
+        with pytest.raises(LexError):
+            compile_source(f"class Main {{ static int main() {{ return {literal}; }} }}")
+
+
+def program_dump(program):
+    """A canonical text dump of everything a compiled :class:`Program` holds."""
+    lines = [f"main {program.main_class}", f"strings {program.string_literals!r}"]
+    for cls in program.classes.values():
+        lines.append(f"class {cls.name} extends {cls.superclass_name} line {cls.line}")
+        for kind, fields in (("instance", cls.instance_fields), ("static", cls.static_fields)):
+            for info in fields:
+                lines.append(f"  {kind} {info.declared_in}.{info.name}: {info.type_name}"
+                             f" final={info.is_final}")
+        methods = list(cls.methods.values()) + ([cls.clinit] if cls.clinit else [])
+        for method in methods:
+            lines.append(f"  method {method.signature} static={method.is_static}"
+                         f" ctor={method.is_ctor} returns={method.returns_value}"
+                         f" slots={method.num_slots} line={method.line}")
+            lines.extend(f"    {instr.op} {instr.args!r} {instr.line}" for instr in method.code)
+    return "\n".join(lines)
+
+
+#: Compiled programs of the 17 workloads; the dump's line numbers also pin
+#: the lexer's line tracking.
+PROGRAM_SHA256 = {
+    "Bounce": "5342e27124a79c2177e6caad0bba5dc8bd21f2884124ce13ece358c8a75e55d6",
+    "CD": "1497d7dd429882c97fa91226b2d73fd85967e5e3e6f5c17ec7879fb2f94d1eaa",
+    "DeltaBlue": "d8da1e7a013fc78a87a90b47e80fdfd30ca5b86dae15015998e7c439c14242bd",
+    "Havlak": "7b9a9ea38c49cbe30891f0800b768a24432963e0c6de097fa16c1e7fafcfabac",
+    "Json": "a21113962d76bf7a47f91c0dfd466d9647bf7343991f2a0d4593842e30b16f27",
+    "List": "44d12501e7703ae168ae71f68c8e2bb84943a994200dad18125b2121917bc343",
+    "Mandelbrot": "d640978a6b9c4cba3618402b1e116912c9378bfc86e98e656c16fbac7da4e457",
+    "NBody": "2630bbefd4703a81bef873e97f2b334382d916397c6bfc389749d4af5bfcfcaf",
+    "Permute": "c58c7db0f9128d2eb845ccca2ada01c2f61aa9df5459b5d9b343c7caf48b54c8",
+    "Queens": "6d2c83c96bca8bead4ff0153ba072c28c103d54b4be1da5e987ea2c659b11cb6",
+    "Richards": "1bbcc111d0556317052d60f7659dbb45242eb887ec708ad0c4f0b5a5d1df8608",
+    "Sieve": "e59a0480061921818e71e652307c0c8357e2f6dae0af0e99f08d6531954b6a90",
+    "Storage": "039fc5f6edd090ec0a8255fd81cdf88c1cd1ed15e60ff3020260da878bf9ca3a",
+    "Towers": "efbf61303da5fa1483ac205c815e3a515cc6e1fb90b9e11f74f5669a4078deba",
+    "micronaut": "aee8036bf6a7d2c7d7e513b0b4e81fca0d24b795fdcf971fca8e5b19d32950bb",
+    "quarkus": "0af0f848c75cdbbfa3cd64347a9a56b895a2223822c70c4422f4dd9176fe952d",
+    "spring": "7432b643e36563ac83aba75f7ae98992476e444172363171da3e5e4f09bade7e",
+}
+
+
+class TestWorkloadPrograms:
+    @pytest.mark.parametrize("name", tuple(AWFY_NAMES) + tuple(MICROSERVICE_NAMES))
+    def test_compiled_program_is_unchanged(self, name):
+        if name in MICROSERVICE_NAMES:
+            workload = microservice_workload(name)
+        else:
+            workload = awfy_workload(name)
+        dump = program_dump(workload.compile())
+        assert hashlib.sha256(dump.encode()).hexdigest() == PROGRAM_SHA256[name]

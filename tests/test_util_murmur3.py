@@ -1,5 +1,7 @@
 """Unit + property tests for the MurmurHash3 implementation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,6 +35,28 @@ class TestKnownVectors:
         high = digest >> 64
         assert low == 0xCBD8A7B341BD9B02
         assert high == 0x5B1E906A48AE1D19
+
+
+#: ``murmur3_x64_128(bytes(range(n)), seed)`` for n = 0..64 and
+#: ``murmur3_32(bytes(range(n)), seed)`` for n = 0..16, at each seed: every
+#: tail length, and up to four full blocks of each variant.
+TABLE_SEEDS = (0, 1, 0x9747B28C, 2**64 - 1)
+TABLE_SHA256 = "b19ec73c8c54f517df99d68e2fe017501ec8d85d20409341e167ed9ca54fd436"
+
+
+def digest_table():
+    rows = []
+    for seed in TABLE_SEEDS:
+        rows += [f"x64_128 {n} {seed:x} {murmur3_x64_128(bytes(range(n)), seed):032x}"
+                 for n in range(65)]
+        rows += [f"x86_32 {n} {seed:x} {murmur3_32(bytes(range(n)), seed):08x}"
+                 for n in range(17)]
+    return "\n".join(rows)
+
+
+class TestPinnedTable:
+    def test_block_and_tail_digests_are_unchanged(self):
+        assert hashlib.sha256(digest_table().encode()).hexdigest() == TABLE_SHA256
 
 
 class TestProperties:
