@@ -12,8 +12,7 @@ the cu-ordered binary compacts them at the front.
 from conftest import save_figure
 
 from repro.eval.figures import run_fig6
-from repro.eval.pipeline import STRATEGY_CU, WorkloadPipeline
-from repro.eval.textmap import front_density, text_page_map
+from repro.eval.pagemap import layout_page_maps
 from repro.workloads.awfy.suite import awfy_workload
 
 
@@ -25,12 +24,9 @@ def test_fig6_text_page_map(benchmark):
 
 
 def test_fig6_front_compaction_quantified():
-    pipeline = WorkloadPipeline(awfy_workload("Bounce"))
-    regular = pipeline.build_baseline(seed=1)
-    outcome = pipeline.profile(seed=1)
-    optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_CU, seed=2)
-    regular_density = front_density(text_page_map(regular, pipeline.exec_config))
-    optimized_density = front_density(text_page_map(optimized, pipeline.exec_config))
+    regular_map, optimized_map = layout_page_maps(awfy_workload("Bounce"))
+    regular_density = regular_map.front_density
+    optimized_density = optimized_map.front_density
     print(
         f"\nfront-quarter fault density: regular={regular_density:.2f} "
         f"cu-ordered={optimized_density:.2f}"

@@ -7,20 +7,13 @@ fine-grained analysis of the included objects".
 
 from conftest import save_figure
 
-from repro.eval.heapmap import compare_heap_maps, heap_front_density, heap_page_map
-from repro.eval.pipeline import STRATEGY_HEAP_PATH, WorkloadPipeline
+from repro.eval.pagemap import compare_page_maps, layout_page_maps
+from repro.image.sections import HEAP_SECTION
 from repro.workloads.awfy.suite import awfy_workload
 
 
 def _build_maps():
-    pipeline = WorkloadPipeline(awfy_workload("Bounce"))
-    regular = pipeline.build_baseline(seed=1)
-    outcome = pipeline.profile(seed=1)
-    optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_HEAP_PATH, seed=2)
-    return (
-        heap_page_map(regular, pipeline.exec_config),
-        heap_page_map(optimized, pipeline.exec_config),
-    )
+    return layout_page_maps(awfy_workload("Bounce"), HEAP_SECTION)
 
 
 def test_heap_page_map_visualization(benchmark):
@@ -28,7 +21,7 @@ def test_heap_page_map_visualization(benchmark):
     figure = "\n".join([
         "Heap-snapshot page map, AWFY Bounce (paper Appendix A future work)",
         "=" * 66,
-        compare_heap_maps(regular_map, optimized_map),
+        compare_page_maps(regular_map, optimized_map),
         "",
         optimized_map.hot_page_report(),
     ])
@@ -38,6 +31,6 @@ def test_heap_page_map_visualization(benchmark):
     # The reordered heap needs no more pages than the default layout, and the
     # accessed objects concentrate at the front of the section.
     assert optimized_map.faulted <= regular_map.faulted
-    assert heap_front_density(optimized_map) >= heap_front_density(regular_map)
+    assert optimized_map.front_density >= regular_map.front_density
     # The paper: benchmarks access a small share of the snapshot objects.
     assert regular_map.accessed_fraction < 0.5

@@ -11,8 +11,7 @@ Run:  python examples/visualize_text_section.py [BenchmarkName]
 
 import sys
 
-from repro.eval.pipeline import STRATEGY_CU, WorkloadPipeline
-from repro.eval.textmap import compare_page_maps, front_density, text_page_map
+from repro.eval.pagemap import compare_page_maps, layout_page_maps
 from repro.workloads.awfy.suite import AWFY_NAMES, awfy_workload
 
 
@@ -21,20 +20,15 @@ def main() -> None:
     if name not in AWFY_NAMES:
         raise SystemExit(f"unknown benchmark {name!r}; choose from {AWFY_NAMES}")
 
-    pipeline = WorkloadPipeline(awfy_workload(name))
-    regular = pipeline.build_baseline(seed=1)
-    outcome = pipeline.profile(seed=1)
-    optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_CU, seed=2)
-
-    regular_map = text_page_map(regular, pipeline.exec_config)
-    optimized_map = text_page_map(optimized, pipeline.exec_config)
+    # the regular build at seed 1, the cu-ordered one at seed 2
+    regular_map, optimized_map = layout_page_maps(awfy_workload(name))
 
     print(f".text page map for AWFY {name} (cu strategy)\n")
     print(compare_page_maps(regular_map, optimized_map))
     print(
         f"\nfront-quarter fault density: regular "
-        f"{front_density(regular_map):.0%} -> cu-ordered "
-        f"{front_density(optimized_map):.0%}"
+        f"{regular_map.front_density:.0%} -> cu-ordered "
+        f"{optimized_map.front_density:.0%}"
     )
 
 

@@ -204,12 +204,11 @@ class NativeImageToolchain:
         return render_summary(entries)
 
     def attribute(self, binary: NativeImageBinary, label: str = ""):
-        """One observer-enabled cold run of ``binary``, fully attributed.
+        """One measured cold run of ``binary``, fully attributed.
 
         Returns the :class:`repro.obs.StartupAttributionReport`: per-unit
         fault shares, page co-tenancy, the first-touch timeline, and the
-        front-density curve.  The run happens with the fault observer on
-        (and is never cached); all other runs stay observer-free.
+        front-density curve, from replaying the touches the run recorded.
         """
         from .eval.explain import attributed_run
         return attributed_run(self._pipeline, binary,
@@ -218,8 +217,8 @@ class NativeImageToolchain:
     def explain(self, strategy: str = "cu", seed: int = 0):
         """The layout regression explainer (``repro why``) for one strategy.
 
-        Builds baseline + optimized images (cache-served when warm), runs
-        each once with the fault observer, and returns the ranked
+        Builds baseline + optimized images (cache-served when warm),
+        attributes one measured run of each, and returns the ranked
         :class:`repro.eval.explain.WhyReport` — which units gained/lost
         faults, moved across page boundaries, or changed co-tenancy.
         Raises :class:`KeyError` for unknown strategy names.
@@ -231,13 +230,13 @@ class NativeImageToolchain:
     def optimize(self, seed: int = 0):
         """Run the search-based layout optimizer (``repro optimize``).
 
-        Records the reference build's ``.text`` touches, searches the CU
-        order with greedy chain merging over the co-access graph, builds
-        the winning ``cu-opt`` layout through the cached pipeline,
-        verifies it against the structural + differential oracle, and
-        scores it and ``cu`` by their measured ``.text`` faults.  Returns
-        the :class:`repro.ordering.OptimizationReport`; ``report.ok`` is
-        the never-worse-than-seed invariant.
+        Runs the reference build once and takes its ``.text`` touches,
+        searches the CU order with greedy chain merging over the co-access
+        graph, builds the winning ``cu-opt`` layout through the cached
+        pipeline, verifies it against the structural + differential
+        oracle, and scores it and ``cu`` by their measured ``.text``
+        faults.  Returns the :class:`repro.ordering.OptimizationReport`;
+        ``report.ok`` is the never-worse-than-seed invariant.
         """
         from .ordering.optimize import optimize_workload
         return optimize_workload(self._pipeline, seed=seed)

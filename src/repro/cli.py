@@ -80,19 +80,17 @@ from .eval.figures import (
     run_overhead_evaluation,
     sweep_figure_cells,
 )
-from .eval.heapmap import compare_heap_maps, heap_page_map
+from .eval.pagemap import PAPER_MAPS, compare_page_maps, layout_page_maps
 from .eval.pipeline import (
     STRATEGIES,
-    STRATEGY_CU,
-    STRATEGY_HEAP_PATH,
     StrategySpec,
     Workload,
     WorkloadPipeline,
     strategy_spec,
 )
 from .eval.scheduler import SchedulerConfig
-from .eval.textmap import compare_page_maps, text_page_map
 from .image.fileformat import read_snib, write_snib
+from .image.sections import HEAP_SECTION, TEXT_SECTION
 from .workloads.awfy.suite import AWFY_NAMES, awfy_workload
 from .workloads.microservices.suite import MICROSERVICE_NAMES, microservice_workload
 
@@ -184,25 +182,15 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 def cmd_pagemap(args: argparse.Namespace) -> int:
     workload = _find_workload(args.workload)
-    pipeline = WorkloadPipeline(workload)
-    regular = pipeline.build_baseline(seed=1)
-    outcome = pipeline.profile(seed=1)
+    section = HEAP_SECTION if args.heap else TEXT_SECTION
+    regular_map, optimized_map = layout_page_maps(workload, section)
+    strategy, _fault_around = PAPER_MAPS[section]
+    print(f"{section} page map for {workload.name} ({strategy.name} "
+          f"strategy)\n")
+    print(compare_page_maps(regular_map, optimized_map))
     if args.heap:
-        optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_HEAP_PATH,
-                                             seed=2)
-        regular_map = heap_page_map(regular, pipeline.exec_config)
-        optimized_map = heap_page_map(optimized, pipeline.exec_config)
-        print(f".svm_heap page map for {workload.name} (heap path strategy)\n")
-        print(compare_heap_maps(regular_map, optimized_map))
         print()
         print(optimized_map.hot_page_report())
-    else:
-        optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_CU, seed=2)
-        print(f".text page map for {workload.name} (cu strategy)\n")
-        print(compare_page_maps(
-            text_page_map(regular, pipeline.exec_config),
-            text_page_map(optimized, pipeline.exec_config),
-        ))
     return 0
 
 
@@ -864,8 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--skip-serial", action="store_true",
                          help="skip the slow serial reference phase")
     p_bench.add_argument("--no-attribution", action="store_true",
-                         help="skip the attribution phase (observer-enabled "
-                         "runs + per-workload blame report)")
+                         help="skip the attribution phase (per-workload "
+                         "blame report of the warm sweep's cells)")
     p_bench.add_argument("--no-chaos", action="store_true",
                          help="skip the chaos phase (fault-injected sweep "
                          "+ identity check)")

@@ -1,9 +1,8 @@
 """Evaluation harness: pipelines, sweeps, figures, visualizations."""
 
 from .experiments import profiling_overhead
-from .heapmap import compare_heap_maps, heap_page_map
+from .pagemap import PageMap, compare_page_maps, layout_page_maps, page_map
 from .sweeps import ballast_sweep, page_size_sweep, render_sweep
-from .textmap import compare_page_maps, front_density, text_page_map
 
 from .bench import BenchConfig, run_bench
 from .chaosrun import ChaosOutcome, check_identity, run_chaos
@@ -37,9 +36,8 @@ __all__ = [
     "ChaosOutcome", "check_identity", "run_chaos",
     "EvalTask", "RetryPolicy", "SchedulerConfig", "SweepHealthReport",
     "SweepResult", "SweepScheduler", "TaskResult", "task_seed",
-    "compare_heap_maps", "heap_page_map",
+    "PageMap", "compare_page_maps", "layout_page_maps", "page_map",
     "ballast_sweep", "page_size_sweep", "render_sweep",
-    "compare_page_maps", "front_density", "text_page_map",
     "ALL_STRATEGY_SPECS", "STRATEGY_COMBINED", "STRATEGY_CU",
     "STRATEGY_HEAP_PATH", "STRATEGY_INCREMENTAL", "STRATEGY_METHOD",
     "STRATEGY_STRUCTURAL", "StrategySpec", "Workload", "WorkloadPipeline",

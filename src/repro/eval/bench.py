@@ -22,14 +22,14 @@ written to ``BENCH_pipeline.json`` (schema below) for CI trend tracking.
 
 A fourth, optional phase (``attribution``, on by default) runs the startup
 attribution profiler (:mod:`repro.eval.explain`) on one AWFY workload and
-one microservice of the matrix against the warm cache: observer-enabled
-runs are the only extra cost, and the payload records what turning the
-hook on adds over observer-off runs of the same binaries as
-``attribution.overhead_vs_cold`` (``observer_overhead_s`` relative to the
-cold phase) — asserted under :data:`MAX_ATTRIBUTION_OVERHEAD` by
-``--check``, keeping the observer's price honest.  Its per-workload top-blamed units also feed the regression
-gate: when ``--baseline`` fails, the gate names the symbols most
-responsible for the current layout's faults instead of just the numbers.
+one microservice of the matrix against the warm cache.  It explains the
+warm sweep's own cells: each cached run carries its touch stream, which
+the explainer replays, so the phase runs nothing.  ``--check`` asserts
+both: the phase ran no pipeline phase, and each attributed fault total
+equals its cell's ``total_faults``.  Its per-workload top-blamed units
+also feed the regression gate: when ``--baseline`` fails, the gate names
+the symbols most responsible for the current layout's faults instead of
+just the numbers.
 
 A sixth, optional phase (``pgo``, on by default) drives the continuous-PGO
 loop (:mod:`repro.pgo`) through a seeded drift scenario against the warm
@@ -66,13 +66,11 @@ invariant and requires zero quarantined or failed cells.
 
 from __future__ import annotations
 
-import gc
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cache import ArtifactCache
 from ..cache.keys import TOOLCHAIN_VERSION
@@ -123,7 +121,7 @@ class BenchConfig:
     output: str = DEFAULT_OUTPUT
     #: skip the serial reference phase (it dominates runtime on big matrices)
     skip_serial: bool = False
-    #: run the attribution phase (observer-enabled runs + blame report)
+    #: run the attribution phase (blame report of the warm sweep's cells)
     attribution: bool = True
     #: run the chaos phase (fault-injected sweep + identity check)
     chaos: bool = True
@@ -239,10 +237,6 @@ def _run_serial_legacy(workloads: Sequence[Workload],
     return sweep
 
 
-#: ceiling on the attribution phase's cost relative to the cold sweep;
-#: the fault observer is supposed to be cheap, and ``--check`` holds it to it
-MAX_ATTRIBUTION_OVERHEAD = 0.10
-
 #: top blamed units recorded per workload (the regression-gate diagnosis)
 ATTRIBUTION_TOP = 3
 
@@ -258,87 +252,47 @@ def _attribution_picks(workloads: Sequence[Workload]) -> List[Workload]:
     return picks
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Run a timed block with no garbage collection inside it.
-
-    Collects first, then keeps the collector off inside the block and
-    restores its state after.  A full collection inside only one of the
-    attribution phase's two timed blocks would otherwise count as
-    observer overhead (or hide it).
-    """
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _attribution_phase(workloads: Sequence[Workload],
                        strategies: Sequence[StrategySpec],
                        config: BenchConfig,
                        cache_dir: str) -> Dict[str, Any]:
-    """Observer-enabled ``repro why`` runs against the warm cache.
+    """``repro why`` over the warm sweep's own cells.
 
-    Builds and profiles are warm-cache hits; the new work is one
-    observer-enabled cold run per binary.  ``runs_wall_s`` times exactly
-    those runs; ``plain_wall_s`` times the same runs with the observer
-    off, so ``observer_overhead_s`` isolates what turning the hook on
-    costs — the quantity the ``overhead_vs_cold`` budget polices.
-    ``wall_s`` is the whole phase including cache loads and the diff.
+    Builds, profiles and runs are all warm-cache hits at the sweep's seeds
+    and iterations; each report replays the touches of its cell's cached
+    run.  ``phases_run`` records the pipeline phases the phase ran (none,
+    when the sweep covered its cells), and ``baseline_events`` /
+    ``events`` the attributed fault totals, which ``--check`` compares
+    with the cells' ``total_faults``.
     """
-    from ..runtime.executor import run_binary
-    from .explain import attributed_run, explain_reports
+    from ..obs import get_registry
+    from .explain import explain_strategy
 
     spec = next((s for s in strategies if s.name == "cu"), strategies[0])
     entries: Dict[str, Any] = {}
-    runs_wall = 0.0
-    plain_wall = 0.0
+    before = get_registry().snapshot()
     start = time.perf_counter()
     for workload in _attribution_picks(workloads):
         pipeline = WorkloadPipeline(
             workload, cache=ArtifactCache(Path(cache_dir))
         )
-        seed = task_seed(config.base_seed, workload.name)
-        baseline_binary = pipeline.build_baseline(seed=seed)
-        outcome = pipeline.profile(seed=seed)
-        optimized_binary = pipeline.build_optimized(
-            outcome.profiles, spec, seed=seed
-        )
-        with _collector_paused():
-            tick = time.perf_counter()
-            for binary in (baseline_binary, optimized_binary):
-                run_binary(binary, pipeline.exec_config)
-            plain_wall += time.perf_counter() - tick
-        with _collector_paused():
-            tick = time.perf_counter()
-            baseline_report = attributed_run(
-                pipeline, baseline_binary, label=f"{workload.name}/baseline"
-            )
-            current_report = attributed_run(
-                pipeline, optimized_binary, label=f"{workload.name}/{spec.name}"
-            )
-            runs_wall += time.perf_counter() - tick
-        why = explain_reports(
-            baseline_report, current_report,
-            workload=workload.name, strategy=spec.name,
+        why = explain_strategy(
+            pipeline, spec, seed=task_seed(config.base_seed, workload.name),
+            iterations=config.iterations,
         )
         entries[workload.name] = {
             "top_blamed": why.top_blamed(ATTRIBUTION_TOP),
             "moved_units": len(why.moved_units),
             "changed_units": len(why.ranked),
             "fault_delta": why.fault_delta,
+            "baseline_events": len(why.baseline.timeline),
             "events": len(why.current.timeline),
         }
+    counters = get_registry().snapshot().diff(before).counters
     return {
         "strategy": spec.name,
         "wall_s": round(time.perf_counter() - start, 4),
-        "runs_wall_s": round(runs_wall, 4),
-        "plain_wall_s": round(plain_wall, 4),
-        "observer_overhead_s": round(max(runs_wall - plain_wall, 0.0), 4),
+        "phases_run": _phases_run(counters),
         "workloads": entries,
     }
 
@@ -489,17 +443,12 @@ def run_bench(config: BenchConfig,
         log(f"  {warm.wall_s:.2f}s, hit rate {warm.cache_hit_rate:.0%}")
 
         if config.attribution:
-            log("phase attribution: observer-enabled runs + blame report")
+            log("phase attribution: blame report of the warm sweep's cells")
             attribution = _attribution_phase(
                 workloads, strategies, config, cache_dir
             )
-            attribution["overhead_vs_cold"] = (
-                round(attribution["observer_overhead_s"] / cold.wall_s, 4)
-                if cold.wall_s else 0.0
-            )
             payload["attribution"] = attribution
-            log(f"  {attribution['wall_s']:.2f}s "
-                f"({attribution['overhead_vs_cold']:.1%} of cold)")
+            log(f"  {attribution['wall_s']:.2f}s")
 
         if config.chaos:
             from ..robustness.chaos import ChaosPolicy
@@ -804,12 +753,8 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
                 "program(s) (want at most one per program)")
     attribution = payload.get("attribution")
     if attribution:
-        overhead = attribution.get("overhead_vs_cold", 0.0)
-        if overhead > MAX_ATTRIBUTION_OVERHEAD:
-            failures.append(
-                f"attribution overhead {overhead:.1%} of cold wall-clock "
-                f"exceeds the {MAX_ATTRIBUTION_OVERHEAD:.0%} budget"
-            )
+        failures.extend(_attribution_failures(attribution,
+                                              payload.get("results", [])))
     chaos = payload.get("chaos")
     if chaos:
         identity = chaos.get("identity", {})
@@ -898,6 +843,32 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
     return failures
 
 
+def _attribution_failures(attribution: Dict[str, Any],
+                          results: Sequence[Dict[str, Any]]) -> List[str]:
+    """The attribution phase ran nothing and agrees with its cells."""
+    failures = []
+    if attribution.get("phases_run"):
+        ran = ", ".join(f"{name} x{count}" for name, count
+                        in sorted(attribution["phases_run"].items()))
+        failures.append(f"attribution phase recomputed work: {ran} (want "
+                        "none: it explains the warm sweep's cached cells)")
+    strategy = attribution.get("strategy")
+    cells = {(cell.get("workload"), cell.get("strategy")): cell
+             for cell in results}
+    for name, entry in sorted(attribution.get("workloads", {}).items()):
+        cell = cells.get((name, strategy), {})
+        for side, key in (("baseline", "baseline_events"),
+                          ("optimized", "events")):
+            runs = cell.get(side) or [{}]
+            expected = runs[0].get("total_faults")
+            if expected is None or entry.get(key) != expected:
+                failures.append(
+                    f"attribution of {name}/{strategy} ({side}) blamed "
+                    f"{entry.get(key)} faults, the sweep cell counted "
+                    f"{expected}")
+    return failures
+
+
 def write_payload(payload: Dict[str, Any], output: str) -> Path:
     path = Path(output)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -924,10 +895,10 @@ def format_summary(payload: Dict[str, Any]) -> str:
     attribution = payload.get("attribution")
     if attribution:
         lines.append(
-            f"  attribution ({attribution['strategy']}): observed runs "
-            f"{attribution['runs_wall_s']:.2f}s "
-            f"(observer overhead "
-            f"{attribution.get('overhead_vs_cold', 0.0):.1%} of cold) on "
+            f"  attribution ({attribution['strategy']}): "
+            f"{attribution['wall_s']:.2f}s, "
+            f"{sum(attribution.get('phases_run', {}).values())} pipeline "
+            "phase(s) run, on "
             + ", ".join(sorted(attribution.get("workloads", {})))
         )
     chaos = payload.get("chaos")

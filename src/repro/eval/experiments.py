@@ -4,7 +4,7 @@
 its probe flavours (cu, method, heap) and reports each flavour's
 instrumented/regular time ratio.  The page-fault and speedup figures
 (Figs. 2-5) are not measured here: they aggregate scheduler sweep cells
-(:mod:`repro.eval.figures`), and Fig. 6 is :mod:`repro.eval.textmap`.
+(:mod:`repro.eval.figures`), and Fig. 6 is :mod:`repro.eval.pagemap`.
 """
 
 from __future__ import annotations

@@ -16,24 +16,23 @@ heaviest first; ties break towards units that moved, then by absolute
 cost delta, then by name — so the top of the report is always the most
 actionable blame.
 
-Measurement runs here execute with ``fault_observer=True`` directly via
-:func:`run_binary` rather than through the pipeline's cached ``measure``
-path: the observer-enabled config has a different fingerprint, and these
-one-off diagnosis runs should not grow a second copy of every metrics
-artifact in the cache.  Builds and profiles still come from the pipeline,
-so a warm cache serves them unchanged.
+Each side is one run from the pipeline's own ``measure`` path, replayed:
+every run records its touch stream, and :func:`attributed_run` replays it
+through the paging simulator to get the fault log attribution needs.  So
+a warm cache serves builds, profiles *and* runs unchanged, and a cached
+sweep cell is explained without running anything.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs.attrib import StartupAttributionReport, attribute
-from ..runtime.executor import run_binary
+from ..runtime.executor import replay_touches
 from .pipeline import StrategySpec, WorkloadPipeline
 
 
@@ -285,29 +284,42 @@ def explain_reports(
 
 
 def attributed_run(
-    pipeline: WorkloadPipeline, binary, label: str
+    pipeline: WorkloadPipeline, binary, label: str,
+    iterations: int = 1, seed: int = 0,
 ) -> StartupAttributionReport:
-    """One observer-enabled cold run of ``binary``, attributed.
+    """Attribute the first run of ``pipeline.measure(binary, iterations, seed)``.
 
-    Uses the pipeline's exec config with ``fault_observer=True`` (so
-    microservice runs still stop at first response), bypassing the metrics
-    cache on purpose — see the module docstring.
+    The run's recorded touches are replayed under the pipeline's exec
+    config (so microservice runs still end at first response), and the
+    replayed fault log is attributed.  With a warm cache the run is the
+    sweep cell's own cached one.  Raises :class:`ValueError` when the
+    replay's per-section fault counts differ from the run's ``faults`` —
+    a run record that does not carry the touches behind its counts.
     """
-    config = replace(pipeline.exec_config, fault_observer=True)
-    metrics = run_binary(binary, config)
-    return attribute(binary, metrics.fault_events, label=label)
+    run = pipeline.measure(binary, iterations, seed)[0]
+    config = pipeline.exec_config
+    cache = replay_touches(binary, config, run.touches)
+    replayed = cache.snapshot_counts()
+    if replayed != run.faults:
+        raise ValueError(
+            f"{label}: replaying the run's {len(run.touches)} touches "
+            f"gives faults {replayed}, the run counted {run.faults}"
+        )
+    return attribute(binary, cache.fault_log, config.device, label=label)
 
 
 def explain_strategy(
     pipeline: WorkloadPipeline,
     strategy: StrategySpec,
     seed: int = 0,
+    iterations: int = 1,
 ) -> WhyReport:
     """End-to-end ``repro why``: baseline vs one strategy's optimized image.
 
     Builds (or cache-loads) both images and the shared profiles through
-    the pipeline, runs each once with the fault observer enabled, and
-    returns the ranked diff.  Deterministic for a fixed (workload,
+    the pipeline, attributes one measured run of each (``iterations`` and
+    ``seed`` pick the measurement, so a sweep's cached cell is reused),
+    and returns the ranked diff.  Deterministic for a fixed (workload,
     strategy, seed) — the acceptance bar for serial-vs-parallel identity.
     """
     name = pipeline.workload.name
@@ -317,10 +329,11 @@ def explain_strategy(
         outcome.profiles, strategy, seed=seed
     )
     baseline_report = attributed_run(
-        pipeline, baseline_binary, label=f"{name}/baseline"
+        pipeline, baseline_binary, f"{name}/baseline", iterations, seed
     )
     current_report = attributed_run(
-        pipeline, optimized_binary, label=f"{name}/{strategy.name}"
+        pipeline, optimized_binary, f"{name}/{strategy.name}", iterations,
+        seed,
     )
     return explain_reports(
         baseline_report, current_report,
@@ -352,10 +365,10 @@ def explain_strategies(
         outcome.profiles, current_spec, seed=seed
     )
     baseline_report = attributed_run(
-        pipeline, baseline_binary, label=f"{name}/{baseline_spec.name}"
+        pipeline, baseline_binary, f"{name}/{baseline_spec.name}", seed=seed
     )
     current_report = attributed_run(
-        pipeline, current_binary, label=f"{name}/{current_spec.name}"
+        pipeline, current_binary, f"{name}/{current_spec.name}", seed=seed
     )
     return explain_reports(
         baseline_report, current_report,

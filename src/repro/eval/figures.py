@@ -20,10 +20,10 @@ from ..util.stats import ConfidenceInterval, confidence_interval_95, geomean
 from ..workloads.awfy.suite import AWFY_NAMES, awfy_suite
 from ..workloads.microservices.suite import MICROSERVICE_NAMES, microservice_suite
 from .experiments import OverheadResult, profiling_overhead
-from .pipeline import PAPER_STRATEGY_SPECS, Workload, WorkloadPipeline
+from .pagemap import compare_page_maps, layout_page_maps
+from .pipeline import PAPER_STRATEGY_SPECS, Workload
 from .plotting import render_factor_chart, render_table
 from .scheduler import SchedulerConfig, SweepScheduler
-from .textmap import compare_page_maps, text_page_map
 
 # Paper figures reproduce the paper: only its six strategies appear
 # (the cu-opt optimizer strategy is reported via the bench optimize phase
@@ -172,14 +172,7 @@ def render_overhead(results: List[OverheadResult]) -> str:
 def run_fig6(workload: Optional[Workload] = None, seed: int = 1) -> str:
     """Fig. 6: .text page maps of AWFY Bounce, regular vs cu-optimized."""
     workload = workload or awfy_suite()["Bounce"]
-    pipeline = WorkloadPipeline(workload)
-    regular = pipeline.build_baseline(seed=seed)
-    outcome = pipeline.profile(seed=seed)
-    from .pipeline import STRATEGY_CU
-
-    optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_CU, seed=seed + 1)
-    regular_map = text_page_map(regular, pipeline.exec_config)
-    optimized_map = text_page_map(optimized, pipeline.exec_config)
     title = f"Figure 6: .text page map, AWFY {workload.name}"
     return "\n".join([title, "=" * len(title),
-                      compare_page_maps(regular_map, optimized_map)])
+                      compare_page_maps(*layout_page_maps(workload,
+                                                          seed=seed))])

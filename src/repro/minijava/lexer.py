@@ -8,8 +8,9 @@ Lexical rules are ASCII: identifiers are ``[A-Za-z_][A-Za-z0-9_]*``, digits
 are ``[0-9]``, a hex literal ``0x``/``0X`` needs at least one hex digit, and
 whitespace is space, tab, carriage return and newline.  Any other character
 outside string literals, char literals and comments raises
-:class:`LexError` ("unexpected character"), so malformed input never escapes
-as anything but a typed error.  One compiled pattern matches a whole token
+:class:`LexError` ("unexpected character"), and, as in Java, no string or
+char literal spans a line break, so malformed input never escapes as
+anything but a typed error.  One compiled pattern matches a whole token
 at each position; only escapes and errors take a Python path.
 """
 
@@ -72,7 +73,7 @@ _TOKEN = re.compile(
             ("double", r"[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)"),
             ("int", r"[0-9]+"),
             ("string", r'"(?:[^"\\\n]|\\.)*"'),
-            ("char", r"'(?:\\[\s\S]|[^\\])'"),
+            ("char", r"'(?:\\[^\n]|[^\\\n])'"),
             ("op", "|".join(map(re.escape, _OPERATORS))),
             ("error", r"[\s\S]"),
         )
@@ -168,7 +169,9 @@ def _reject(source: str, start: int, line: int, col: int) -> None:
         _unescape(source[start + 1 : len(source) if end == -1 else end + 1], line, col)
         raise LexError("unterminated string literal", line, col)
     if ch == "'":
-        if source.startswith("\\", start + 1):
+        # a line break ends the literal, escaped or not
+        if (source.startswith("\\", start + 1)
+                and not source.startswith("\n", start + 2)):
             _unescape(source[start + 1 : start + 3], line, col)
         raise LexError("unterminated char literal", line, col)
     raise LexError(f"unexpected character {ch!r}", line, col)

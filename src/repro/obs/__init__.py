@@ -16,10 +16,10 @@ events in :mod:`repro.robustness.degradation` and
 :mod:`repro.validation.quarantine`); this package deliberately imports
 nothing from them, so any module may instrument without cycles.
 
-Startup attribution lives in :mod:`repro.obs.attrib`: a fault-observer
-hook (off by default) records the per-run first-touch fault stream, and
-:func:`attribute` joins it against the binary's section maps to blame
-every fault on the CUs/heap objects resident on the faulted page.  The
+Startup attribution lives in :mod:`repro.obs.attrib`: :func:`attribute`
+joins one run's fault log (replayed from the touches every run records)
+against the binary's section maps to blame every fault on the CUs/heap
+objects resident on the faulted page.  The
 differential explainer on top of it is :mod:`repro.eval.explain`.
 
 CLI entry points: ``repro stats`` (merged metrics summary), ``repro
@@ -29,7 +29,6 @@ JSONL), and ``repro why`` (attribution diff).
 
 from .attrib import (
     FaultEvent,
-    FaultObserver,
     SectionAttribution,
     StartupAttributionReport,
     UnitBlame,
@@ -59,7 +58,6 @@ __all__ = [
     "DETERMINISTIC_PREFIX",
     "EventLog",
     "FaultEvent",
-    "FaultObserver",
     "HISTORY_SCHEMA",
     "HistogramSnapshot",
     "MetricsRegistry",

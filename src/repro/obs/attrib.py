@@ -3,17 +3,15 @@
 The pipeline's aggregate fault counts (Sec. 7.1's per-section split) say
 *how much* cold startup paid, never *why*.  This module turns the paging
 simulator's fault stream into a diagnosis, the lens Meta's function-layout
-work and Newell & Pupyrev's reordering work use to debug layouts:
-
-* a :class:`FaultObserver` (plugged into
-  :class:`~repro.runtime.paging.PageCache` via its ``observer`` hook, off
-  by default) records each first-touch fault as a typed
-  :class:`FaultEvent` ``(logical_time, section, page, offset, cost)``;
-* :func:`attribute` joins those events against the binary's section maps
-  and blames every fault on the compilation unit(s) / heap object(s)
-  resident on the faulted page, producing a
-  :class:`StartupAttributionReport` with per-unit fault shares, page
-  co-tenancy, the first-touch timeline, and front-density-over-time.
+work and Newell & Pupyrev's reordering work use to debug layouts.
+:func:`attribute` takes one run's fault log — the ``(section, page,
+offset)`` list :class:`~repro.runtime.paging.PageCache` keeps, here from
+replaying the touches the run recorded — prices each fault as a typed
+:class:`FaultEvent` ``(logical_time, section, page, offset, cost)``, and
+blames it on the compilation unit(s) / heap object(s) resident on the
+faulted page, producing a :class:`StartupAttributionReport` with per-unit
+fault shares, page co-tenancy, the first-touch timeline, and
+front-density-over-time.
 
 A fault on a page shared by *k* units is split into *k* equal blame shares
 (computed exactly, with :class:`~fractions.Fraction`), so per-unit shares
@@ -24,7 +22,8 @@ goes unaccounted.
 
 Layering: this module only needs duck-typed access to the built binary
 (``binary.text.placed`` / ``binary.heap.ordered``) and imports nothing
-from the pipeline at runtime, so every layer may use it without cycles.
+from the pipeline or the runtime at runtime, so every layer may use it
+without cycles.
 The differential explainer on top of it lives in
 :mod:`repro.eval.explain` (surfaced as ``repro why``).
 """
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..util.pagemath import page_count, pages_spanned
 
@@ -49,6 +48,27 @@ PADDING_UNIT = "<padding>"
 
 #: the fraction of a section counted as its "front" by the density curves
 FRONT_FRACTION = 0.25
+
+
+def _front_pages(reorderable_pages: int) -> int:
+    """Pages in the front of a section's reorderable region (>= 1)."""
+    return max(int(reorderable_pages * FRONT_FRACTION), 1)
+
+
+def front_density(pages: Sequence[int], reorderable_pages: int) -> float:
+    """Share of the faulted reorderable ``pages`` that sit in the front.
+
+    The front is the first :data:`FRONT_FRACTION` of the reorderable
+    pages.  Pages at or past ``reorderable_pages`` — the native blob of
+    ``.text`` — are not counted at all: no layout can move them (Fig. 6's
+    trailing region).  0.0 when no reorderable page faulted.  The page
+    maps and the attribution curve both read this one definition.
+    """
+    counted = [page for page in pages if page < reorderable_pages]
+    if not counted:
+        return 0.0
+    front = _front_pages(reorderable_pages)
+    return sum(1 for page in counted if page < front) / len(counted)
 
 
 @dataclass(frozen=True)
@@ -76,33 +96,6 @@ class FaultEvent:
             "offset": self.offset,
             "cost": self.cost,
         }
-
-
-class FaultObserver:
-    """Records one execution's fault stream (the ``PageCache`` hook).
-
-    Off by default everywhere: an execution only carries an observer when
-    :attr:`~repro.runtime.executor.ExecutionConfig.fault_observer` asks
-    for one, so the zero-observer fast path stays a single ``is None``
-    check per fault.
-    """
-
-    def __init__(self, device: Optional["IoDevice"] = None) -> None:
-        self.events: List[FaultEvent] = []
-        self._device = device
-
-    def on_fault(self, section: str, page: int, offset: int) -> None:
-        index = len(self.events)
-        cost = self._device.fault_cost_at(index) if self._device else 0.0
-        self.events.append(FaultEvent(
-            logical_time=index, section=section, page=page,
-            offset=offset, cost=cost,
-        ))
-
-    @property
-    def total_cost(self) -> float:
-        """Sum of per-event costs (== the device's aggregate fault cost)."""
-        return math.fsum(event.cost for event in self.events)
 
 
 # -- section tenancy ----------------------------------------------------------
@@ -259,7 +252,7 @@ class SectionAttribution:
     @property
     def front_quarter_pages(self) -> int:
         """Pages in the section's reorderable front quarter (>= 1)."""
-        return max(int(self.reorderable_pages * FRONT_FRACTION), 1)
+        return _front_pages(self.reorderable_pages)
 
     def blame_of(self, unit: str) -> Optional[UnitBlame]:
         for blame in self.units:
@@ -299,8 +292,8 @@ class StartupAttributionReport:
     sections: Dict[str, SectionAttribution]
     #: all faults in logical-time order, each with its blamed units
     timeline: List[TimelineEntry]
-    #: per section: share of its faults so far that landed in the front
-    #: quarter of the reorderable pages, sampled after each section fault
+    #: per section: :func:`front_density` of its faults so far, sampled
+    #: after each section fault
     front_density: Dict[str, List[float]]
 
     @property
@@ -330,63 +323,56 @@ class StartupAttributionReport:
 
 def attribute(
     binary: "NativeImageBinary",
-    events: List[FaultEvent],
+    faults: Sequence[Tuple[str, int, int]],
+    device: Optional["IoDevice"] = None,
     label: str = "",
 ) -> StartupAttributionReport:
-    """Join one run's fault stream against ``binary``'s section maps.
+    """Join one run's fault log against ``binary``'s section maps.
 
-    Inputs: the built binary the run executed and the
-    :class:`FaultEvent` list its observer recorded
-    (:attr:`RunMetrics.fault_events`).  Returns the
-    :class:`StartupAttributionReport`; raises :class:`ValueError` when
-    ``events`` is ``None`` — the run was executed without
-    ``fault_observer`` enabled, so there is nothing to attribute.
+    Inputs: the built binary the run executed, its fault log as
+    ``(section, page, offset)`` in charge order
+    (:attr:`~repro.runtime.paging.PageCache.fault_log`), and the device
+    that prices each fault (:meth:`IoDevice.fault_cost_at`; ``None`` =
+    free).  Returns the :class:`StartupAttributionReport`.
     """
-    if events is None:
-        raise ValueError(
-            "run carries no fault events; execute with "
-            "ExecutionConfig(fault_observer=True) to record them"
-        )
     tenancies = binary_tenancies(binary)
 
     shares: Dict[Tuple[str, str], Fraction] = {}
     costs: Dict[Tuple[str, str], float] = {}
     first_touch: Dict[Tuple[str, str], int] = {}
     blamed_pages: Dict[Tuple[str, str], set] = {}
-    counts: Dict[str, int] = {}
     section_cost: Dict[str, List[float]] = {}
+    section_pages: Dict[str, List[int]] = {}
     page_tenants: Dict[str, Dict[int, Tuple[str, ...]]] = {}
     timeline: List[TimelineEntry] = []
-    front_density: Dict[str, List[float]] = {}
-    front_hits: Dict[str, int] = {}
 
-    for event in events:
-        tenancy = tenancies.get(event.section)
-        if tenancy is None:
-            tenants = (PADDING_UNIT,)
-            front_pages = 1
-        else:
-            tenants = tenancy.tenants_of(event.page)
-            front_pages = max(
-                int(tenancy.reorderable_pages * FRONT_FRACTION), 1
-            )
+    for index, (section, page, offset) in enumerate(faults):
+        event = FaultEvent(
+            logical_time=index, section=section, page=page, offset=offset,
+            cost=device.fault_cost_at(index) if device else 0.0,
+        )
+        tenancy = tenancies.get(section)
+        tenants = (tenancy.tenants_of(page) if tenancy is not None
+                   else (PADDING_UNIT,))
         share = Fraction(1, len(tenants))
         cost_share = event.cost / len(tenants)
         for unit in tenants:
-            key = (event.section, unit)
+            key = (section, unit)
             shares[key] = shares.get(key, Fraction(0)) + share
             costs[key] = costs.get(key, 0.0) + cost_share
-            first_touch.setdefault(key, event.logical_time)
-            blamed_pages.setdefault(key, set()).add(event.page)
-        counts[event.section] = counts.get(event.section, 0) + 1
-        section_cost.setdefault(event.section, []).append(event.cost)
-        page_tenants.setdefault(event.section, {})[event.page] = tenants
+            first_touch.setdefault(key, index)
+            blamed_pages.setdefault(key, set()).add(page)
+        section_cost.setdefault(section, []).append(event.cost)
+        section_pages.setdefault(section, []).append(page)
+        page_tenants.setdefault(section, {})[page] = tenants
         timeline.append(TimelineEntry(event=event, units=tenants))
-        if event.page < front_pages:
-            front_hits[event.section] = front_hits.get(event.section, 0) + 1
-        front_density.setdefault(event.section, []).append(
-            front_hits.get(event.section, 0) / counts[event.section]
-        )
+
+    front: Dict[str, List[float]] = {}
+    for name, pages in section_pages.items():
+        tenancy = tenancies.get(name)
+        reorderable = tenancy.reorderable_pages if tenancy is not None else 0
+        front[name] = [front_density(pages[:count], reorderable)
+                       for count in range(1, len(pages) + 1)]
 
     sections: Dict[str, SectionAttribution] = {}
     for name, tenancy in tenancies.items():
@@ -404,7 +390,7 @@ def attribute(
         section_units.sort(key=lambda blame: (-blame.share, blame.unit))
         sections[name] = SectionAttribution(
             section=name,
-            fault_count=counts.get(name, 0),
+            fault_count=len(section_pages.get(name, ())),
             total_cost=math.fsum(section_cost.get(name, ())),
             units=section_units,
             page_tenants=dict(sorted(page_tenants.get(name, {}).items())),
@@ -415,6 +401,5 @@ def attribute(
         label=label,
         sections=sections,
         timeline=timeline,
-        front_density=front_density,
+        front_density=front,
     )
-

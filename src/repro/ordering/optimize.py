@@ -2,10 +2,10 @@
 
 The paper's strategies *replay* first-use order; this module *searches*
 for a better ``.text`` CU order.  A :class:`CostModel` scores a virtual
-layout by replaying the executor's own ``.text`` touches, recorded once
-from the default-layout reference build
-(:func:`repro.runtime.executor.record_text_touches`), over the CU offsets
-that layout would have.  The executor touches the same CU-relative ranges
+layout by replaying the executor's own ``.text`` touches, taken from one
+run of the default-layout reference build
+(:func:`repro.runtime.executor.text_touches`), over the CU offsets that
+layout would have.  The executor touches the same CU-relative ranges
 in every layout of one build, so the model's count is the count a real
 start of that layout takes (tested against built binaries).
 
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # annotation-only: the image/runtime layers must not be
     # graal.inliner while image.binary is still initializing, so the
     # executor is imported lazily inside the functions that need it.
     from ..image.binary import NativeImageBinary
-    from ..runtime.executor import ExecutionConfig
+    from ..runtime.executor import ExecutionConfig, RunMetrics
 
 #: The profile kind the optimizer registers.
 CU_OPT_ORDERING = "cu-opt"
@@ -116,28 +116,36 @@ class LayoutProblem:
 # ---------------------------------------------------------------------------
 
 
-def code_problem(binary: "NativeImageBinary", bundle: ProfileBundle,
-                 exec_config: Optional["ExecutionConfig"] = None,
-                 ) -> Optional[LayoutProblem]:
-    """Build the ``.text`` search instance, or ``None`` without profiles.
+def has_seed_profile(bundle: ProfileBundle) -> bool:
+    """Whether ``bundle`` has a usable ``cu`` or ``method`` profile.
 
-    ``binary`` is the default-layout reference build; one run of it under
-    ``exec_config`` records the touches the model replays.  Without a
-    usable ``cu`` or ``method`` seed profile there is nothing to search
-    from, and the caller skips code optimization entirely.
+    A search starts from one; without it there is nothing to search from,
+    and callers skip code optimization before running anything.
+    """
+    return any(profile is not None and profile.signatures
+               for profile in (bundle.code_profile("cu"),
+                               bundle.code_profile("method")))
+
+
+def code_problem(binary: "NativeImageBinary", run: "RunMetrics",
+                 bundle: ProfileBundle,
+                 exec_config: Optional["ExecutionConfig"] = None,
+                 ) -> LayoutProblem:
+    """Build the ``.text`` search instance.
+
+    ``binary`` is the default-layout reference build and ``run`` one run
+    of it under ``exec_config``; the model replays that run's ``.text``
+    touches.  ``bundle`` supplies the seed order (see
+    :func:`has_seed_profile`).
     """
     from ..runtime.executor import (
         ExecutionConfig,
         native_startup_pages,
-        record_text_touches,
+        text_touches,
     )
 
-    if not any(profile is not None and profile.signatures
-               for profile in (bundle.code_profile("cu"),
-                               bundle.code_profile("method"))):
-        return None
     config = exec_config or ExecutionConfig()
-    touches = record_text_touches(binary, config)
+    touches = text_touches(binary, run)
     units = {placed.cu.name: placed.cu.size for placed in binary.text.placed}
     model = CostModel(units=units, touches=tuple(touches),
                       constant_faults=native_startup_pages(binary, config))
@@ -290,18 +298,21 @@ def synthesize_optimizer_profiles(
 
     ``binary`` is a *reference* build (default layout, PGO inlining) that
     supplies unit sizes and, run once under ``exec_config``, the touches
-    the search scores layouts with.  Returns a new bundle carrying the
+    the search scores layouts with.  The run is a plain
+    :func:`~repro.runtime.executor.run_binary`: no ``measure`` phase and
+    no cache entry.  Returns a new bundle carrying the
     ``cu-opt`` profile (an existing one is kept — synthesis is
     idempotent); the input bundle is never mutated.  Without a usable
     seed profile nothing is added, and the existing degradation ladder
     falls back to the default layout.  Deterministic: same (binary,
     bundle, exec_config) ⇒ byte-identical profiles.
     """
-    if CU_OPT_ORDERING in bundle.code:
+    from ..runtime.executor import run_binary
+
+    if CU_OPT_ORDERING in bundle.code or not has_seed_profile(bundle):
         return bundle
-    problem = code_problem(binary, bundle, exec_config)
-    if problem is None:
-        return bundle
+    problem = code_problem(binary, run_binary(binary, exec_config), bundle,
+                           exec_config)
     result = search_order(problem)
     profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
                                signatures=list(result.order))
@@ -435,6 +446,7 @@ def optimize_workload(pipeline, seed: int = 0,
     and ``seed`` these are the sweep's own cells.
     """
     from ..eval.pipeline import STRATEGY_CU, STRATEGY_CU_OPT
+    from ..runtime.executor import run_binary
     from ..validation.differential import run_differential
     from ..validation.invariants import verify_layout
 
@@ -444,11 +456,13 @@ def optimize_workload(pipeline, seed: int = 0,
                                 sections=[entry])
     reference = pipeline.build_optimized(bundle, None, seed=seed)
     baseline = pipeline.build_baseline(seed=seed)
-    problem = code_problem(reference, bundle, pipeline.exec_config)
-    if problem is None:
+    if not has_seed_profile(bundle):
         entry.skipped = True
         entry.reason = "no usable seed profile for code"
         return report
+    problem = code_problem(reference,
+                           run_binary(reference, pipeline.exec_config),
+                           bundle, pipeline.exec_config)
     result = search_order(problem)
     entry.units = result.units
     entry.hot_units = result.hot_units

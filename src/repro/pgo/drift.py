@@ -30,7 +30,7 @@ from ..eval.pipeline import StrategySpec, relevant_faults
 from ..image.binary import NativeImageBinary
 from ..image.sections import HEAP_SECTION, TEXT_SECTION
 from ..ordering.profiles import ProfileBundle
-from ..runtime.executor import ExecutionConfig, touch_native_startup
+from ..runtime.executor import ExecutionConfig, replay_touches
 from ..runtime.paging import PageCache
 
 
@@ -55,11 +55,8 @@ def replay_faults(
     works against any binary).  Returns per-section fault counts.  Pure:
     no interpreter run, same inputs → same counts.
     """
-    config = config or ExecutionConfig()
-    cache = PageCache()
-    cache.set_limit(TEXT_SECTION, binary.text.size)
-    cache.set_limit(HEAP_SECTION, binary.heap.size)
-    touch_native_startup(cache, binary, config)
+    cache = replay_touches(binary, config or ExecutionConfig(),
+                           fault_around=0)
     code_kind = spec.code_ordering
     if code_kind is not None:
         profile = bundle.code_profile(code_kind)

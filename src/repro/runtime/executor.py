@@ -16,6 +16,12 @@ The time model is ``base + ops * t_op + faults * device_latency (+ probe
 costs for instrumented runs)``: startup of short-running workloads is
 I/O-dominated, so layout quality shows up in time the way it does in the
 paper.
+
+Every run records its distinct touches in first-touch order
+(:attr:`RunMetrics.touches`).  Pages are never evicted, so replaying that
+record through a fresh page cache (:func:`replay_touches`) reproduces the
+run's faults exactly; page maps, attribution and the ``cu-opt`` cost model
+(:func:`text_touches`) are views of that replay, not runs of their own.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..image.binary import NativeImageBinary, RuntimeImage
 from ..image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
@@ -50,9 +56,6 @@ class ExecutionConfig:
     #: relative measurement noise (std-dev); 0 = deterministic
     time_jitter: float = 0.0
     jitter_seed: int = 0
-    #: record the first-touch fault stream for attribution (off by default;
-    #: when off, the page cache carries no observer and pays no overhead)
-    fault_observer: bool = False
     # probe costs (instrumented runs; Sec. 7.4 overhead model).  Calibrated
     # so the per-flavour overhead factors land in the paper's regime
     # (~1.2x-3.7x, method > cu, mmap write-through > buffered dumps).
@@ -81,30 +84,47 @@ def native_startup_pages(binary: NativeImageBinary,
                    binary.text.native_blob_size // PAGE_SIZE), 0)
 
 
-def touch_native_startup(cache: PageCache, binary: NativeImageBinary,
-                         config: ExecutionConfig) -> None:
-    """Fault those pages in, as process startup does before ``main``."""
+def replay_touches(binary: NativeImageBinary, config: ExecutionConfig,
+                   touches: Iterable[Tuple[str, int, int]] = (),
+                   fault_around: Optional[int] = None) -> PageCache:
+    """A cold page cache after process startup, then ``touches`` in order.
+
+    Sets each section's page limit, faults in the native-blob pages
+    process startup touches before ``main`` (see
+    :func:`native_startup_pages`), then makes each ``(section, offset,
+    size)`` touch.  With no touches this is the cache a run starts from;
+    with a run's :attr:`RunMetrics.touches` it reproduces that run's
+    faults exactly, and at any ``fault_around`` window (``None`` =
+    ``config.fault_around_pages``) the pages that window maps.
+    """
+    if fault_around is None:
+        fault_around = config.fault_around_pages
+    cache = PageCache(fault_around=fault_around)
+    # Fault-around must never map pages past a section's end.
+    cache.set_limit(TEXT_SECTION, binary.text.size)
+    cache.set_limit(HEAP_SECTION, binary.heap.size)
     pages = native_startup_pages(binary, config)
     if pages:
         cache.touch(TEXT_SECTION, binary.text.native_blob_offset,
                     pages * PAGE_SIZE)
+    for section, offset, size in touches:
+        cache.touch(section, offset, size)
+    return cache
 
 
-def record_text_touches(binary: NativeImageBinary,
-                        config: ExecutionConfig) -> List[Tuple[str, int, int]]:
-    """The distinct ``.text`` touches of one run, in first-touch order.
+def text_touches(binary: NativeImageBinary,
+                 metrics: "RunMetrics") -> List[Tuple[str, int, int]]:
+    """The distinct ``.text`` touches of one run of ``binary``.
 
-    Runs ``binary`` once through :class:`ExecHooks` and returns each
-    range it touched as (CU name, CU-relative start, end), up to the
-    first response when ``config.stop_on_first_response`` is set — the
-    point a microservice's startup is measured at.  The native-blob
-    startup pages are not included (see :func:`native_startup_pages`).
+    Each range the run touched, in first-touch order, as (CU name,
+    CU-relative start, end), up to the first response when the run
+    responded — the point a microservice's startup is measured at.  The
+    native-blob startup pages are not included (see
+    :func:`native_startup_pages`).
     """
-    hooks = ExecHooks(binary, PageCache(), config)
-    _execute(binary, config, hooks)
-    touched = list(hooks._touched)
-    if hooks.response_touches is not None:
-        touched = touched[:hooks.response_touches]
+    touched = metrics.touches
+    if metrics.response_touches is not None:
+        touched = touched[:metrics.response_touches]
     placed = binary.text.placed
     starts = [cu.offset for cu in placed]
     touches = []
@@ -130,12 +150,12 @@ class RunMetrics:
     first_response_faults: Optional[Dict[str, int]] = None
     first_response_time_s: Optional[float] = None
     trace_event_counts: Dict[str, int] = field(default_factory=dict)
-    #: per-section page-level detail (for the Fig. 6 visualization)
-    faulted_pages: Dict[str, frozenset] = field(default_factory=dict)
-    resident_pages: Dict[str, frozenset] = field(default_factory=dict)
-    #: first-touch fault stream, in charge order; only populated when the
-    #: run executed with ``fault_observer=True`` (see repro.obs.attrib)
-    fault_events: Optional[List[Any]] = None
+    #: distinct (section, offset, size) touches in first-touch order, the
+    #: native-blob startup pages excluded; :func:`replay_touches` turns
+    #: them back into every page-level view of the run
+    touches: List[Tuple[str, int, int]] = field(default_factory=list)
+    #: how many of ``touches`` the run had made at its first response
+    response_touches: Optional[int] = None
 
     @property
     def text_faults(self) -> int:
@@ -286,23 +306,20 @@ class BinaryExecutor:
         """One cold execution (caches dropped beforehand, as in Sec. 7.1)."""
         config = self._config
         binary = self._binary
-        observer = None
-        if config.fault_observer:
-            # Imported lazily: the runtime layer only depends on the
-            # observability layer when a run asks for attribution.
-            from ..obs.attrib import FaultObserver
-            observer = FaultObserver(config.device)
-        cache = PageCache(fault_around=config.fault_around_pages,
-                          observer=observer)
-        # Fault-around must never map pages past a section's end.
-        cache.set_limit(TEXT_SECTION, binary.text.size)
-        cache.set_limit(HEAP_SECTION, binary.heap.size)
-        hooks = ExecHooks(binary, cache, config, tracer=self._tracer)
-
         # Process startup: native-library pages (unmovable code) fault first.
-        touch_native_startup(cache, binary, config)
-
-        interp, thread = _execute(binary, config, hooks)
+        cache = replay_touches(binary, config)
+        hooks = ExecHooks(binary, cache, config, tracer=self._tracer)
+        image: RuntimeImage = binary.instantiate()
+        interp = Interpreter(
+            binary.program,
+            statics=image.statics,
+            hooks=hooks,
+            max_ops=config.max_ops,
+            quantum=config.quantum,
+        )
+        hooks.interpreter = interp
+        thread = interp.spawn_main()
+        interp.run()
         if self._tracer is not None:
             if config.stop_on_first_response and hooks.responded:
                 self._tracer.kill(interp)  # SIGKILL after first response
@@ -314,14 +331,9 @@ class BinaryExecutor:
             faults=cache.snapshot_counts(),
             output=list(interp.output),
             result=thread.result,
+            touches=list(hooks._touched),
+            response_touches=hooks.response_touches,
         )
-        for section in (TEXT_SECTION, HEAP_SECTION):
-            metrics.faulted_pages[section] = frozenset(
-                cache.faulted_pages.get(section, set())
-            )
-            metrics.resident_pages[section] = frozenset(cache.resident_pages(section))
-        if observer is not None:
-            metrics.fault_events = observer.events
         if self._tracer is not None:
             metrics.trace_event_counts = self._tracer.event_counts()
         metrics.time_s = self._time_of(metrics.ops, metrics.faults,
@@ -361,23 +373,6 @@ class BinaryExecutor:
             rng = random.Random((config.jitter_seed << 16) ^ run_index)
             time_s *= max(0.5, 1.0 + rng.gauss(0.0, config.time_jitter))
         return time_s
-
-
-def _execute(binary: NativeImageBinary, config: ExecutionConfig,
-             hooks: ExecHooks) -> Tuple[Interpreter, ThreadState]:
-    """Run ``binary``'s main on a fresh image heap under ``hooks``."""
-    image: RuntimeImage = binary.instantiate()
-    interp = Interpreter(
-        binary.program,
-        statics=image.statics,
-        hooks=hooks,
-        max_ops=config.max_ops,
-        quantum=config.quantum,
-    )
-    hooks.interpreter = interp
-    thread = interp.spawn_main()
-    interp.run()
-    return interp, thread
 
 
 def run_binary(binary: NativeImageBinary,

@@ -14,7 +14,7 @@ between iterations, and so do we, trivially, by instantiating a fresh
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..util.pagemath import PAGE_SIZE, page_count, pages_spanned
 
@@ -65,20 +65,6 @@ NFS = IoDevice(name="nfs", fault_latency_s=450e-6)
 DEVICES = {d.name: d for d in (SSD, NFS)}
 
 
-class FaultObserverHook(Protocol):
-    """What :class:`PageCache` calls on every first-touch fault.
-
-    ``on_fault(section, page, offset)`` fires once per major fault, in
-    fault order, with the byte ``offset`` of the access that pulled the
-    page in (clamped to the page's start for multi-page touches).  The hook
-    must not touch the cache re-entrantly.  Implementations live in
-    :mod:`repro.obs.attrib`; the cache only knows the protocol so the
-    runtime layer never imports the observability layer.
-    """
-
-    def on_fault(self, section: str, page: int, offset: int) -> None: ...
-
-
 @dataclass
 class PageCache:
     """Tracks resident pages and counts major faults per section.
@@ -89,21 +75,20 @@ class PageCache:
     per-page accounting); the Fig. 6 visualization enables it to show the
     "mapped but not faulted" (red) pages.
 
-    ``observer`` (off by default) is the attribution hook: when set, every
-    first-touch fault is reported via :class:`FaultObserverHook` in the
-    exact order it was charged.  Fault-around neighbour pages are mapped
-    but never reported — they are not faults.
+    ``fault_log`` lists every major fault in the order it was charged, as
+    ``(section, page, offset)``: ``offset`` is the byte offset of the access
+    that pulled the page in, clamped to the page start for multi-page
+    touches.  Fault-around neighbour pages are mapped but never logged —
+    they are not faults.
     """
 
     page_size: int = PAGE_SIZE
     fault_around: int = 0
     resident: Set[Tuple[str, int]] = field(default_factory=set)
     faults: Dict[str, int] = field(default_factory=dict)
-    faulted_pages: Dict[str, Set[int]] = field(default_factory=dict)
+    fault_log: List[Tuple[str, int, int]] = field(default_factory=list)
     #: section -> page count; fault-around never maps past the last page
     page_limits: Dict[str, int] = field(default_factory=dict)
-    #: attribution hook (None = zero-overhead accounting, the default)
-    observer: Optional[FaultObserverHook] = None
 
     def set_limit(self, section: str, size_bytes: int) -> None:
         """Register a section's byte size so fault-around stays in bounds.
@@ -133,10 +118,8 @@ class PageCache:
             if key not in resident:
                 resident.add(key)
                 new_faults += 1
-                self.faulted_pages.setdefault(section, set()).add(page)
-                if self.observer is not None:
-                    self.observer.on_fault(section, page,
-                                           max(offset, page * self.page_size))
+                self.fault_log.append(
+                    (section, page, max(offset, page * self.page_size)))
                 if self.fault_around:
                     limit = self.page_limits.get(section)
                     lo = max(page - self.fault_around, 0)
@@ -157,6 +140,11 @@ class PageCache:
 
     def resident_pages(self, section: str) -> Set[int]:
         return {page for (name, page) in self.resident if name == section}
+
+    def faulted(self, section: str) -> Set[int]:
+        """The pages of ``section`` that took a major fault."""
+        return {page for (name, page, _offset) in self.fault_log
+                if name == section}
 
     def snapshot_counts(self) -> Dict[str, int]:
         return dict(self.faults)

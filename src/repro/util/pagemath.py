@@ -2,8 +2,8 @@
 
 Every layer that reasons about 4 KiB pages — section layout
 (:mod:`repro.image.sections`), the demand-paging simulator
-(:mod:`repro.runtime.paging`), the Fig. 6 visualizations
-(:mod:`repro.eval.textmap` / :mod:`repro.eval.heapmap`), and the startup
+(:mod:`repro.runtime.paging`), the Fig. 6 page maps
+(:mod:`repro.eval.pagemap`), and the startup
 attribution layer (:mod:`repro.obs.attrib`) — must agree byte-for-byte on
 which pages a byte range touches.  This module is the single source of that
 arithmetic; duplicating the first/last-page computation is how off-by-one

@@ -1,8 +1,9 @@
 """Tests for startup attribution (repro.obs.attrib) and `repro why`.
 
-Covers the fault-observer hook contract, per-event device costs, the
-exact-share accounting of `attribute`, the differential explainer, its
-CLI/bench surfaces, and the serial-vs-parallel determinism of reports.
+Covers the page cache's fault log and the touch record every run keeps,
+per-event device costs, the exact-share accounting of `attribute`, the
+one front-density definition, the differential explainer, its CLI/bench
+surfaces, and the serial-vs-parallel determinism of reports.
 """
 
 import json
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from repro.eval.bench import (
     ATTRIBUTION_TOP,
     BenchConfig,
-    MAX_ATTRIBUTION_OVERHEAD,
     attribution_diagnosis,
     check_payload,
     check_regression,
@@ -30,17 +30,22 @@ from repro.eval.explain import (
     explain_reports,
     explain_strategy,
 )
+from repro.eval.pagemap import page_map
 from repro.eval.pipeline import STRATEGY_CU, WorkloadPipeline
+from repro.eval.scheduler import task_seed
 from repro.image.sections import HEAP_SECTION, TEXT_SECTION
 from repro.obs.attrib import (
     NATIVE_BLOB_UNIT,
     PADDING_UNIT,
-    FaultEvent,
-    FaultObserver,
     attribute,
     binary_tenancies,
 )
-from repro.runtime.executor import ExecutionConfig, run_binary
+from repro.runtime.executor import (
+    ExecutionConfig,
+    RunMetrics,
+    replay_touches,
+    run_binary,
+)
 from repro.runtime.paging import SSD, IoDevice, PageCache
 from repro.util.pagemath import PAGE_SIZE, page_count, page_of, pages_spanned
 from repro.workloads.awfy.suite import awfy_workload
@@ -119,54 +124,51 @@ class TestIoDeviceEventCosts:
         assert timeline == pytest.approx(device.fault_cost(faults))
 
 
-# -- observer hook ------------------------------------------------------------
+# -- the fault log and the touch record --------------------------------------
 
 
 class TestFaultObserverHook:
-    def test_cache_carries_no_observer_by_default(self):
-        assert PageCache().observer is None
-        config = ExecutionConfig()
-        assert config.fault_observer is False
+    """The fault stream, as the page cache's fault log reports it, and the
+    touch record every run keeps."""
 
     def test_events_in_fault_order_with_costs(self):
-        observer = FaultObserver(SSD)
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         cache.touch(TEXT_SECTION, 0, 2 * PAGE_SIZE)  # pages 0, 1
         cache.touch(HEAP_SECTION, 100, 1)            # page 0
         cache.touch(TEXT_SECTION, 10, 1)             # already resident
-        assert [(e.section, e.page) for e in observer.events] == [
+        assert [(section, page) for section, page, _ in cache.fault_log] == [
             (TEXT_SECTION, 0), (TEXT_SECTION, 1), (HEAP_SECTION, 0),
         ]
-        assert [e.logical_time for e in observer.events] == [0, 1, 2]
-        assert observer.total_cost == pytest.approx(SSD.fault_cost(3))
+        report = attribute(_stub_binary([2 * PAGE_SIZE], [64]),
+                           cache.fault_log, SSD)
+        assert [entry.event.logical_time
+                for entry in report.timeline] == [0, 1, 2]
+        assert report.total_cost == pytest.approx(SSD.fault_cost(3))
 
     def test_offset_clamped_to_page_start_for_spanning_touches(self):
-        observer = FaultObserver()
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         cache.touch(TEXT_SECTION, PAGE_SIZE - 1, 2)
-        assert [e.offset for e in observer.events] == [PAGE_SIZE - 1, PAGE_SIZE]
+        assert [offset for _, _, offset in cache.fault_log] == [
+            PAGE_SIZE - 1, PAGE_SIZE]
 
     def test_fault_around_neighbours_not_reported(self):
-        observer = FaultObserver()
-        cache = PageCache(fault_around=2, observer=observer)
+        cache = PageCache(fault_around=2)
         cache.set_limit(TEXT_SECTION, 10 * PAGE_SIZE)
         cache.touch(TEXT_SECTION, 5 * PAGE_SIZE, 1)
-        assert len(observer.events) == 1          # one fault reported ...
+        assert len(cache.fault_log) == 1          # one fault logged ...
         assert len(cache.resident_pages(TEXT_SECTION)) == 5  # ... 5 mapped
 
-    def test_executor_records_events_only_when_asked(self):
+    def test_executor_records_touches_on_every_run(self):
         pipeline = WorkloadPipeline(awfy_workload("Queens"))
         binary = pipeline.build_baseline(seed=1)
-        plain = run_binary(binary, pipeline.exec_config)
-        assert plain.fault_events is None
-        observed = run_binary(
-            binary, ExecutionConfig(fault_observer=True)
-        )
-        assert observed.fault_events
-        assert len(observed.fault_events) == observed.total_faults
-        # Observation never perturbs the measurement itself.
-        assert observed.faults == plain.faults
-        assert observed.time_s == plain.time_s
+        run = run_binary(binary, pipeline.exec_config)
+        assert run.touches
+        assert len(set(run.touches)) == len(run.touches)  # distinct
+        cache = replay_touches(binary, pipeline.exec_config, run.touches)
+        assert cache.snapshot_counts() == run.faults
+        assert len(cache.fault_log) == run.total_faults
+        # the record is part of the run, identical on every run
+        assert run_binary(binary, pipeline.exec_config) == run
 
 
 # -- attribution over synthetic layouts ---------------------------------------
@@ -221,12 +223,11 @@ class TestAttributeProperties:
     def test_shares_sum_exactly_to_fault_count(self, layout_and_touches):
         """The tentpole invariant: no fault is ever over- or under-blamed."""
         binary, touches = layout_and_touches
-        observer = FaultObserver(SSD)
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         for section, offset, size in touches:
             cache.touch(section, offset, size)
-        report = attribute(binary, observer.events)
-        assert report.total_faults == len(observer.events)
+        report = attribute(binary, cache.fault_log, SSD)
+        assert report.total_faults == len(cache.fault_log)
         for name, section in report.sections.items():
             assert section.fault_count == cache.fault_count(name)
             assert sum((blame.share for blame in section.units),
@@ -234,20 +235,18 @@ class TestAttributeProperties:
             assert sum(blame.cost for blame in section.units) == pytest.approx(
                 section.total_cost
             )
-        assert report.total_cost == pytest.approx(observer.total_cost)
         assert report.total_cost == pytest.approx(
-            SSD.fault_cost(len(observer.events))
+            SSD.fault_cost(len(cache.fault_log))
         )
 
     @given(_layout_and_touches())
     @settings(max_examples=40, deadline=None)
     def test_cotenancy_is_symmetric(self, layout_and_touches):
         binary, touches = layout_and_touches
-        observer = FaultObserver()
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         for section, offset, size in touches:
             cache.touch(section, offset, size)
-        report = attribute(binary, observer.events)
+        report = attribute(binary, cache.fault_log)
         for section in report.sections.values():
             cotenancy = section.cotenancy()
             for unit, others in cotenancy.items():
@@ -256,28 +255,33 @@ class TestAttributeProperties:
 
     def test_native_blob_and_padding_units(self):
         binary = _stub_binary([100], [64], blob_size=2 * PAGE_SIZE)
-        observer = FaultObserver()
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         cache.touch(TEXT_SECTION, binary.text.native_blob_offset, PAGE_SIZE)
         # a page between the packed CUs and the blob belongs to nobody
         tenancy = binary_tenancies(binary)[TEXT_SECTION]
         assert tenancy.tenants_of(9999999) == (PADDING_UNIT,)
-        report = attribute(binary, observer.events)
+        report = attribute(binary, cache.fault_log)
         units = {blame.unit for blame in report.sections[TEXT_SECTION].units}
         assert units == {NATIVE_BLOB_UNIT}
 
     def test_rejects_observerless_run(self):
+        """A run record whose touches do not reproduce its fault counts
+        (one recorded without its touch stream) is not attributed."""
         binary = _stub_binary([100], [64])
-        with pytest.raises(ValueError, match="fault_observer"):
-            attribute(binary, None)
+        pipeline = SimpleNamespace(
+            exec_config=ExecutionConfig(),
+            measure=lambda binary, iterations, seed: [
+                RunMetrics(faults={TEXT_SECTION: 1})],
+        )
+        with pytest.raises(ValueError, match="0 touches"):
+            attributed_run(pipeline, binary, "stub")
 
     def test_first_touch_and_timeline_order(self):
         binary = _stub_binary([PAGE_SIZE, PAGE_SIZE], [64])
-        observer = FaultObserver(SSD)
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         cache.touch(TEXT_SECTION, PAGE_SIZE, 1)   # cu1's page first
         cache.touch(TEXT_SECTION, 0, 1)           # then cu0's
-        report = attribute(binary, observer.events)
+        report = attribute(binary, cache.fault_log, SSD)
         section = report.sections[TEXT_SECTION]
         assert section.blame_of("cu1").first_touch == 0
         assert section.blame_of("cu0").first_touch == 1
@@ -285,12 +289,42 @@ class TestAttributeProperties:
 
     def test_front_density_curve_tracks_faults(self):
         binary = _stub_binary([PAGE_SIZE] * 8, [64])
-        observer = FaultObserver()
-        cache = PageCache(observer=observer)
+        cache = PageCache()
         cache.touch(TEXT_SECTION, 0, 1)                  # front page
         cache.touch(TEXT_SECTION, 7 * PAGE_SIZE, 1)      # back page
-        report = attribute(binary, observer.events)
+        report = attribute(binary, cache.fault_log)
         assert report.front_density[TEXT_SECTION] == [1.0, 0.5]
+
+    def test_front_density_curve_skips_native_blob_faults(self):
+        binary = _stub_binary([PAGE_SIZE] * 8, [64], blob_size=PAGE_SIZE)
+        cache = PageCache()
+        cache.touch(TEXT_SECTION, binary.text.native_blob_offset, 1)
+        cache.touch(TEXT_SECTION, 0, 1)                  # front page
+        cache.touch(TEXT_SECTION, 7 * PAGE_SIZE, 1)      # back page
+        report = attribute(binary, cache.fault_log)
+        assert report.front_density[TEXT_SECTION] == [0.0, 1.0, 0.5]
+
+
+class TestOneFrontDensity:
+    """The attribution curve and the page map read one definition."""
+
+    @pytest.mark.parametrize("strategy", [None, STRATEGY_CU],
+                             ids=["regular", "cu"])
+    @pytest.mark.parametrize("name", ["Bounce", "Queens"])
+    def test_curve_ends_at_the_page_map_density(self, name, strategy):
+        pipeline = WorkloadPipeline(awfy_workload(name))
+        seed = task_seed(1, name)
+        if strategy is None:
+            binary = pipeline.build_baseline(seed=seed)
+        else:
+            binary = pipeline.build_optimized(
+                pipeline.profile(seed=seed).profiles, strategy, seed=seed)
+        run = pipeline.measure(binary, 1, seed)[0]
+        report = attributed_run(pipeline, binary, name, seed=seed)
+        for section in (TEXT_SECTION, HEAP_SECTION):
+            mapped = page_map(binary, run, section, pipeline.exec_config)
+            assert report.front_density[section][-1] == \
+                mapped.front_density, section
 
 
 # -- the explainer end-to-end -------------------------------------------------
@@ -391,10 +425,31 @@ class TestDeterminism:
 # -- bench integration --------------------------------------------------------
 
 
+def _attribution_payload(phases_run=None, events=12, baseline_events=20):
+    """A passing bench payload around one attributed cell (Bounce/cu)."""
+    cell = {"workload": "Bounce", "strategy": "cu",
+            "baseline": [{"total_faults": 20.0}],
+            "optimized": [{"total_faults": 12.0}]}
+    return {
+        "ok": True,
+        "deterministic": True,
+        "phases": {"warm": {"cache_misses": 0, "cache_hit_rate": 1.0}},
+        "results": [cell],
+        "attribution": {
+            "strategy": "cu",
+            "phases_run": phases_run or {},
+            "workloads": {"Bounce": {"top_blamed": ["Main.run()"],
+                                     "baseline_events": baseline_events,
+                                     "events": events}},
+        },
+    }
+
+
 class TestBenchAttribution:
     def test_payload_records_attribution_under_budget(self, tmp_path):
-        # the CI smoke matrix: the overhead budget is calibrated against a
-        # real sweep, not a single-cell toy matrix
+        """The attribution phase's budget is zero pipeline phases: it
+        explains the warm sweep's cached cells without running anything,
+        and blames exactly the faults each cell counted."""
         config = BenchConfig.quick(
             max_workers=1,
             skip_serial=True,
@@ -403,11 +458,17 @@ class TestBenchAttribution:
         payload = run_bench(config)
         attribution = payload["attribution"]
         assert attribution["strategy"] == "cu"
+        assert attribution["phases_run"] == {}
         assert set(attribution["workloads"]) == {"Bounce", "quarkus"}
-        for entry in attribution["workloads"].values():
+        cells = {(cell["workload"], cell["strategy"]): cell
+                 for cell in payload["results"]}
+        for name, entry in attribution["workloads"].items():
             assert len(entry["top_blamed"]) == ATTRIBUTION_TOP
+            cell = cells[(name, "cu")]
+            assert entry["baseline_events"] == \
+                cell["baseline"][0]["total_faults"]
+            assert entry["events"] == cell["optimized"][0]["total_faults"]
             assert entry["events"] > 0
-        assert attribution["overhead_vs_cold"] <= MAX_ATTRIBUTION_OVERHEAD
         assert check_payload(payload) == []
 
     def test_no_attribution_flag_omits_phase(self, tmp_path):
@@ -422,16 +483,24 @@ class TestBenchAttribution:
         payload = run_bench(config)
         assert "attribution" not in payload
 
-    def test_check_payload_flags_overhead_bust(self):
-        payload = {
-            "ok": True,
-            "deterministic": True,
-            "phases": {"warm": {"cache_misses": 0, "cache_hit_rate": 1.0}},
-            "attribution": {"overhead_vs_cold": 0.5},
-        }
-        failures = check_payload(payload)
+    def test_check_payload_passes_agreeing_attribution(self):
+        assert check_payload(_attribution_payload()) == []
+
+    def test_check_payload_flags_phase_run(self):
+        failures = check_payload(_attribution_payload(
+            phases_run={"measure": 2}))
         assert len(failures) == 1
-        assert "attribution overhead" in failures[0]
+        assert "attribution phase recomputed work: measure x2" in failures[0]
+
+    @pytest.mark.parametrize("totals", [(11, 20), (12, 21)],
+                             ids=["optimized", "baseline"])
+    def test_check_payload_flags_attributed_total_off_its_cell(self, totals):
+        events, baseline_events = totals
+        failures = check_payload(_attribution_payload(
+            events=events, baseline_events=baseline_events))
+        assert len(failures) == 1
+        assert "attribution of Bounce/cu" in failures[0]
+        assert "the sweep cell counted" in failures[0]
 
     def test_failing_gate_names_blamed_symbols(self):
         payload = {

@@ -17,13 +17,13 @@ from repro.eval.figures import (
     run_fig6,
     sweep_figure_cells,
 )
+from repro.eval.pagemap import page_map
 from repro.eval.pipeline import (
     PAPER_STRATEGY_SPECS,
     STRATEGY_CU,
     WorkloadPipeline,
 )
 from repro.eval.plotting import render_factor_chart, render_table
-from repro.eval.textmap import front_density, text_page_map
 from repro.util.stats import ConfidenceInterval
 from repro.workloads.awfy.suite import awfy_workload
 from repro.workloads.microservices.suite import microservice_workload
@@ -217,25 +217,31 @@ class TestRendering:
         assert "Sieve" in text and "dump-on-full" in text
 
 
+def _text_map(pipeline, binary):
+    """Fig. 6's ``.text`` map of one measured run, at fault-around 2."""
+    return page_map(binary, pipeline.measure(binary)[0],
+                    exec_config=pipeline.exec_config, fault_around_pages=2)
+
+
 class TestFig6PageMap:
     def test_page_map_cells_cover_text_section(self):
         pipeline = WorkloadPipeline(awfy_workload("Bounce"))
         binary = pipeline.build_baseline()
-        page_map = text_page_map(binary, pipeline.exec_config)
+        text_map = _text_map(pipeline, binary)
         from repro.image.sections import PAGE_SIZE
 
-        assert len(page_map.cells) == (binary.text.size + PAGE_SIZE - 1) // PAGE_SIZE
-        assert page_map.faulted > 0
+        assert len(text_map.cells) == (binary.text.size + PAGE_SIZE - 1) // PAGE_SIZE
+        assert text_map.faulted > 0
 
     def test_optimized_map_is_front_compacted(self):
         pipeline = WorkloadPipeline(awfy_workload("Bounce"))
         regular = pipeline.build_baseline(seed=1)
         outcome = pipeline.profile(seed=1)
         optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_CU, seed=2)
-        regular_map = text_page_map(regular, pipeline.exec_config)
-        optimized_map = text_page_map(optimized, pipeline.exec_config)
+        regular_map = _text_map(pipeline, regular)
+        optimized_map = _text_map(pipeline, optimized)
         # Fig. 6's claim: the cu layout compacts executed code to the front.
-        assert front_density(optimized_map) > front_density(regular_map)
+        assert optimized_map.front_density > regular_map.front_density
 
     def test_run_fig6_renders(self):
         text = run_fig6()
@@ -245,5 +251,4 @@ class TestFig6PageMap:
     def test_native_blob_marked(self):
         pipeline = WorkloadPipeline(awfy_workload("Bounce"))
         binary = pipeline.build_baseline()
-        page_map = text_page_map(binary, pipeline.exec_config)
-        assert "N" in page_map.cells
+        assert "N" in _text_map(pipeline, binary).cells

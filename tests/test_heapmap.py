@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.eval.heapmap import (
-    compare_heap_maps,
-    heap_front_density,
-    heap_page_map,
-)
+from repro.eval.pagemap import compare_page_maps, page_map
 from repro.eval.pipeline import STRATEGY_HEAP_PATH, WorkloadPipeline
-from repro.image.sections import PAGE_SIZE
+from repro.image.sections import HEAP_SECTION, PAGE_SIZE
 from repro.workloads.awfy.suite import awfy_workload
 from repro.workloads.microservices.suite import microservice_workload
 
@@ -20,8 +16,12 @@ def bounce_pipeline():
 
 @pytest.fixture(scope="module")
 def bounce_map(bounce_pipeline):
-    binary = bounce_pipeline.build_baseline(seed=1)
-    return heap_page_map(binary, bounce_pipeline.exec_config)
+    return _heap_map(bounce_pipeline, bounce_pipeline.build_baseline(seed=1))
+
+
+def _heap_map(pipeline, binary):
+    return page_map(binary, pipeline.measure(binary)[0], HEAP_SECTION,
+                    pipeline.exec_config)
 
 
 class TestHeapPageMap:
@@ -61,18 +61,19 @@ class TestHeapPageMap:
         optimized = bounce_pipeline.build_optimized(
             outcome.profiles, STRATEGY_HEAP_PATH, seed=2
         )
-        regular_map = heap_page_map(regular, bounce_pipeline.exec_config)
-        optimized_map = heap_page_map(optimized, bounce_pipeline.exec_config)
-        assert heap_front_density(optimized_map) >= heap_front_density(regular_map)
-        text = compare_heap_maps(regular_map, optimized_map)
+        regular_map = _heap_map(bounce_pipeline, regular)
+        optimized_map = _heap_map(bounce_pipeline, optimized)
+        assert optimized_map.front_density >= regular_map.front_density
+        text = compare_page_maps(regular_map, optimized_map)
         assert "(a) regular binary" in text
+        assert "with the heap path strategy" in text
 
     def test_microservice_heap_dominated_by_framework_types(self):
         pipeline = WorkloadPipeline(microservice_workload("micronaut"))
         binary = pipeline.build_baseline(seed=1)
-        page_map = heap_page_map(binary, pipeline.exec_config)
+        heap_map = _heap_map(pipeline, binary)
         all_types = set()
-        for types in page_map.page_types.values():
+        for types in heap_map.page_types.values():
             all_types.update(name for name, _ in types)
         assert "String" in all_types
         assert any(name.endswith("$Statics") for name in all_types)

@@ -146,6 +146,14 @@ class TestMalformedInput:
             tokenize("a\n  b # c")
         assert (info.value.line, info.value.col) == (2, 5)
 
+    @pytest.mark.parametrize("source", ["'\n' x", "'\\\n' x"],
+                             ids=["raw", "escaped"])
+    def test_line_break_in_char_literal_is_rejected(self, source):
+        with pytest.raises(LexError, match="unterminated char literal") as info:
+            tokenize(source)
+        assert (info.value.line, info.value.col) == (1, 1)
+        assert "\n" not in str(info.value)
+
 
 def workload_source(name):
     if name in MICROSERVICE_NAMES:

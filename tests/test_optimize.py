@@ -43,7 +43,7 @@ from repro.ordering.optimize import (
     search_order,
     synthesize_optimizer_profiles,
 )
-from repro.runtime.executor import ExecutionConfig, record_text_touches
+from repro.runtime.executor import ExecutionConfig, run_binary, text_touches
 from repro.workloads import awfy_workload, microservice_workload
 
 import pytest
@@ -144,9 +144,12 @@ def test_search_is_seed_deterministic(queens_reference):
     """Same reference build and profiles => identical order and costs,
     call after call."""
     pipeline, reference, bundle = queens_reference
-    first = search_order(code_problem(reference, bundle, pipeline.exec_config))
-    second = search_order(code_problem(reference, bundle,
-                                       pipeline.exec_config))
+    first = search_order(code_problem(
+        reference, run_binary(reference, pipeline.exec_config), bundle,
+        pipeline.exec_config))
+    second = search_order(code_problem(
+        reference, run_binary(reference, pipeline.exec_config), bundle,
+        pipeline.exec_config))
     assert first.order == second.order
     assert first.costs == second.costs
     assert first.best_name == second.best_name
@@ -173,15 +176,16 @@ def test_problem_costs_match_built_binaries():
         pipeline = WorkloadPipeline(workload)
         bundle = pipeline.profile(seed=seed).profiles
         reference = pipeline.build_optimized(bundle, None, seed=seed)
-        problem = code_problem(reference, bundle, pipeline.exec_config)
+        run = run_binary(reference, pipeline.exec_config)
+        problem = code_problem(reference, run, bundle, pipeline.exec_config)
         result = search_order(problem)
-        stream = record_text_touches(reference, pipeline.exec_config)
+        stream = text_touches(reference, run)
         assert list(problem.model.touches) == stream
         built = {spec.name: pipeline.build_optimized(bundle, spec, seed=seed)
                  for spec in (STRATEGY_CU, STRATEGY_METHOD, STRATEGY_CU_OPT)}
         for name, binary in built.items():
-            assert record_text_touches(binary, pipeline.exec_config) == \
-                stream, (workload.name, name)
+            run = run_binary(binary, pipeline.exec_config)
+            assert text_touches(binary, run) == stream, (workload.name, name)
         assert [placed.cu.name for placed in built["cu-opt"].text.placed] \
             == result.order
         measured = {

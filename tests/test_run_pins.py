@@ -1,28 +1,34 @@
 """Pinned run behaviour: exact metrics of real programs, op-budget and
-error-location semantics, and binaries left unchanged by a run.
+error-location semantics, binaries left unchanged by a run, and the
+output of the commands that explain runs.
 
 The pinned values are the seed-1 matrix runs of four programs chosen for
 what they exercise: Queens and Json (interpreter-heavy loops and field
 access), Towers (deep recursion) and quarkus (threads, stop at first
 response).  Every :class:`RunMetrics` field of the regular run, the traced
-instrumented run and the ``cu+heap path`` run must match exactly.
+instrumented run and the ``cu+heap path`` run must match exactly: the
+touch stream by its SHA-256, and the faulted and resident pages as
+replayed from it at fault-around 0.
 """
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.eval.pipeline import STRATEGY_COMBINED, WorkloadPipeline
 from repro.eval.scheduler import task_seed
+from repro.image.sections import HEAP_SECTION, TEXT_SECTION
 from repro.minijava import compile_source
-from repro.runtime.executor import RunMetrics, run_binary
+from repro.runtime.executor import RunMetrics, replay_touches, run_binary
 from repro.vm import Interpreter, OpsBudgetError, VMError
 from repro.workloads import awfy_workload, microservice_workload
 
 
-def _run(ops, faults, time_s, output, result, pages, response=None,
-         counts=None):
+def _run(ops, faults, time_s, output, result, pages, touches,
+         response=None, response_touches=None, counts=None):
     """The expected :class:`RunMetrics` fields of one run."""
     first_ops, first_faults, first_time = response or (None, None, None)
     return {
@@ -35,10 +41,11 @@ def _run(ops, faults, time_s, output, result, pages, response=None,
         "first_response_faults": first_faults,
         "first_response_time_s": first_time,
         "trace_event_counts": counts or {},
+        "touches": touches,
+        "response_touches": response_touches,
         "faulted_pages": pages,
         # no fault-around: every resident page was faulted in
         "resident_pages": pages,
-        "fault_events": None,
     }
 
 
@@ -51,6 +58,7 @@ PINS = {
             pages={".svm_heap": [0, 1, 4, 10, 13, 14],
                    ".text": [0, 4, 8, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20,
                              21, 22]},
+            touches="24f514b87a1724f5c5301c4f1e14797ca6ff14bc30dacf38f1f8528b03bb175a",
         ),
         "traced": _run(
             166656, {".svm_heap": 6, ".text": 15}, 0.015150519999999999,
@@ -58,6 +66,7 @@ PINS = {
             pages={".svm_heap": [12, 13, 16, 22, 25, 26],
                    ".text": [0, 1, 6, 11, 15, 19, 20, 21, 22, 23, 24, 25, 26,
                              27, 28]},
+            touches="d3f9e3540c1fdb5d649a45451dda3ae1f3e33408ef90ba31e2a89012857a8580",
             counts={"blocks": 45811, "cu_entries": 5489, "dumps": 3,
                     "heap_ids": 22742, "method_entries": 6051,
                     "mmap_writes": 0, "path_records": 16584},
@@ -67,6 +76,7 @@ PINS = {
             ["Queens: 505"], 505,
             pages={".svm_heap": [0, 2],
                    ".text": [0, 15, 16, 17, 18, 19, 20, 21, 22]},
+            touches="52ab8e00035bf2cafb7b0ddd2b28138d94a46a18a3ba3d30c6040dbe6d45f978",
         ),
     },
     "Towers": {
@@ -77,6 +87,7 @@ PINS = {
             pages={".svm_heap": [6, 7, 8, 10],
                    ".text": [5, 6, 7, 10, 12, 13, 15, 16, 17, 18, 19, 20, 21,
                              22]},
+            touches="2ab1fc58ef04a9371f1f8b557d5bc3260d724e630a68eac970a71fa48f2a2ab1",
         ),
         "traced": _run(
             82777, {".svm_heap": 4, ".text": 15}, 0.008899114,
@@ -84,6 +95,7 @@ PINS = {
             pages={".svm_heap": [18, 19, 20, 23],
                    ".text": [8, 9, 10, 11, 14, 15, 18, 21, 22, 23, 24, 25, 26,
                              27, 28]},
+            touches="15696b9f4acdaa301014666d95bf88861d3bdf8024599a6ae60c63d9a48f94c8",
             counts={"blocks": 13510, "cu_entries": 2067, "dumps": 2,
                     "heap_ids": 15376, "method_entries": 4125,
                     "mmap_writes": 0, "path_records": 8294},
@@ -93,6 +105,7 @@ PINS = {
             ["Towers: 1023"], 1023,
             pages={".svm_heap": [0],
                    ".text": [0, 15, 16, 17, 18, 19, 20, 21, 22]},
+            touches="45d7c379cc5b2ee3c50ea2a26315d69df74256ee081449a5e2eb3cf6eb2955ff",
         ),
     },
     "Json": {
@@ -103,6 +116,7 @@ PINS = {
             pages={".svm_heap": [0, 1, 7, 10, 11, 12],
                    ".text": [0, 6, 7, 8, 11, 12, 14, 16, 17, 18, 19, 20, 21,
                              22, 23]},
+            touches="ed45c221b3806fe24bd28d6dd18b6c2cb6d45f0e9d75b0d5f4dbf933c3a2325c",
         ),
         "traced": _run(
             64348, {".svm_heap": 5, ".text": 16}, 0.0100994,
@@ -110,6 +124,7 @@ PINS = {
             pages={".svm_heap": [12, 13, 19, 23, 24],
                    ".text": [0, 1, 9, 10, 11, 16, 17, 19, 22, 23, 24, 25, 26,
                              27, 28, 29]},
+            touches="5c1e2095789889b43806c099bf8165a025a805b255452d4ed8f0970802923f95",
             counts={"blocks": 19178, "cu_entries": 3174, "dumps": 2,
                     "heap_ids": 13293, "method_entries": 3908,
                     "mmap_writes": 0, "path_records": 13196},
@@ -119,6 +134,7 @@ PINS = {
             ["Json: 621"], 621,
             pages={".svm_heap": [0, 2],
                    ".text": [0, 1, 2, 3, 17, 18, 19, 20, 21, 22, 23, 24]},
+            touches="a13111be8f01c27ffe23cb1d0c3add05d041b1fe1875c35d11e6caa33ea7837c",
         ),
     },
     "quarkus": {
@@ -129,15 +145,19 @@ PINS = {
             pages={".svm_heap": [1, 2, 6, 7, 9, 11, 12, 13],
                    ".text": [0, 1, 2, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 18,
                              19, 20, 21, 22, 23]},
+            touches="332ec61d1a9200a3c3dd87052d7e345ab415769e0a409dfaaaa2418fd0c5a239",
             response=(9997, {".svm_heap": 8, ".text": 19},
                       0.0025999940000000004),
+            response_touches=133,
         ),
         "traced": _run(
             10000, {".svm_heap": 9, ".text": 23}, 0.004155456, [], None,
             pages={".svm_heap": [13, 14, 18, 19, 21, 22, 23, 24, 25],
                    ".text": [0, 1, 2, 3, 8, 9, 11, 12, 14, 15, 16, 17, 18,
                              19, 20, 24, 25, 26, 27, 28, 29, 30, 31]},
+            touches="b79fa1c60eb0a440814b5057f9e702c1703b732b79880205a3c777b7a6d41064",
             response=(9997, {".svm_heap": 9, ".text": 23}, 0.00415545),
+            response_touches=142,
             counts={"blocks": 2412, "cu_entries": 44, "dumps": 0,
                     "heap_ids": 1432, "method_entries": 95,
                     "mmap_writes": 1382, "path_records": 1243},
@@ -146,20 +166,33 @@ PINS = {
             10000, {".svm_heap": 5, ".text": 11}, 0.00161, [], None,
             pages={".svm_heap": [0, 1, 2, 3, 4],
                    ".text": [0, 1, 2, 16, 17, 18, 19, 20, 21, 22, 23]},
+            touches="255e23b218bdd6d4e51ca10a72f31678f0d970efcc879135ed5f4ee1aa03f0ea",
             response=(9997, {".svm_heap": 5, ".text": 11}, 0.001609994),
+            response_touches=133,
         ),
     },
 }
 
 
-def _fields(metrics: RunMetrics):
-    """Every field of ``metrics``, with page sets as sorted lists."""
-    fields = {}
-    for field in dataclasses.fields(metrics):
-        value = getattr(metrics, field.name)
-        if field.name in ("faulted_pages", "resident_pages"):
-            value = {section: sorted(pages) for section, pages in value.items()}
-        fields[field.name] = value
+def _touch_digest(touches):
+    """SHA-256 over one ``section offset size`` line per touch."""
+    lines = "\n".join(f"{section} {offset} {size}"
+                      for section, offset, size in touches)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def _fields(metrics: RunMetrics, binary, config):
+    """Every field of ``metrics``, the touch stream as its digest, plus
+    the page sets its replay faults and maps, as sorted lists."""
+    fields = {field.name: getattr(metrics, field.name)
+              for field in dataclasses.fields(metrics)}
+    fields["touches"] = _touch_digest(metrics.touches)
+    cache = replay_touches(binary, config, metrics.touches)
+    sections = (HEAP_SECTION, TEXT_SECTION)
+    fields["faulted_pages"] = {section: sorted(cache.faulted(section))
+                               for section in sections}
+    fields["resident_pages"] = {section: sorted(cache.resident_pages(section))
+                                for section in sections}
     return fields
 
 
@@ -173,11 +206,38 @@ def test_pinned_runs(name):
     outcome = pipeline.profile(seed=seed)
     optimized = pipeline.build_optimized(outcome.profiles, STRATEGY_COMBINED,
                                          seed=seed)
+    instrumented = pipeline.build_instrumented(seed=seed)
     pins = PINS[name]
-    assert _fields(run_binary(baseline, pipeline.exec_config)) == pins["regular"]
-    assert _fields(outcome.instrumented_metrics) == pins["traced"]
+    config = pipeline.exec_config
+    assert _fields(run_binary(baseline, config), baseline, config) \
+        == pins["regular"]
+    assert _fields(outcome.instrumented_metrics, instrumented, config) \
+        == pins["traced"]
     assert outcome.profiles.digest() == pins["digest"]
-    assert _fields(run_binary(optimized, pipeline.exec_config)) == pins["combined"]
+    assert _fields(run_binary(optimized, config), optimized, config) \
+        == pins["combined"]
+
+
+#: SHA-256 of the stdout of commands that explain runs (``repro why``
+#: attributes one run per side, ``repro pagemap`` draws two page maps)
+CLI_SHA256 = {
+    "why-Queens": ("why --workload Queens --strategy cu --seed 1 --json",
+                   "4d3725f719e294206cd4221d33a1e24b55a22f53ff789a9072bb1620bceaa594"),
+    "why-quarkus": ("why --workload quarkus --strategy cu --seed 1 --json",
+                    "31cdc3919d8be8de1b1b515f1fea389271e2e2255772f26ca35dba9072ca13c2"),
+    "pagemap-Bounce": ("pagemap Bounce",
+                       "a522c7343bfa021f80a9b828c7a3e4f51a25588973358bd45579c03c09234754"),
+    "pagemap-Bounce-heap": ("pagemap Bounce --heap",
+                            "2480866e653b3e07ae7d36714554aeb62461a422552df35f0e3b106935822b8b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_output_is_unchanged(name, capsys):
+    argv, digest = CLI_SHA256[name]
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_running_a_binary_leaves_its_pickle_unchanged():

@@ -1,13 +1,25 @@
 """Tests for the paging simulator and the executor cost model."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.eval.pipeline import Workload, WorkloadPipeline
+from repro.eval.pipeline import ALL_STRATEGY_SPECS, Workload, WorkloadPipeline
+from repro.eval.scheduler import task_seed
 from repro.image.sections import HEAP_SECTION, PAGE_SIZE, TEXT_SECTION
-from repro.runtime.executor import ExecutionConfig
+from repro.ordering.optimize import code_problem
+from repro.runtime import executor
+from repro.runtime.executor import (
+    ExecutionConfig,
+    replay_touches,
+    run_binary,
+    text_touches,
+)
 from repro.runtime.paging import DEVICES, NFS, SSD, PageCache
+from repro.workloads import awfy_workload, microservice_workload
 
 
 class TestPageCache:
@@ -169,7 +181,8 @@ class TestExecutorCostModel:
         binary = pipeline.build_baseline()
         metrics = pipeline.measure(binary, 1)[0]
         native_first = binary.text.native_blob_offset // PAGE_SIZE
-        touched = metrics.faulted_pages[TEXT_SECTION]
+        touched = replay_touches(binary, pipeline.exec_config,
+                                 metrics.touches).faulted(TEXT_SECTION)
         startup_pages = {p for p in touched if p >= native_first}
         assert len(startup_pages) == pipeline.exec_config.startup_native_pages
 
@@ -179,3 +192,93 @@ class TestExecutorCostModel:
         metrics = pipeline.measure(binary, 1)[0]
         # the 8 KiB table alone spans 3 pages
         assert metrics.heap_faults >= 3
+
+
+#: SHA-256 of the CU-relative ``.text`` ranges (one ``CU start end`` line
+#: each) a run of the regular build and of every optimized build takes at
+#: the matrix seed; the optimized builds (reference, the 7 strategies)
+#: share one stream because they place the same CUs
+TEXT_RANGES_SHA256 = {
+    "Queens": {
+        "regular": "b3ca80763e52c05db31062502d92c95c7280235aa990baee4582caaa1401b157",
+        "optimized": "54d7b6f69beb6b8613a4089ed69d9352d76be111ea066d27ee58396c9d3e7fa8",
+    },
+    "quarkus": {
+        "regular": "429c4365f7df0911f737ca98f441d7c2ac62149608e19c42f17d73a40c9bc30c",
+        "optimized": "429c4365f7df0911f737ca98f441d7c2ac62149608e19c42f17d73a40c9bc30c",
+    },
+}
+
+
+def _live_run(binary, config, monkeypatch):
+    """One run of ``binary`` plus the page cache it ran against."""
+    caches = []
+
+    def capture(*args, **kwargs):
+        cache = replay(*args, **kwargs)
+        caches.append(cache)
+        return cache
+
+    replay = executor.replay_touches
+    monkeypatch.setattr(executor, "replay_touches", capture)
+    try:
+        run = run_binary(binary, config)
+    finally:
+        monkeypatch.undo()
+    return run, caches[0]
+
+
+class TestTouchReplay:
+    """Replaying a run's touch record reproduces every page-level view of
+    the run: on the regular build, the 7 strategy builds and cu-opt's
+    reference build of one AWFY program and one microservice."""
+
+    @pytest.mark.parametrize("name", sorted(TEXT_RANGES_SHA256))
+    def test_replay_agrees_with_live_runs(self, name, monkeypatch):
+        workload = (microservice_workload(name) if name == "quarkus"
+                    else awfy_workload(name))
+        seed = task_seed(1, name)
+        pipeline = WorkloadPipeline(workload)
+        config = pipeline.exec_config
+        around = replace(config, fault_around_pages=2)
+        bundle = pipeline.profile(seed=seed).profiles
+        binaries = {"regular": pipeline.build_baseline(seed=seed),
+                    "reference": pipeline.build_optimized(bundle, None,
+                                                          seed=seed)}
+        for spec in ALL_STRATEGY_SPECS:
+            binaries[spec.name] = pipeline.build_optimized(bundle, spec,
+                                                           seed=seed)
+        assert len(binaries) == 9
+        for label, binary in binaries.items():
+            run, live = _live_run(binary, config, monkeypatch)
+            replayed = replay_touches(binary, config, run.touches)
+            assert replayed.fault_log == live.fault_log, label
+            assert replayed.snapshot_counts() == run.faults, label
+            if run.response_touches is not None:
+                at_response = replay_touches(
+                    binary, config, run.touches[:run.response_touches])
+                assert at_response.snapshot_counts() == \
+                    run.first_response_faults, label
+            # a live fault-around run maps exactly what the replay maps
+            live_run, live_around = _live_run(binary, around, monkeypatch)
+            assert live_run.touches == run.touches, label
+            replayed = replay_touches(binary, config, run.touches,
+                                      fault_around=2)
+            for section in (TEXT_SECTION, HEAP_SECTION):
+                assert replayed.faulted(section) == \
+                    live_around.faulted(section), (label, section)
+                assert replayed.resident_pages(section) == \
+                    live_around.resident_pages(section), (label, section)
+            # the ranges the cu-opt cost model scores reproduce the run's
+            # .text faults on the build's own layout
+            ranges = text_touches(binary, run)
+            digest = hashlib.sha256("\n".join(
+                f"{cu} {start} {end}" for cu, start, end in ranges
+            ).encode()).hexdigest()
+            kind = "regular" if label == "regular" else "optimized"
+            assert digest == TEXT_RANGES_SHA256[name][kind], label
+            model = code_problem(binary, run, bundle, config).model
+            assert list(model.touches) == ranges, label
+            order = [placed.cu.name for placed in binary.text.placed]
+            assert model.faults(order) == \
+                run.faults_at_response(TEXT_SECTION), label
