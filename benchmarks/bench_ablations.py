@@ -136,7 +136,8 @@ def test_ablation_interned_string_special_case(benchmark):
             binary = pipeline.build_baseline()
             from collections import Counter
 
-            counts = Counter(o.ids["heap_path"] for o in binary.snapshot)
+            snapshot = binary.snapshot
+            counts = Counter(snapshot.id_of(o, "heap_path") for o in snapshot)
             return sum(1 for c in counts.values() if c > 1)
 
         return colliding(special), colliding(plain)

@@ -39,12 +39,13 @@ def main() -> None:
 
     # Translate the heap-path access order into custom IDs via object index.
     heap_path_profile = outcome.profiles.heap["heap_path"]
-    index_of = {obj.ids["heap_path"]: obj.index for obj in instrumented.snapshot}
+    snapshot = instrumented.snapshot
+    index_of = {snapshot.id_of(obj, "heap_path"): obj.index for obj in snapshot}
     custom_ids = []
     for hp_id in heap_path_profile.ids:
         index = index_of.get(hp_id)
         if index is not None:
-            custom_ids.append(instrumented.snapshot.objects[index].ids[CUSTOM])
+            custom_ids.append(snapshot.id_of(snapshot.objects[index], CUSTOM))
     custom_profile = HeapOrderProfile(strategy=CUSTOM, ids=custom_ids)
 
     # 2. build the optimized image, reorder its heap with the custom IDs.
@@ -68,8 +69,7 @@ def main() -> None:
 
     # 3. compare with the three built-in strategies.
     for strategy in ALL_STRATEGIES:
-        builder = pipeline.builder()
-        binary = builder.build(
+        binary = pipeline.builder().build(
             mode="optimized",
             profiles=outcome.profiles,
             heap_ordering=strategy,
@@ -78,7 +78,7 @@ def main() -> None:
         faults = run_binary(binary, pipeline.exec_config).faults_at_response(
             HEAP_SECTION
         )
-        match = builder.last_match_report
+        match = binary.heap_match
         print(
             f"  {strategy:16s}: faults {faults} "
             f"({base_faults / max(faults, 1):.2f}x), "

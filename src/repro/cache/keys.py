@@ -30,8 +30,9 @@ from typing import Any, Optional
 
 from .. import __version__
 
-#: bump when the cached payload layout changes incompatibly
-CACHE_SCHEMA = 1
+#: bump when the cached payload layout changes incompatibly (2: heap
+#: snapshots carry their ID options and compute IDs when first read)
+CACHE_SCHEMA = 2
 
 #: identity of the toolchain that produced an artifact; part of every key's
 #: sidecar metadata and the stale-eviction criterion

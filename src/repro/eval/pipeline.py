@@ -202,7 +202,9 @@ class WorkloadPipeline:
     combinations load their compiled program, traces, profiles, images,
     and metrics instead of recomputing them.  Caching is bypassed whenever
     a non-pure hook is armed (``fault_hook``, ``verification.mutator``) —
-    injected faults and mutations must never be replayed from disk.  A
+    injected faults and mutations must never be replayed from disk — and
+    so is the sharing of one prepared image by all optimized builds of a
+    seed (:meth:`builder`).  A
     cache hit restores the associated verification report and re-registers
     any quarantine conviction recorded by the building run, so the
     verification rung survives the cache.
@@ -236,6 +238,7 @@ class WorkloadPipeline:
         self.last_watchdog_reports: List[WatchdogReport] = []
         #: compiled lazily (a fully cache-hit sweep never needs it)
         self._program: Optional[Program] = None
+        self._builder: Optional[NativeImageBuilder] = None
         self._src_digest = source_digest(workload.source)
         self._build_fp = self.build_config.fingerprint()
         self._exec_fp = self.exec_config.fingerprint()
@@ -249,13 +252,15 @@ class WorkloadPipeline:
         )
 
     @property
+    def _pure(self) -> bool:
+        """No non-pure hook (``fault_hook``, ``verification.mutator``) is armed."""
+        return self.fault_hook is None and (
+            self.verification is None or self.verification.mutator is None)
+
+    @property
     def _cache_armed(self) -> bool:
         """Whether lookups/stores may be served for this configuration."""
-        return (
-            self.cache is not None
-            and self.fault_hook is None
-            and (self.verification is None or self.verification.mutator is None)
-        )
+        return self.cache is not None and self._pure
 
     @property
     def program(self) -> Program:
@@ -273,8 +278,18 @@ class WorkloadPipeline:
         return self._program
 
     def builder(self) -> NativeImageBuilder:
-        """A fresh builder over the compiled program (one per build)."""
-        return NativeImageBuilder(self.program, self.build_config)
+        """The builder over the compiled program.
+
+        One builder serves the pipeline's whole life, so its optimized
+        builds share one prepared image.  With a non-pure hook armed each
+        build gets a fresh builder instead: a verification mutator edits
+        compilation units in place.
+        """
+        if not self._pure:
+            return NativeImageBuilder(self.program, self.build_config)
+        if self._builder is None:
+            self._builder = NativeImageBuilder(self.program, self.build_config)
+        return self._builder
 
     # -- builds ------------------------------------------------------------------
 
@@ -566,12 +581,11 @@ class WorkloadPipeline:
                     "keeping default (traversal) object order"
                 )
                 heap = None
-        builder = self.builder()
-        binary = builder.build(
+        binary = self.builder().build(
             mode=MODE_OPTIMIZED, profiles=profiles,
             code_ordering=code, heap_ordering=heap, seed=seed,
         )
-        match = builder.last_match_report
+        match = binary.heap_match
         if heap is not None and match is not None:
             report.heap_match_rate = match.profile_match_rate
             if match.profile_match_rate < policy.min_match_rate:

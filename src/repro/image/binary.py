@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional
 
 from ..graal.cunits import CompilationUnit, CuMember
 from ..minijava.bytecode import CompiledMethod, Program
+from ..ordering.heap_order import MatchReport
 from ..vm.values import ArrayInstance, ObjectInstance, ResourceBlob, StaticsHolder
 from .heap import HeapObject, HeapSnapshot
 from .sections import HeapSection, PlacedCu, TextSection
@@ -56,6 +57,8 @@ class NativeImageBinary:
     #: which ordering produced this layout (diagnostics)
     code_ordering: Optional[str] = None
     heap_ordering: Optional[str] = None
+    #: how the heap profile matched this snapshot; set with heap_ordering
+    heap_match: Optional[MatchReport] = None
 
     _cu_by_root: Dict[str, PlacedCu] = field(default_factory=dict)
     _inline_home: Dict[str, PlacedCu] = field(default_factory=dict)
@@ -141,14 +144,36 @@ class NativeImageBinary:
         return RuntimeImage(statics=statics)
 
 
+def copy_heap_values(
+    statics: Dict[str, StaticsHolder], resources: List[ResourceBlob]
+) -> "tuple[Dict[str, StaticsHolder], List[ResourceBlob]]":
+    """A private copy of a build's heap values, resource blobs included.
+
+    Section layout links every placed value to its snapshot entry
+    (``image_ref``), so each layout places its own copy and the build-time
+    values stay as they were.  Strings are shared: they carry no link.
+    """
+    memo: Dict[int, Any] = {id(blob): ResourceBlob(blob.name, blob.size)
+                            for blob in resources}
+    copied = {name: _clone_value(holder, memo)
+              for name, holder in statics.items()}
+    return copied, [memo[id(blob)] for blob in resources]
+
+
 def _clone_value(value: Any, memo: Dict[int, Any]) -> Any:
-    """Clone the mutable image heap; immutable leaves are shared."""
-    if value is None or isinstance(value, (bool, int, float, str, ResourceBlob)):
+    """Clone the mutable image heap; immutable leaves are shared.
+
+    Runs never write to a ``ResourceBlob``, so blobs are shared too unless
+    ``memo`` already maps them to copies (:func:`copy_heap_values`).
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     key = id(value)
     cached = memo.get(key)
     if cached is not None:
         return cached
+    if isinstance(value, ResourceBlob):
+        return value
     if isinstance(value, ObjectInstance):
         clone = ObjectInstance.__new__(ObjectInstance)
         clone.klass = value.klass

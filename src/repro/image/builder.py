@@ -16,29 +16,36 @@ Build modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..graal.cunits import CompilationUnit
 from ..graal.inliner import InlinerConfig, default_size_fn, form_compilation_units
-from ..graal.reachability import analyze
-from ..graal.transform import clone_program, fold_final_statics
+from ..graal.reachability import ReachabilityResult, analyze
+from ..graal.transform import FoldedConstant, clone_program, fold_final_statics
 from ..minijava.bytecode import Program
 from ..obs import phase
 from ..ordering.code_order import default_order, order_compilation_units
-from ..ordering.heap_order import MatchReport, match_and_order
+from ..ordering.heap_order import match_and_order
 from ..ordering.ids import (
+    ALL_STRATEGIES,
     DEFAULT_MAX_DEPTH,
-    assign_heap_path_hashes,
-    assign_incremental_ids,
-    assign_structural_hashes,
+    HEAP_PATH,
+    INCREMENTAL_ID,
+    STRUCTURAL_HASH,
 )
 from ..ordering.profiles import ProfileBundle
-from ..profiling.instrument import instrumented_size_fn, plan_instrumentation
-from ..vm.values import ArrayInstance
+from ..profiling.instrument import (
+    InstrumentationManifest,
+    instrumented_size_fn,
+    plan_instrumentation,
+)
+from ..vm.values import ArrayInstance, ResourceBlob, StaticsHolder
 from .binary import (
     MODE_INSTRUMENTED,
     MODE_OPTIMIZED,
     MODE_REGULAR,
     NativeImageBinary,
+    copy_heap_values,
 )
 from .heap import (
     REASON_DATA_SECTION,
@@ -83,13 +90,42 @@ class BuildConfig:
         return fingerprint(self)
 
 
+@dataclass
+class PreparedImage:
+    """A build up to and including inlining: what all its layouts share.
+
+    ``statics`` and ``resources`` are the build-time heap values; every
+    layout places its own copy of them, so laying out never writes here.
+    """
+
+    mode: str
+    seed: int
+    program: Program
+    reachability: ReachabilityResult
+    statics: Dict[str, StaticsHolder]
+    resources: List[ResourceBlob]
+    folded: List[FoldedConstant]
+    cus: List[CompilationUnit]
+    #: instrumented builds only; their one layout completes it
+    manifest: Optional[InstrumentationManifest] = None
+
+
 class NativeImageBuilder:
-    """Builds binaries from a compiled MiniJava program."""
+    """Builds binaries from a compiled MiniJava program.
+
+    A build runs in two stages: :meth:`prepare` (program clone, analysis,
+    build-time ``<clinit>``, PGO folding and inlining — nothing any
+    ordering reads) and :meth:`lay_out` (code order through the constant
+    tables).  The builder keeps its last prepared optimized image and lays
+    out every later optimized build with the same seed and call counts
+    from it; regular and instrumented builds always prepare afresh.
+    """
 
     def __init__(self, program: Program, config: Optional[BuildConfig] = None) -> None:
         self._program = program
         self.config = config or BuildConfig()
-        self.last_match_report: Optional[MatchReport] = None
+        #: ((seed, call counts), image) of the last optimized prepare
+        self._kept: Optional[Tuple[Tuple[int, Dict[str, int]], PreparedImage]] = None
 
     def build(
         self,
@@ -106,74 +142,111 @@ class NativeImageBuilder:
         """
         with phase("build", mode=mode, code=code_ordering or "",
                    heap=heap_ordering or "", seed=seed):
-            return self._build_stages(mode, profiles, code_ordering,
-                                      heap_ordering, seed)
+            if mode not in (MODE_REGULAR, MODE_INSTRUMENTED, MODE_OPTIMIZED):
+                raise ValueError(f"unknown build mode {mode!r}")
+            if mode == MODE_OPTIMIZED and profiles is None:
+                raise ValueError("optimized builds require profiles")
+            if (code_ordering or heap_ordering) and mode != MODE_OPTIMIZED:
+                raise ValueError("ordering strategies apply to optimized builds only")
+            return self.lay_out(self._prepared(mode, profiles, seed),
+                                profiles, code_ordering, heap_ordering)
 
-    def _build_stages(
-        self,
-        mode: str,
-        profiles: Optional[ProfileBundle],
-        code_ordering: Optional[str],
-        heap_ordering: Optional[str],
-        seed: int,
-    ) -> NativeImageBinary:
-        if mode not in (MODE_REGULAR, MODE_INSTRUMENTED, MODE_OPTIMIZED):
-            raise ValueError(f"unknown build mode {mode!r}")
-        if mode == MODE_OPTIMIZED and profiles is None:
-            raise ValueError("optimized builds require profiles")
-        if (code_ordering or heap_ordering) and mode != MODE_OPTIMIZED:
-            raise ValueError("ordering strategies apply to optimized builds only")
-        config = self.config
+    def _prepared(self, mode: str, profiles: Optional[ProfileBundle],
+                  seed: int) -> PreparedImage:
+        """The prepared image of one build, kept for optimized builds.
 
-        # 1-2. per-build program copy + points-to (RTA) analysis
-        program = clone_program(self._program)
-        reachability = analyze(program, config.saturation_threshold)
+        Keyed on exactly what :meth:`prepare` reads of the request: the
+        seed and the call counts (not the whole bundle: ``cu-opt`` adds a
+        code profile to the same counts).
+        """
+        if mode != MODE_OPTIMIZED:
+            return self.prepare(mode, profiles, seed)
+        key = (seed, profiles.calls.counts)
+        if self._kept is not None and self._kept[0] == key:
+            return self._kept[1]
+        prepared = self.prepare(mode, profiles, seed)
+        self._kept = ((seed, dict(profiles.calls.counts)), prepared)
+        return prepared
 
-        # 3. build-time class initialization (heap snapshotting, phase 1)
-        initializer = BuildTimeInitializer(program, seed=seed)
-        initializer.run(reachability)
-        statics = {name: holder for name, holder in initializer.statics.items()}
+    def prepare(self, mode: str, profiles: Optional[ProfileBundle],
+                seed: int) -> PreparedImage:
+        """Stages 1-6, which no layout depends on.
 
-        # 4. PGO constant folding (optimized builds)
-        folded = []
-        call_counts = None
-        if mode == MODE_OPTIMIZED:
-            assert profiles is not None
-            folded = fold_final_statics(
-                program, statics, frozenset(reachability.methods)
+        Optimized builds read only the call counts of ``profiles``.
+        """
+        with phase("prepare", mode=mode, seed=seed):
+            config = self.config
+
+            # 1-2. per-build program copy + points-to (RTA) analysis
+            program = clone_program(self._program)
+            reachability = analyze(program, config.saturation_threshold)
+
+            # 3. build-time class initialization (heap snapshotting, phase 1)
+            initializer = BuildTimeInitializer(program, seed=seed)
+            initializer.run(reachability)
+            statics = {name: holder for name, holder in initializer.statics.items()}
+
+            # 4. PGO constant folding (optimized builds)
+            folded = []
+            call_counts = None
+            if mode == MODE_OPTIMIZED:
+                folded = fold_final_statics(
+                    program, statics, frozenset(reachability.methods)
+                )
+                call_counts = profiles.calls
+
+            # 5. instrumentation planning (profiling builds)
+            manifest = None
+            size_fn = default_size_fn
+            if mode == MODE_INSTRUMENTED:
+                manifest = plan_instrumentation(
+                    program, reachability.reachable_methods(program)
+                )
+                size_fn = instrumented_size_fn(manifest)
+
+            # 6. inlining: form compilation units
+            cus = form_compilation_units(
+                program, reachability, size_fn, config.inliner, call_counts
             )
-            call_counts = profiles.calls
-
-        # 5. instrumentation planning (profiling builds)
-        manifest = None
-        size_fn = default_size_fn
-        if mode == MODE_INSTRUMENTED:
-            manifest = plan_instrumentation(
-                program, reachability.reachable_methods(program)
-            )
-            size_fn = instrumented_size_fn(manifest)
-
-        # 6. inlining: form compilation units
-        cus = form_compilation_units(
-            program, reachability, size_fn, config.inliner, call_counts
+        return PreparedImage(
+            mode=mode, seed=seed, program=program, reachability=reachability,
+            statics=statics, resources=initializer.resources, folded=folded,
+            cus=cus, manifest=manifest,
         )
 
+    def lay_out(
+        self,
+        prepared: PreparedImage,
+        profiles: Optional[ProfileBundle],
+        code_ordering: Optional[str] = None,
+        heap_ordering: Optional[str] = None,
+    ) -> NativeImageBinary:
+        """Stages 7-13 on a copy of ``prepared``'s heap values.
+
+        ``prepared`` is left as it was, so one prepared image serves any
+        number of layouts.
+        """
+        config = self.config
+        mode = prepared.mode
+        program = prepared.program
+
         # 7. code ordering
-        code_profile = None
         if code_ordering is not None:
-            assert profiles is not None
             code_profile = profiles.code_profile(code_ordering)
             if code_profile is None:
                 raise ValueError(f"profiles carry no {code_ordering!r} code ordering")
             with phase("order", ordering="code", strategy=code_ordering):
-                ordered_cus = order_compilation_units(cus, code_profile)
+                ordered_cus = order_compilation_units(prepared.cus, code_profile)
         else:
-            ordered_cus = default_order(cus)
+            ordered_cus = default_order(prepared.cus)
 
         # 8. .text layout
         text = layout_text(ordered_cus, config.native_blob_bytes)
 
-        # 9-10. heap snapshot traversal + object identities
+        # 9. heap snapshot traversal over this layout's copy of the values;
+        #    object IDs are computed when first read (HeapSnapshot.id_of)
+        statics, resources = copy_heap_values(prepared.statics,
+                                              prepared.resources)
         extra_roots = []
         if mode == MODE_INSTRUMENTED:
             for index in range(config.instrumented_buffer_objects):
@@ -182,48 +255,50 @@ class NativeImageBuilder:
             for index in range(config.instrumented_metadata_strings):
                 metadata = f"svm-profiler-metadata-{index:03d}"
                 extra_roots.append(make_extra_root(metadata, REASON_DATA_SECTION))
-        snapshotter = HeapSnapshotter(program, statics, seed=seed,
-                                      extra_roots=extra_roots)
+        snapshotter = HeapSnapshotter(
+            program, statics, seed=prepared.seed, extra_roots=extra_roots,
+            id_options={INCREMENTAL_ID: config.incremental_per_type,
+                        STRUCTURAL_HASH: config.structural_max_depth,
+                        HEAP_PATH: config.heap_path_intern_special})
         snapshot = snapshotter.snapshot(
-            ordered_cus, reachability, folded, initializer.resources
+            ordered_cus, prepared.reachability, prepared.folded, resources
         )
-        assign_incremental_ids(snapshot, per_type=config.incremental_per_type)
-        assign_structural_hashes(snapshot, config.structural_max_depth)
-        assign_heap_path_hashes(snapshot, config.heap_path_intern_special)
 
-        # 11. heap ordering
-        self.last_match_report = None
+        # 10. heap ordering
+        heap_match = None
         if heap_ordering is not None:
-            assert profiles is not None
             heap_profile = profiles.heap_profile(heap_ordering)
             if heap_profile is None:
                 raise ValueError(f"profiles carry no {heap_ordering!r} heap ordering")
             with phase("order", ordering="heap", strategy=heap_ordering):
-                ordered_objects, report = match_and_order(snapshot, heap_profile)
-            self.last_match_report = report
+                ordered_objects, heap_match = match_and_order(snapshot,
+                                                              heap_profile)
         else:
             ordered_objects = list(snapshot.objects)
 
-        # 12. .svm_heap layout
+        # 11. .svm_heap layout
         heap_section = layout_heap(ordered_objects)
 
-        # 13. constant tables
+        # 12. constant tables
         literal_objects: Dict[int, object] = {}
         for sid, literal in enumerate(program.string_literals):
             entry = snapshot.lookup(literal)
             if entry is not None:
                 literal_objects[sid] = entry
         fold_objects = {}
-        for fold in folded:
+        for fold in prepared.folded:
             entry = snapshot.lookup(fold.value)
             if entry is not None:
                 fold_objects[fold.token] = entry
 
-        # 14. instrumentation manifest completion
+        # 13. instrumentation manifest completion
+        manifest = prepared.manifest
         if manifest is not None:
             manifest.register_cus([cu.name for cu in ordered_cus])
             manifest.object_ids = {
-                obj.index: dict(obj.ids) for obj in snapshot
+                obj.index: {kind: snapshot.id_of(obj, kind)
+                            for kind in ALL_STRATEGIES}
+                for obj in snapshot
             }
 
         return NativeImageBinary(
@@ -237,7 +312,8 @@ class NativeImageBuilder:
             literal_objects=literal_objects,
             fold_objects=fold_objects,
             manifest=manifest,
-            build_seed=seed,
+            build_seed=prepared.seed,
             code_ordering=code_ordering,
             heap_ordering=heap_ordering,
+            heap_match=heap_match,
         )

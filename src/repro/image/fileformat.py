@@ -128,7 +128,7 @@ def write_snib(binary: NativeImageBinary, path: Path) -> int:
         objects += _pack_str(obj.type_name)
         objects += _pack_str(obj.root_reason or "")
         for strategy in _ID_ORDER:
-            objects += struct.pack("<Q", obj.ids.get(strategy, 0))
+            objects += struct.pack("<Q", binary.snapshot.id_of(obj, strategy))
 
     header = MAGIC + struct.pack(
         "<HBBQQII",

@@ -36,6 +36,14 @@ from ..vm.values import (
 from ..graal.cunits import CompilationUnit
 from ..graal.reachability import ReachabilityResult
 from ..graal.transform import FoldedConstant
+from ..ordering.ids import (
+    HEAP_PATH,
+    INCREMENTAL_ID,
+    STRUCTURAL_HASH,
+    assign_heap_path_hashes,
+    assign_incremental_ids,
+    assign_structural_hashes,
+)
 
 # Heap-inclusion reasons (paper Sec. 5.3); re-exported for convenience.
 # Static-field and method-constant reasons are the signatures themselves.
@@ -62,6 +70,7 @@ class HeapObject:
     parent_edge: Union[str, int, None] = None  # field descriptor or array index
     root_reason: Optional[str] = None
     address: int = -1  # assigned at section layout
+    #: strategy IDs computed so far; read them through HeapSnapshot.id_of
     ids: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -88,13 +97,43 @@ def object_size(value: Any) -> int:
     raise TypeError(f"not a heap value: {type(value).__name__}")
 
 
-class HeapSnapshot:
-    """The result of snapshotting: ordered objects plus lookup tables."""
+#: ID kind -> the algorithm (paper Algorithms 1-3) that assigns it
+_ID_ALGORITHMS = {
+    INCREMENTAL_ID: assign_incremental_ids,
+    STRUCTURAL_HASH: assign_structural_hashes,
+    HEAP_PATH: assign_heap_path_hashes,
+}
 
-    def __init__(self) -> None:
+
+class HeapSnapshot:
+    """The result of snapshotting: ordered objects plus lookup tables.
+
+    Object IDs are computed one kind at a time, for every object, the
+    first time :meth:`id_of` reads that kind.  ``id_options`` (kind -> the
+    option its algorithm takes; the build's ``BuildConfig`` settings)
+    travel with the snapshot, so an unpickled snapshot computes the same
+    IDs the build would have.
+    """
+
+    def __init__(self, id_options: Optional[Dict[str, Any]] = None) -> None:
         self.objects: List[HeapObject] = []
         self._by_identity: Dict[int, HeapObject] = {}
         self._strings: Dict[str, HeapObject] = {}
+        self._id_options = dict(id_options or {})
+        #: kinds :meth:`id_of` has computed
+        self._id_kinds: set = set()
+
+    def id_of(self, obj: HeapObject, kind: str) -> Optional[int]:
+        """``obj``'s ID of ``kind``; ``None`` if it carries none.
+
+        The first read of a kind that has an option computes it for the
+        whole snapshot.  Any other kind (a custom strategy) is read as it
+        was stored on the objects.
+        """
+        if kind not in self._id_kinds and kind in self._id_options:
+            _ID_ALGORITHMS[kind](self, self._id_options[kind])
+            self._id_kinds.add(kind)
+        return obj.ids.get(kind)
 
     def lookup(self, value: Any) -> Optional[HeapObject]:
         """The snapshot entry for a runtime value, if present."""
@@ -219,6 +258,7 @@ class HeapSnapshotter:
         self,
         program: Program,
         statics: Dict[str, StaticsHolder],
+        id_options: Dict[str, Any],
         seed: int = 0,
         extra_roots: Optional[List[_Root]] = None,
     ) -> None:
@@ -226,6 +266,7 @@ class HeapSnapshotter:
         self._statics = statics
         self._seed = seed
         self._extra_roots = extra_roots or []
+        self._id_options = id_options
 
     def snapshot(
         self,
@@ -314,7 +355,7 @@ class HeapSnapshotter:
     # -- traversal ---------------------------------------------------------------
 
     def _traverse(self, roots: List[_Root]) -> HeapSnapshot:
-        snapshot = HeapSnapshot()
+        snapshot = HeapSnapshot(self._id_options)
         queue: deque = deque()
 
         def discover(value: Any, parent: Optional[HeapObject],

@@ -81,7 +81,7 @@ _TOKEN = re.compile(
     + r")[ \t\r]*"
 )
 
-_ESCAPE = re.compile(r"\\([\s\S]?)")
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 
 class Token(NamedTuple):
@@ -165,8 +165,10 @@ def _reject(source: str, start: int, line: int, col: int) -> None:
     """Raise the error for the character at ``start``, where no token matched."""
     ch = source[start]
     if ch == '"':
+        # a line break ends the literal, escaped or not, so a backslash
+        # last on the line escapes nothing
         end = source.find("\n", start)
-        _unescape(source[start + 1 : len(source) if end == -1 else end + 1], line, col)
+        _unescape(source[start + 1 : len(source) if end == -1 else end], line, col)
         raise LexError("unterminated string literal", line, col)
     if ch == "'":
         # a line break ends the literal, escaped or not

@@ -90,11 +90,11 @@ def make_entry(
     """Build a history entry from one ``repro bench`` payload.
 
     ``metrics_snapshot`` (a :class:`~repro.obs.metrics.MetricsSnapshot`)
-    contributes p50/p95/p99 quantile summaries of every ``phase.*``
-    duration histogram the run recorded.  ``timestamp``/``run_id`` are
-    injectable for deterministic tests; by default the id is a content
-    hash over the canonical results plus the timestamp, so two runs of
-    the same matrix still get distinct ids.
+    contributes the count, total and p50/p95/p99 quantile summaries of
+    every ``phase.*`` duration histogram the run recorded.
+    ``timestamp``/``run_id`` are injectable for deterministic tests; by
+    default the id is a content hash over the canonical results plus the
+    timestamp, so two runs of the same matrix still get distinct ids.
     """
     timestamp = time.time() if timestamp is None else timestamp
     config = payload.get("config", {})
@@ -150,7 +150,7 @@ def make_entry(
         for name, hist in sorted(metrics_snapshot.histograms.items()):
             if not name.startswith("phase."):
                 continue
-            quantiles[name] = {"count": hist.count,
+            quantiles[name] = {"count": hist.count, "total": hist.total,
                                **hist.sketch.quantiles()}
         if quantiles:
             entry["metrics"] = quantiles

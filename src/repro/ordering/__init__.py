@@ -15,7 +15,6 @@ from .ids import (
     INCREMENTAL_ID,
     STRUCTURAL_HASH,
     StructuralHasher,
-    assign_all_ids,
     assign_heap_path_hashes,
     assign_incremental_ids,
     assign_structural_hashes,
@@ -44,7 +43,7 @@ __all__ = [
     "default_order", "order_compilation_units", "OrderingError",
     "MatchReport", "match_and_order",
     "ALL_STRATEGIES", "HEAP_PATH", "INCREMENTAL_ID",
-    "STRUCTURAL_HASH", "StructuralHasher", "assign_all_ids",
+    "STRUCTURAL_HASH", "StructuralHasher",
     "assign_heap_path_hashes", "assign_incremental_ids",
     "assign_structural_hashes", "heap_path_hash",
     "CU_OPT_ORDERING", "OptimizationReport", "SearchResult",

@@ -80,11 +80,10 @@ def match_and_order(
     strategy = profile.strategy
     by_id: Dict[int, List[HeapObject]] = {}
     for obj in snapshot:
-        object_id = obj.ids.get(strategy)
+        object_id = snapshot.id_of(obj, strategy)
         if object_id is None:
             raise OrderingError(
-                f"snapshot object #{obj.index} has no {strategy!r} ID; "
-                "run assign_all_ids first",
+                f"snapshot object #{obj.index} has no {strategy!r} ID",
                 kind=strategy,
             )
         by_id.setdefault(object_id, []).append(obj)

@@ -18,7 +18,7 @@ the *optimized* build:
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..util.murmur3 import murmur3_32, murmur3_64
 from ..vm.values import ArrayInstance, ObjectInstance, ResourceBlob, StaticsHolder
@@ -195,21 +195,6 @@ def assign_heap_path_hashes(
         obj.ids[HEAP_PATH] = value
         ids[obj.index] = value
     return ids
-
-
-def assign_all_ids(
-    snapshot: HeapSnapshot,
-    strategies: Iterable[str] = ALL_STRATEGIES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> None:
-    """Compute the requested strategy IDs for every object in the snapshot."""
-    strategies = list(strategies)
-    if INCREMENTAL_ID in strategies:
-        assign_incremental_ids(snapshot)
-    if STRUCTURAL_HASH in strategies:
-        assign_structural_hashes(snapshot, max_depth)
-    if HEAP_PATH in strategies:
-        assign_heap_path_hashes(snapshot)
 
 
 # ---------------------------------------------------------------------------

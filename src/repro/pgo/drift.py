@@ -51,9 +51,9 @@ def replay_faults(
     pages the loader always drags in, then every code unit in the
     profile's first-use order (CU roots or method member ranges, per the
     strategy's code kind), then every heap object the profile's ID order
-    names (IDs are assigned for all strategies on every build, so replay
-    works against any binary).  Returns per-section fault counts.  Pure:
-    no interpreter run, same inputs → same counts.
+    names (a binary computes any strategy's IDs when first read, so
+    replay works against any binary).  Returns per-section fault counts.
+    Pure: no interpreter run, same inputs → same counts.
     """
     cache = replay_touches(binary, config or ExecutionConfig(),
                            fault_around=0)
@@ -95,7 +95,7 @@ def _touch_heap(cache: PageCache, binary: NativeImageBinary,
                 strategy: str, ids: Sequence[int]) -> None:
     by_id: Dict[int, List] = {}
     for obj in binary.heap.ordered:
-        object_id = obj.ids.get(strategy)
+        object_id = binary.snapshot.id_of(obj, strategy)
         if object_id is not None:
             by_id.setdefault(object_id, []).append(obj)
     for object_id in ids:

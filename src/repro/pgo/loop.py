@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence
 from ..eval.explain import attributed_run, explain_reports
 from ..eval.pipeline import StrategySpec, WorkloadPipeline
 from ..image.binary import MODE_OPTIMIZED, NativeImageBinary
+from ..image.builder import NativeImageBuilder
 from ..obs import get_event_log, metrics
 from ..ordering.profiles import ProfileBundle
 from ..robustness.chaos import CHAOS_STALE_PROFILE, ChaosPolicy
@@ -319,14 +320,18 @@ class PgoLoop:
     ) -> NativeImageBinary:
         """Build the candidate; mutated candidates bypass the cache.
 
-        A mutation damages the binary *object* in place — letting that
-        object enter the artifact cache would poison every later hit, so
-        injected-bad candidates are built directly on the builder.
+        A mutation damages the binary *object* in place, compilation
+        units included — letting that object enter the artifact cache, or
+        share the pipeline builder's prepared image, would poison every
+        later build, so injected-bad candidates are built on a builder of
+        their own.
         """
         if mutation_plan is None:
             return self.pipeline.build_optimized(bundle, self.spec,
                                                  seed=self.seed)
-        candidate = self.pipeline.builder().build(
+        builder = NativeImageBuilder(self.pipeline.program,
+                                     self.pipeline.build_config)
+        candidate = builder.build(
             mode=MODE_OPTIMIZED,
             profiles=bundle,
             code_ordering=self.spec.code_ordering,

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..eval.pipeline import StrategySpec, WorkloadPipeline
 from ..obs import metrics
+from ..ordering.ids import ALL_STRATEGIES
 from ..ordering.profiles import (
     CallCountProfile,
     CodeOrderProfile,
@@ -106,8 +107,9 @@ def population(binary) -> Dict[str, Dict[str, List]]:
     code["method"] = methods
     heap: Dict[str, List] = {}
     for obj in binary.heap.ordered:
-        for strategy, object_id in obj.ids.items():
-            heap.setdefault(strategy, []).append(object_id)
+        for strategy in ALL_STRATEGIES:
+            heap.setdefault(strategy, []).append(
+                binary.snapshot.id_of(obj, strategy))
     return {"code": code, "heap": heap}
 
 

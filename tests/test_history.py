@@ -278,6 +278,19 @@ class TestRecordHistory:
         assert loaded["metrics"]["phase.compile.seconds"]["count"] == 1
         assert loaded["metrics"]["phase.compile.seconds"]["p50"] == 0.25
 
+    def test_record_keeps_phase_totals(self, tmp_path):
+        from repro.obs import metrics
+
+        for seconds in (0.25, 0.5, 1.0):
+            metrics().observe("phase.build.seconds", seconds)
+        metrics().observe("phase.prepare.seconds", 0.125)
+        path = tmp_path / "h.jsonl"
+        record_history(payload(), path, timestamp=7.0)
+        (loaded,) = BenchHistory(path).entries()
+        build = loaded["metrics"]["phase.build.seconds"]
+        assert (build["count"], build["total"]) == (3, 1.75)
+        assert loaded["metrics"]["phase.prepare.seconds"]["total"] == 0.125
+
 
 class TestReport:
     def entries(self):

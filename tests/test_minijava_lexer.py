@@ -154,6 +154,14 @@ class TestMalformedInput:
         assert (info.value.line, info.value.col) == (1, 1)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("source", ['"ab\\\ncd"', '"ab\\\n'],
+                             ids=["continued", "at-end"])
+    def test_escaped_line_break_in_string_literal_is_rejected(self, source):
+        with pytest.raises(LexError, match="unterminated string literal") as info:
+            tokenize(source)
+        assert (info.value.line, info.value.col) == (1, 1)
+        assert "\n" not in str(info.value)
+
 
 def workload_source(name):
     if name in MICROSERVICE_NAMES:

@@ -51,12 +51,13 @@ class TestIncrementalId:
     def test_per_type_counters(self, snapshot):
         pairs = find(snapshot, lambda o: o.type_name == "Pair")
         assert len(pairs) == 3
-        counters = sorted(obj.ids[INCREMENTAL_ID] & 0xFFFFFFFF for obj in pairs)
+        counters = sorted(snapshot.id_of(obj, INCREMENTAL_ID) & 0xFFFFFFFF
+                          for obj in pairs)
         assert counters == [1, 2, 3]
 
     def test_type_id_in_high_bits(self, snapshot):
         pair = find(snapshot, lambda o: o.type_name == "Pair")[0]
-        assert pair.ids[INCREMENTAL_ID] >> 32 == type_id("Pair")
+        assert snapshot.id_of(pair, INCREMENTAL_ID) >> 32 == type_id("Pair")
 
     def test_counters_isolated_between_types(self, snapshot):
         # A divergence in one type must not shift another type's counters:
@@ -64,7 +65,7 @@ class TestIncrementalId:
         by_type = {}
         for obj in snapshot:
             by_type.setdefault(obj.type_name, []).append(
-                obj.ids[INCREMENTAL_ID] & 0xFFFFFFFF
+                snapshot.id_of(obj, INCREMENTAL_ID) & 0xFFFFFFFF
             )
         for type_name, counters in by_type.items():
             assert min(counters) == 1, type_name
@@ -82,8 +83,10 @@ class TestStructuralHash:
         pairs = find(snapshot, lambda o: o.type_name == "Pair")
         same = [o for o in pairs if o.value.fields == {"a": 1, "b": 2}]
         other = [o for o in pairs if o.value.fields == {"a": 9, "b": 9}]
-        assert same[0].ids[STRUCTURAL_HASH] == same[1].ids[STRUCTURAL_HASH]
-        assert same[0].ids[STRUCTURAL_HASH] != other[0].ids[STRUCTURAL_HASH]
+        assert (snapshot.id_of(same[0], STRUCTURAL_HASH)
+                == snapshot.id_of(same[1], STRUCTURAL_HASH))
+        assert (snapshot.id_of(same[0], STRUCTURAL_HASH)
+                != snapshot.id_of(other[0], STRUCTURAL_HASH))
 
     def test_depth_zero_ignores_field_values_of_objects(self):
         hasher0 = StructuralHasher(max_depth=0)
@@ -120,7 +123,7 @@ class TestHeapPath:
         roots = find(snapshot, lambda o: o.is_root and o.type_name == "Pair")
         # distinct static-field reasons -> distinct hashes, even for
         # structurally identical Pairs
-        hashes = {obj.ids[HEAP_PATH] for obj in roots}
+        hashes = {snapshot.id_of(obj, HEAP_PATH) for obj in roots}
         assert len(hashes) == len(roots)
 
     def test_interned_strings_hash_content(self, snapshot):
@@ -131,7 +134,7 @@ class TestHeapPath:
         assert interned, "expected at least the greeting literal"
         for obj in interned:
             without_special = heap_path_hash(obj, intern_special_case=False)
-            assert obj.ids[HEAP_PATH] != without_special
+            assert snapshot.id_of(obj, HEAP_PATH) != without_special
 
     def test_without_intern_special_case_literals_collide(self, snapshot):
         interned = find(
@@ -146,7 +149,8 @@ class TestHeapPath:
         children = find(snapshot, lambda o: not o.is_root)
         for obj in children:
             assert obj.parent is not None
-            assert obj.ids[HEAP_PATH] != obj.parent.ids[HEAP_PATH]
+            assert (snapshot.id_of(obj, HEAP_PATH)
+                    != snapshot.id_of(obj.parent, HEAP_PATH))
 
 
 class TestCrossBuildStability:
@@ -155,8 +159,8 @@ class TestCrossBuildStability:
         first = pipeline.build_baseline(seed=0).snapshot
         second = pipeline.build_baseline(seed=0).snapshot
         for strategy in (INCREMENTAL_ID, STRUCTURAL_HASH, HEAP_PATH):
-            a = [obj.ids[strategy] for obj in first]
-            b = [obj.ids[strategy] for obj in second]
+            a = [first.id_of(obj, strategy) for obj in first]
+            b = [second.id_of(obj, strategy) for obj in second]
             assert a == b, strategy
 
     def test_heap_path_survives_instrumented_divergence(self):
@@ -165,8 +169,8 @@ class TestCrossBuildStability:
                                     build_config=config)
         regular = pipeline.build_baseline(seed=0).snapshot
         instrumented = pipeline.build_instrumented(seed=0).snapshot
-        reg = {obj.ids[HEAP_PATH] for obj in regular}
-        ins = {obj.ids[HEAP_PATH] for obj in instrumented}
+        reg = {regular.id_of(obj, HEAP_PATH) for obj in regular}
+        ins = {instrumented.id_of(obj, HEAP_PATH) for obj in instrumented}
         # everything in the regular image matches something instrumented
         assert reg <= ins
 
@@ -179,6 +183,6 @@ class TestCrossBuildStability:
         # profiler metadata strings shift the String counters, so the same
         # semantic object carries different incremental IDs across builds
         assert (
-            greeting_regular.ids[INCREMENTAL_ID]
-            != greeting_instrumented.ids[INCREMENTAL_ID]
+            regular.id_of(greeting_regular, INCREMENTAL_ID)
+            != instrumented.id_of(greeting_instrumented, INCREMENTAL_ID)
         )
