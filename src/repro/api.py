@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from .cache import ArtifactCache
-from .obs import MetricsSnapshot, get_event_log, get_registry
+from .obs import MetricsSnapshot, get_registry
 from .eval.pipeline import (
     STRATEGIES,  # noqa: F401 - re-exported as repro.api.STRATEGIES
     Workload,
@@ -31,7 +31,7 @@ from .image.builder import BuildConfig
 from .robustness.degradation import DegradationPolicy, DegradationReport
 from .runtime.executor import ExecutionConfig, RunMetrics
 from .util.stats import ratio_factor
-from .validation.invariants import LayoutVerificationReport, verify_layout
+from .validation.invariants import LayoutVerificationReport
 from .validation.oracle import (
     VerificationOutcome,
     VerificationPolicy,
@@ -173,13 +173,6 @@ class NativeImageToolchain:
         """
         return get_registry().snapshot()
 
-    def export_trace(self, path: Union[Path, str]) -> Path:
-        """Write the process-wide run records as Chrome trace-event JSON.
-
-        Load the file in ``chrome://tracing`` or https://ui.perfetto.dev.
-        """
-        return get_event_log().export_chrome(path)
-
     def history(self, path: Union[Path, str, None] = None):
         """The bench history store (``BENCH_history.jsonl`` by default).
 
@@ -304,10 +297,6 @@ class NativeImageToolchain:
         spec = strategy_spec(strategy)
         return verify_strategy(self._pipeline, spec, seed=seed,
                                differential=differential, watchdog=watchdog)
-
-    def verify_build(self, binary: NativeImageBinary) -> LayoutVerificationReport:
-        """Structural invariant check of any built image."""
-        return verify_layout(binary)
 
     def optimize_and_compare(
         self, strategy: str = "cu+heap path", seed: int = 0

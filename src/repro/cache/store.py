@@ -18,10 +18,12 @@ killed writer are swept on the next store open.
 Every sidecar records a CRC32 of the payload; reads verify it before
 unpickling, so a corrupted or truncated entry (storage rot, a torn write
 outside the rename window) is *detected*, evicted, and recomputed by the
-caller — never unpickled into garbage.  Failure modes are non-fatal by
-design: an unreadable, stale, or checksum-mismatched payload is treated as
-a miss (self-healing), and I/O errors during ``put`` skip the write;
-nothing here ever raises into the pipeline.
+caller — never unpickled into garbage; a sidecar that lost its ``crc32``
+counts as a mismatch.  Failure modes are non-fatal by design: an unreadable,
+stale (different-toolchain), or checksum-mismatched entry is treated as a
+miss and deleted (self-healing), and I/O errors during ``put`` skip the
+write; nothing here ever raises into the pipeline.  Entries are never
+evicted otherwise; :meth:`ArtifactCache.clear` empties the store.
 
 ``fault_injector`` is the chaos hook (see
 :class:`repro.robustness.chaos.ChaosCacheInjector`): an object whose
@@ -76,7 +78,7 @@ def _writer_alive(name: str) -> bool:
 
 
 class ArtifactCache:
-    """Content-addressed pickle store with stale and size-bound eviction.
+    """Content-addressed, self-healing pickle store.
 
     Parameters
     ----------
@@ -85,20 +87,13 @@ class ArtifactCache:
         processes; all writes are atomic renames.
     toolchain:
         Identity recorded with every entry; entries recorded under a
-        different toolchain are treated as misses and evicted lazily
-        (or eagerly via :meth:`evict_stale`).
-    max_entries_per_kind:
-        Optional ceiling per namespace; the oldest entries (by creation
-        stamp, tie-broken by insertion sequence then key) are evicted
-        once a ``put`` exceeds it.
+        different toolchain are treated as misses and deleted when read.
     """
 
     def __init__(self, root: Path, toolchain: str = TOOLCHAIN_VERSION,
-                 max_entries_per_kind: Optional[int] = None,
                  memo_entries: int = 64) -> None:
         self.root = Path(root)
         self.toolchain = toolchain
-        self.max_entries_per_kind = max_entries_per_kind
         #: chaos hook: ``before_io(op, kind, key)`` may raise OSError,
         #: ``after_put(kind, key, path)`` may damage the written payload.
         #: Armed per task by the scheduler's chaos machinery; None = off.
@@ -112,11 +107,6 @@ class ArtifactCache:
         # source of truth right after a put.
         self._memo: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
         self._memo_entries = memo_entries
-        # Monotonic insertion sequence recorded in every sidecar: the
-        # ``created`` wall-clock stamp alone cannot order entries written
-        # faster than clock resolution (and goes backwards on clock
-        # steps), so eviction tie-breaks on (created, seq, key).
-        self._seq = 0
 
     # -- paths -----------------------------------------------------------------
 
@@ -168,9 +158,10 @@ class ArtifactCache:
 
         A stale (different-toolchain) or missing entry counts as a miss
         and is deleted so the caller's rebuild replaces it.  A payload
-        whose CRC32 sidecar does not match — or that fails to unpickle —
-        is *healed*: detected, evicted, counted, and reported as a miss so
-        the caller recomputes; corrupted bytes are never returned.  A
+        whose sidecar CRC32 is missing or does not match — or that fails
+        to unpickle — is *healed*: detected, evicted, counted, and
+        reported as a miss so the caller recomputes; corrupted bytes are
+        never returned.  A
         transient I/O error (including an armed ``fault_injector``) is a
         plain miss that leaves the entry in place for the next reader.
         """
@@ -201,14 +192,15 @@ class ArtifactCache:
             self._delete(kind, key)
             return self._miss(kind)
         crc = meta.get("crc32")
-        if crc is not None and zlib.crc32(payload) != crc:
+        if type(crc) is not int or zlib.crc32(payload) != crc:
+            # A rotted sidecar that lost its ``crc32`` key is damage too:
+            # every writer records one.
             return self._heal(kind, key, "checksum mismatch")
         try:
             value = pickle.loads(payload)
         except Exception:  # noqa: BLE001 - any damage shape, never raise
-            # Legacy entry without a checksum, or a corruption the CRC
-            # cannot see (it covers the bytes we read, not the pickle
-            # semantics): still detect-evict-recompute.
+            # A corruption the CRC cannot see (it covers the bytes we
+            # read, not the pickle semantics): still detect-evict-recompute.
             return self._heal(kind, key, "undecodable payload")
         metrics().counter(f"cache.hit.{kind}")
         if self._memo_entries > 0:
@@ -253,11 +245,9 @@ class ArtifactCache:
                 return False
             path.parent.mkdir(parents=True, exist_ok=True)
             self._atomic_write(path, payload)
-            self._seq += 1
             meta = {
                 "toolchain": self.toolchain,
                 "created": time.time(),
-                "seq": self._seq,
                 "kind": kind,
                 "key": key,
                 "crc32": zlib.crc32(payload),
@@ -272,8 +262,6 @@ class ArtifactCache:
         metrics().counter(f"cache.put.{kind}")
         if injector is not None:
             injector.after_put(kind, key, path)
-        if self.max_entries_per_kind is not None:
-            self._evict_over_limit(kind)
         return True
 
     @staticmethod
@@ -301,7 +289,7 @@ class ArtifactCache:
                 pass
             raise
 
-    # -- eviction ----------------------------------------------------------------
+    # -- deletion ----------------------------------------------------------------
 
     def _delete(self, kind: str, key: str) -> None:
         self._memo.pop((kind, key), None)
@@ -323,69 +311,8 @@ class ArtifactCache:
                 continue
             yield meta_path.stem, meta
 
-    def entry_count(self, kind: str) -> int:
-        base = self.root / kind
-        return sum(1 for _ in base.glob("*/*.pkl")) if base.exists() else 0
-
-    def evict_stale(self) -> int:
-        """Delete every entry recorded under a different toolchain.
-
-        Returns the number of entries evicted.  Run this after upgrading
-        the repo (or switching Python versions) to reclaim dead space;
-        lookups already skip stale entries lazily either way.
-        """
-        evicted = 0
-        for kind in ALL_KINDS:
-            for key, meta in list(self.entries(kind)):
-                if meta.get("toolchain") != self.toolchain:
-                    self._delete(kind, key)
-                    evicted += 1
-        if evicted:
-            metrics().counter("cache.evict", evicted)
-            get_event_log().emit("cache.evict_stale", evicted=evicted)
-        return evicted
-
-    def _evict_over_limit(self, kind: str) -> None:
-        limit = self.max_entries_per_kind
-        assert limit is not None
-        # Oldest-first by creation stamp, tie-broken by the monotonic
-        # insertion sequence and finally the key: equal timestamps from
-        # fast successive puts (or a backwards clock step within one
-        # stamp) can no longer scramble the eviction order.  Entries
-        # written before sequence numbers existed sort oldest (-1).
-        aged = sorted(
-            self.entries(kind),
-            key=lambda item: (item[1].get("created", 0.0),
-                              item[1].get("seq", -1),
-                              item[0]),
-        )
-        excess = len(aged) - limit
-        for key, _meta in aged[:max(excess, 0)]:
-            self._delete(kind, key)
-            metrics().counter("cache.evict")
-            get_event_log().emit("cache.evict", artifact=kind, key=key)
-
     def clear(self) -> None:
         """Delete every entry (the directory tree stays in place)."""
         for kind in ALL_KINDS:
             for key, _meta in list(self.entries(kind)):
                 self._delete(kind, key)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def describe(self) -> str:
-        """Entry counts on disk plus this process's ``cache.*`` counters."""
-        lines = [f"artifact cache at {self.root} ({self.toolchain})"]
-        for kind in ALL_KINDS:
-            count = self.entry_count(kind)
-            if count:
-                lines.append(f"  {kind}: {count} entries")
-        counts = metrics().snapshot()
-        hits, misses = counts.total("cache.hit."), counts.total("cache.miss.")
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        lines.append(f"  this process: {hits} hits / {misses} misses "
-                     f"({rate:.0%}), {counts.total('cache.put.')} puts, "
-                     f"{counts.total('cache.evict')} evictions, "
-                     f"{counts.total('cache.heal.')} healed, "
-                     f"{counts.total('cache.io_error.')} I/O errors absorbed")
-        return "\n".join(lines)

@@ -175,8 +175,6 @@ class ProfilingOutcome:
     instrumented_metrics: RunMetrics
     trace_bytes: int
     lost_records: int
-    #: salvage accounting (lenient post-processing only; None = strict)
-    completeness: Optional[ProfileCompleteness] = None
 
 
 class WorkloadPipeline:
@@ -423,7 +421,6 @@ class WorkloadPipeline:
         # and the verification rung (rollback), so both policies join the
         # profile digest in the key material.
         verif_fp = fingerprint({
-            "verify_structure": self.verification.verify_structure,
             "quarantine": self.verification.quarantine,
         }) if self.verification is not None else ""
         material = f"{profiles.digest()}/{self._policy_fp}/{verif_fp}"
@@ -487,9 +484,8 @@ class WorkloadPipeline:
         report.note(f"ordering profile quarantined ({entry.reason}); "
                     "building the default layout")
         binary = self._build_plain(profiles, None, seed)
-        if self.verification.verify_structure:
-            with phase("verify", workload=self.workload.name):
-                self.last_verification_report = verify_layout(binary)
+        with phase("verify", workload=self.workload.name):
+            self.last_verification_report = verify_layout(binary)
         return binary
 
     def _verification_rung(
@@ -508,8 +504,6 @@ class WorkloadPipeline:
         :class:`LayoutVerificationError` propagates.
         """
         policy = self.verification
-        if not policy.verify_structure:
-            return binary
         has_ordering = (binary.code_ordering is not None
                         or binary.heap_ordering is not None)
         if policy.mutator is not None and has_ordering:
@@ -685,7 +679,6 @@ class WorkloadPipeline:
             instrumented_metrics=metrics,
             trace_bytes=stats.bytes_written,
             lost_records=stats.lost_records,
-            completeness=profiles.completeness,
         )
 
     def _postprocess_traces(self, packed: Dict[str, object], seed: int,
@@ -701,7 +694,6 @@ class WorkloadPipeline:
             instrumented_metrics=packed["metrics"],
             trace_bytes=packed["trace_bytes"],
             lost_records=packed["lost_records"],
-            completeness=profiles.completeness,
         )
 
     def _profile_with_degradation(self, seed: int) -> ProfilingOutcome:
@@ -719,9 +711,9 @@ class WorkloadPipeline:
                     detail=f"{type(exc).__name__}: {exc}",
                 ))
                 continue
-            completeness = outcome.completeness
+            completeness = outcome.profiles.completeness
             usable = completeness.usable_records if completeness else 0
-            if usable >= policy.min_records:
+            if usable >= 1:
                 status = "ok" if (completeness is None
                                   or completeness.complete) else "salvaged"
                 report.attempts.append(ProfilingAttempt(
@@ -754,9 +746,8 @@ class WorkloadPipeline:
                 instrumented_metrics=RunMetrics(),
                 trace_bytes=0,
                 lost_records=0,
-                completeness=ProfileCompleteness(),
             )
-        report.completeness = fallback_outcome.completeness
+        report.completeness = fallback_outcome.profiles.completeness
         return fallback_outcome
 
     # -- measurement ------------------------------------------------------------------
@@ -834,13 +825,18 @@ class WorkloadPipeline:
     ) -> Tuple[List[RunMetrics], List[RunMetrics]]:
         """(baseline runs, optimized runs) for one strategy at one seed.
 
-        The one-shot convenience used by ``repro compare``/``robustness``
-        and the bench harness's serial reference: builds the baseline,
-        profiles, builds the optimized image, and measures both.  Raises
-        whatever the underlying stages raise (see :meth:`profile` and
-        :meth:`build_optimized`); with degradation + verification armed it
-        only raises on programming errors, never on damaged inputs.
+        The one path that evaluates a cell, used by the sweep scheduler's
+        tasks and by ``repro compare``/``robustness``/``trace``: a warm
+        cell is served by :meth:`cached_strategy_runs`; otherwise it
+        builds the baseline, profiles, builds the optimized image, and
+        measures both.  Raises whatever the underlying stages raise (see
+        :meth:`profile` and :meth:`build_optimized`); with degradation +
+        verification armed it only raises on programming errors, never on
+        damaged inputs.
         """
+        cached = self.cached_strategy_runs(strategy, seed, iterations)
+        if cached is not None:
+            return cached
         baseline = self.build_baseline(seed=seed)
         outcome = self.profile(seed=seed)
         optimized = self.build_optimized(outcome.profiles, strategy, seed=seed)
@@ -862,8 +858,9 @@ class WorkloadPipeline:
         :meth:`_optimized_key`), so no layout search runs.  Rung decisions
         (verification report, degradation report, quarantine conviction)
         are restored from their side entry exactly as a cached
-        :meth:`build_optimized` would.  Returns ``None`` on any miss;
-        callers fall back to :meth:`run_strategy`.
+        :meth:`build_optimized` would.  Returns ``None`` on any miss (at
+        once when no cache is armed), and :meth:`run_strategy` then runs
+        the stages.
         """
         if not self._cache_armed:
             return None

@@ -323,10 +323,10 @@ def run_task(task: EvalTask, config: SchedulerConfig, attempt: int = 0,
              allow_hard_crash: bool = False) -> TaskResult:
     """Evaluate one matrix cell; never raises (errors land in ``.error``).
 
-    Runs the same stages as :meth:`WorkloadPipeline.run_strategy` on a
-    worker-local pipeline: baseline build, profiling, optimized build
-    (through the degradation + verification rungs), and cold-cache
-    measurement of both binaries.
+    Runs :meth:`WorkloadPipeline.run_strategy` on a worker-local
+    pipeline: baseline build, profiling, optimized build (through the
+    degradation + verification rungs), and cold-cache measurement of both
+    binaries, or their cached measurements when the cell is warm.
 
     ``attempt`` is retry bookkeeping only: it selects which chaos fault
     (if any) fires and travels back in the result, but deliberately never
@@ -474,19 +474,8 @@ def _run_task_body(result: TaskResult, task: EvalTask,
         spec = strategy_spec(task.strategy_name)
         pipeline = _worker_pipeline(task.workload, config)
         pipeline.last_degradation_report = None  # this task's decisions only
-        fast = pipeline.cached_strategy_runs(spec, seed=task.seed,
-                                             iterations=task.iterations)
-        if fast is not None:
-            base_runs, opt_runs = fast
-        else:
-            baseline = pipeline.build_baseline(seed=task.seed)
-            outcome = pipeline.profile(seed=task.seed)
-            optimized = pipeline.build_optimized(outcome.profiles, spec,
-                                                 seed=task.seed)
-            base_runs = pipeline.measure(baseline, task.iterations,
-                                         seed=task.seed)
-            opt_runs = pipeline.measure(optimized, task.iterations,
-                                        seed=task.seed)
+        base_runs, opt_runs = pipeline.run_strategy(
+            spec, seed=task.seed, iterations=task.iterations)
 
         micro = task.workload.microservice
         result.baseline = [_metric_dict(m, spec, micro) for m in base_runs]

@@ -11,14 +11,11 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..graal.cunits import CompilationUnit, CuMember
-from ..util.pagemath import PAGE_SIZE, pages_spanned as _pages_spanned
+from ..util.pagemath import PAGE_SIZE
 from .heap import HeapObject
 
 CU_ALIGN = 16
 OBJ_ALIGN = 8
-# Historical private aliases; the validation package reads the public names.
-_CU_ALIGN = CU_ALIGN
-_OBJ_ALIGN = OBJ_ALIGN
 
 TEXT_SECTION = ".text"
 HEAP_SECTION = ".svm_heap"
@@ -62,7 +59,7 @@ def layout_text(ordered_cus: List[CompilationUnit],
     for cu in ordered_cus:
         placed = PlacedCu(cu=cu, offset=offset)
         section.placed.append(placed)
-        offset += _align(cu.size, _CU_ALIGN)
+        offset += _align(cu.size, CU_ALIGN)
     section.native_blob_offset = _align(offset, PAGE_SIZE)
     section.native_blob_size = native_blob_size
     section.size = section.native_blob_offset + native_blob_size
@@ -88,7 +85,7 @@ def layout_heap(ordered_objects: List[HeapObject]) -> HeapSection:
     address = 0
     for obj in ordered_objects:
         obj.address = address
-        address += _align(obj.size, _OBJ_ALIGN)
+        address += _align(obj.size, OBJ_ALIGN)
         if not isinstance(obj.value, str):
             obj.value.image_ref = obj
     section.size = address
@@ -113,14 +110,3 @@ def expected_text_size(cus: List[CompilationUnit], native_blob_size: int) -> int
 def expected_heap_size(objects: List[HeapObject]) -> int:
     """The ``.svm_heap`` byte size any permutation of ``objects`` must produce."""
     return sum(_align(obj.size, OBJ_ALIGN) for obj in objects)
-
-
-def pages_spanned(offset: int, size: int, page_size: int = PAGE_SIZE) -> range:
-    """The page indices touched by a byte range.
-
-    Delegates to the shared :func:`repro.util.pagemath.pages_spanned` so
-    section layout, the paging simulator, the Fig. 6 maps, and the
-    attribution layer all agree on spanning; kept as a re-export because
-    callers historically import it from here.
-    """
-    return _pages_spanned(offset, size, page_size)

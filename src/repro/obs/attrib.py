@@ -254,12 +254,6 @@ class SectionAttribution:
         """Pages in the section's reorderable front quarter (>= 1)."""
         return _front_pages(self.reorderable_pages)
 
-    def blame_of(self, unit: str) -> Optional[UnitBlame]:
-        for blame in self.units:
-            if blame.unit == unit:
-                return blame
-        return None
-
     def cotenancy(self) -> Dict[str, Tuple[str, ...]]:
         """Who shares a *faulted* page with whom (symmetric by construction)."""
         neighbours: Dict[str, set] = {}

@@ -16,9 +16,10 @@ Design points:
   line.  The lenient reader skips corrupt lines (counted in
   :attr:`BenchHistory.skipped`) instead of losing the whole trajectory —
   the same salvage philosophy as the PR-1 trace format.
-* **Schema-versioned with migration.**  Every entry carries ``schema``;
-  :func:`migrate_entry` upgrades old entries on read, and ``compact``
-  rewrites the file with every surviving entry at the current schema.
+* **Schema-versioned.**  Every entry carries ``schema``;
+  :func:`migrate_entry` accepts only the current schema (an entry of
+  any other schema counts in ``skipped``), and ``compact`` rewrites the
+  file with the usable entries only.
 * **Matrix-hash comparability.**  Entries are only comparable when they
   benchmarked the same matrix (same workloads × strategies × iterations
   × base seed); :func:`matrix_hash` fingerprints that, and the trend
@@ -40,7 +41,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-#: current entry schema (bump + add a migration step when fields change)
+#: current entry schema (bump, and add a migration step to
+#: :func:`migrate_entry`, when fields change)
 HISTORY_SCHEMA = 2
 
 #: default history file beside ``BENCH_pipeline.json``
@@ -158,53 +160,17 @@ def make_entry(
 
 
 def migrate_entry(entry: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Upgrade an entry to :data:`HISTORY_SCHEMA`; ``None`` = unusable.
+    """The entry if it is usable at :data:`HISTORY_SCHEMA`; ``None`` = not.
 
-    Unknown *newer* schemas are rejected (a rolled-back checkout must
-    not misread entries it does not understand); missing required fields
-    after migration also reject the entry.
+    Every other schema is rejected: older ones have no migration, and a
+    rolled-back checkout must not misread newer entries it does not
+    understand.  Missing required fields also reject the entry.
     """
-    schema = entry.get("schema")
-    if schema == 1:
-        entry = _migrate_v1(entry)
-        schema = entry.get("schema")
-    if schema != HISTORY_SCHEMA:
+    if entry.get("schema") != HISTORY_SCHEMA:
         return None
     if any(field not in entry for field in _REQUIRED_FIELDS):
         return None
     return entry
-
-
-def _migrate_v1(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """v1 -> v2: flat phase walls became per-phase dicts, the bare
-    toolchain string became a fingerprint dict, and the matrix hash moved
-    under ``matrix.hash``."""
-    upgraded = dict(entry)
-    upgraded["schema"] = 2
-    toolchain = entry.get("toolchain", "")
-    if isinstance(toolchain, str):
-        upgraded["toolchain"] = toolchain_fingerprint(toolchain)
-    phases = entry.get("phases", {})
-    if phases and all(isinstance(v, (int, float)) for v in phases.values()):
-        upgraded["phases"] = {
-            name: {"wall_s": float(wall), "tasks": 0,
-                   "cache_hits": 0, "cache_misses": 0}
-            for name, wall in phases.items()
-        }
-    if "matrix" not in upgraded:
-        config = entry.get("config", {})
-        upgraded["matrix"] = {
-            "hash": entry.get("config_hash") or matrix_hash(config),
-            "cells": config.get("cells", 0),
-            "workloads": list(config.get("workloads", [])),
-            "strategies": list(config.get("strategies", [])),
-            "iterations": config.get("iterations", 1),
-            "base_seed": config.get("base_seed", 1),
-        }
-        upgraded.pop("config", None)
-        upgraded.pop("config_hash", None)
-    upgraded.setdefault("cell_faults", {})
-    return upgraded
 
 
 class BenchHistory:
@@ -250,11 +216,11 @@ class BenchHistory:
 
     def entries(self, matrix_hash: Optional[str] = None,
                 ) -> List[Dict[str, Any]]:
-        """All usable entries, oldest first, migrated to the current schema.
+        """All usable entries, oldest first.
 
-        Corrupt lines and entries no migration can rescue are skipped
-        (counted in :attr:`skipped`); ``matrix_hash`` filters to one
-        comparable series.
+        Corrupt lines and entries of another schema are skipped (counted
+        in :attr:`skipped`); ``matrix_hash`` filters to one comparable
+        series.
         """
         self.skipped = 0
         out: List[Dict[str, Any]] = []
@@ -316,10 +282,10 @@ class BenchHistory:
         return removed
 
     def compact(self) -> Tuple[int, int]:
-        """Rewrite every usable entry at the current schema.
+        """Rewrite the file with its usable entries only.
 
         Returns ``(kept, dropped)`` — dropped counts corrupt lines and
-        entries no migration could rescue.  Idempotent.
+        entries of another schema.  Idempotent.
         """
         entries = self.entries()
         dropped = self.skipped

@@ -18,16 +18,14 @@ module is the sink those instruments write to.  Design constraints:
   their own process-wide registry; the scheduler captures a per-task
   *delta* snapshot (:meth:`MetricsSnapshot.diff`), ships it back in the
   ``TaskResult``, and merges it into the parent registry — counter merge
-  is addition, histogram merge is bucket-wise addition, gauge merge takes
-  the maximum, so merging is associative and commutative and the merged
-  totals are independent of task order and worker count for the
-  deterministic plane.
+  is addition, histogram merge adds counts, totals and quantile
+  sketches, gauge merge takes the maximum, so merging is associative and
+  commutative and the merged totals are independent of task order and
+  worker count for the deterministic plane.
 
-* **Cheap.**  Recording a counter is a dict add under a lock; histograms
-  bucket by binary exponent (``math.frexp``) so they need no
-  configuration and merge exactly.
+* **Cheap.**  Recording a counter is a dict add under a lock.
 
-* **Percentiles.**  Every histogram additionally feeds a deterministic
+* **Percentiles.**  A histogram's distribution lives in one deterministic
   :class:`~repro.util.quantiles.QuantileSketch`, so p50/p95/p99 are
   exact (below the sketch cap) or bounded to 1% relative error — and
   because sketch merge is associative bucket-wise addition, the merged
@@ -37,7 +35,6 @@ module is the sink those instruments write to.  Design constraints:
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
@@ -48,16 +45,6 @@ from ..util.quantiles import QuantileSketch
 DETERMINISTIC_PREFIX = "sweep."
 
 
-def _bucket_of(value: float) -> int:
-    """Histogram bucket key: the binary exponent of ``value``.
-
-    Bucket ``e`` holds values in ``[2^(e-1), 2^e)``; zero lands in bucket
-    0 via ``frexp``.  Exponent bucketing needs no preconfigured bounds and
-    two histograms always share the same bucket grid, so merges are exact.
-    """
-    return math.frexp(abs(value))[1]
-
-
 @dataclass
 class HistogramSnapshot:
     """Frozen view of one histogram (picklable, mergeable)."""
@@ -66,8 +53,6 @@ class HistogramSnapshot:
     total: float = 0.0
     min: Optional[float] = None
     max: Optional[float] = None
-    #: binary-exponent bucket -> observation count
-    buckets: Dict[int, int] = field(default_factory=dict)
     #: deterministic quantile sketch (p50/p95/p99; merge-order-invariant)
     sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
@@ -80,8 +65,6 @@ class HistogramSnapshot:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        bucket = _bucket_of(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.sketch.observe(value)
 
     def quantile(self, q: float) -> Optional[float]:
@@ -97,32 +80,24 @@ class HistogramSnapshot:
         for source in (other.max,):
             if source is not None:
                 self.max = source if self.max is None else max(self.max, source)
-        for bucket, n in other.buckets.items():
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + n
         self.sketch.merge(other.sketch)
 
     def diff(self, earlier: "HistogramSnapshot") -> "HistogramSnapshot":
         """What accrued since ``earlier`` (same-histogram snapshots only).
 
-        Counters, buckets, and the quantile sketch are all monotone, so
+        The count, the total and the quantile sketch are all monotone, so
         the delta is plain subtraction; min/max report current values.
         """
-        part = HistogramSnapshot(
+        return HistogramSnapshot(
             count=self.count - earlier.count,
             total=self.total - earlier.total,
             min=self.min, max=self.max,
             sketch=self.sketch.diff(earlier.sketch),
         )
-        for bucket, n in self.buckets.items():
-            d = n - earlier.buckets.get(bucket, 0)
-            if d:
-                part.buckets[bucket] = d
-        return part
 
     def copy(self) -> "HistogramSnapshot":
         return HistogramSnapshot(count=self.count, total=self.total,
                                  min=self.min, max=self.max,
-                                 buckets=dict(self.buckets),
                                  sketch=self.sketch.copy())
 
     def as_dict(self) -> Dict[str, Any]:
@@ -132,7 +107,6 @@ class HistogramSnapshot:
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
             **self.sketch.quantiles(),
         }
 
@@ -155,8 +129,8 @@ class MetricsSnapshot:
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Fold ``other`` into this snapshot (in place; returns self).
 
-        Counters add, histograms add bucket-wise, gauges keep the maximum
-        — all associative and commutative, so any merge order of the same
+        Counters add, histograms add counts, totals and sketches, gauges
+        keep the maximum — all associative and commutative, so any merge order of the same
         deltas yields the same totals.
         """
         for name, n in other.counters.items():
@@ -175,7 +149,7 @@ class MetricsSnapshot:
     def diff(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """What accrued since ``earlier`` (same-registry snapshots only).
 
-        Counters and histogram buckets are monotonic, so the delta is a
+        Counters and histograms are monotonic, so the delta is a
         plain subtraction; gauges report their current value.  Entries
         with a zero delta are dropped so deltas stay small on the wire.
         """

@@ -16,7 +16,8 @@ Two complementary signals, both cheap enough to run every epoch:
   (its traffic-it-was-built-for baseline), this measures what staleness
   actually *costs*, not just that orderings moved.
 
-Either signal crossing its :class:`DriftThresholds` bound marks the
+Either signal crossing its bound (:class:`DriftThresholds` for the rank
+distance, :data:`MAX_FAULT_REGRESSION` for the fault delta) marks the
 :class:`DriftReport` drifted; the loop then rebuilds a candidate.
 """
 
@@ -189,15 +190,18 @@ def rank_distance(
 # ---------------------------------------------------------------------------
 
 
+#: max tolerated relative fault regression of the deployed layout under
+#: live traffic vs its deployment-time baseline
+MAX_FAULT_REGRESSION = 0.05
+
+
 @dataclass(frozen=True)
 class DriftThresholds:
-    """When is drift actionable?  Either bound crossing triggers."""
+    """When is drift actionable?  This bound or
+    :data:`MAX_FAULT_REGRESSION` crossing triggers."""
 
     #: max tolerated rank distance (footrule, 0..1) before re-layout
     max_rank_distance: float = 0.15
-    #: max tolerated relative fault regression of the deployed layout
-    #: under live traffic vs its deployment-time baseline
-    max_fault_regression: float = 0.05
 
 
 @dataclass
@@ -298,13 +302,13 @@ def detect_drift(
             f"{thresholds.max_rank_distance:.3f} threshold "
             f"({_worst_component(components)})"
         )
-    if regression > thresholds.max_fault_regression:
+    if regression > MAX_FAULT_REGRESSION:
         report.drifted = True
         report.reasons.append(
             f"deployed layout costs {live_faults:.1f} expected faults under "
             f"live traffic vs {baseline_faults:.1f} at deployment "
             f"({regression:+.1%}, threshold "
-            f"{thresholds.max_fault_regression:+.1%})"
+            f"{MAX_FAULT_REGRESSION:+.1%})"
         )
     return report
 

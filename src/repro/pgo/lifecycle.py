@@ -35,9 +35,6 @@ class TraceSource:
 
     label: str
     weight: float
-    #: usable records the salvage pass recovered from this source
-    records: int = 0
-    salvaged: bool = False
     #: content digest of the source's post-processed bundle
     digest: str = ""
 
@@ -45,8 +42,6 @@ class TraceSource:
         return {
             "label": self.label,
             "weight": self.weight,
-            "records": self.records,
-            "salvaged": self.salvaged,
             "digest": self.digest,
         }
 

@@ -14,7 +14,8 @@ composes every prior safety rail:
 3. a PR-4-style regression gate — the candidate's expected first-touch
    faults under live traffic must not exceed the deployed layout's by
    more than ``CanaryPolicy.max_regression``;
-4. on a fault-gate loss, PR-5 attribution names the blamed symbols.
+4. on a fault-gate loss, startup attribution names the three most
+   blamed symbols.
 
 A failing candidate is convicted into the pipeline's PR-2
 :class:`QuarantineRegistry` (keyed ``strategy@vN`` so only that profile
@@ -60,16 +61,16 @@ ACTION_DEFAULT_LAYOUT = "default-layout"
 
 @dataclass(frozen=True)
 class CanaryPolicy:
-    """What the canary gate checks before a candidate may ship."""
+    """What the canary gate checks before a candidate may ship.
 
-    verify_structure: bool = True
+    The gate always verifies the candidate's structure first and blames
+    a fault-gate loss on symbols (see :meth:`PgoLoop._blame`).
+    """
+
     differential: bool = True
     #: max tolerated relative fault regression of the candidate vs the
     #: deployed layout, both replayed under live traffic (0.0 = strict)
     max_regression: float = 0.0
-    #: run the PR-5 attribution explainer on a fault-gate loss
-    attribute_blame: bool = True
-    top_blamed: int = 3
 
 
 @dataclass
@@ -431,14 +432,12 @@ class PgoLoop:
                 outcome: EpochOutcome) -> List[str]:
         """Run the gate; returns failure descriptions (empty = shippable)."""
         failures: List[str] = []
-        if self.canary.verify_structure:
-            report = verify_layout(candidate)
-            if not report.ok:
-                codes = ", ".join(sorted(report.codes()))
-                failures.append(
-                    f"structural verification failed ({codes})")
-                # an untrustworthy layout is not worth running or replaying
-                return failures
+        report = verify_layout(candidate)
+        if not report.ok:
+            codes = ", ".join(sorted(report.codes()))
+            failures.append(f"structural verification failed ({codes})")
+            # an untrustworthy layout is not worth running or replaying
+            return failures
         if self.canary.differential:
             baseline = self.pipeline.build_baseline(seed=self.seed)
             diff = run_differential(
@@ -462,15 +461,14 @@ class PgoLoop:
                     f"{candidate_faults:.1f} expected faults under live "
                     f"traffic vs deployed {outcome.deployed_faults_before:.1f}"
                     f" (allowed {allowed:.1f})")
-                if self.canary.attribute_blame:
-                    outcome.blamed = self._blame(candidate)
-                    if outcome.blamed:
-                        failures[-1] += ("; blamed: "
-                                         + ", ".join(outcome.blamed))
+                outcome.blamed = self._blame(candidate)
+                if outcome.blamed:
+                    failures[-1] += "; blamed: " + ", ".join(outcome.blamed)
         return failures
 
     def _blame(self, candidate: NativeImageBinary) -> List[str]:
-        """PR-5 attribution: which symbols explain the candidate's loss."""
+        """Startup attribution: the three symbols that most explain the
+        candidate's loss."""
         try:
             deployed_report = attributed_run(
                 self.pipeline, self.deployed_binary,
@@ -481,7 +479,7 @@ class PgoLoop:
             why = explain_reports(deployed_report, candidate_report,
                                   workload=self.workload,
                                   strategy=self.spec.name)
-            return why.top_blamed(self.canary.top_blamed)
+            return why.top_blamed()
         except Exception as exc:  # blame is advisory, never fatal
             return [f"<attribution failed: {type(exc).__name__}>"]
 

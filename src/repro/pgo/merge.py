@@ -24,9 +24,6 @@ class WeightedProfile:
     label: str
     weight: float
     bundle: ProfileBundle
-    #: usable records behind the bundle (0 = synthetic / unknown)
-    records: int = 0
-    salvaged: bool = False
 
 
 def coalesce_mix(mix: Sequence[WeightedProfile]) -> List[WeightedProfile]:
@@ -47,8 +44,6 @@ def coalesce_mix(mix: Sequence[WeightedProfile]) -> List[WeightedProfile]:
                 merged,
                 weight=merged.weight + source.weight,
                 label=f"{merged.label}+{source.label}",
-                records=merged.records + source.records,
-                salvaged=merged.salvaged or source.salvaged,
             )
         else:
             by_digest[digest] = source
@@ -84,8 +79,6 @@ def merge_mix(
             TraceSource(
                 label=source.label,
                 weight=source.weight,
-                records=source.records,
-                salvaged=source.salvaged,
                 digest=source.bundle.digest(),
             )
             for source in mix

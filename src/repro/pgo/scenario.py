@@ -56,9 +56,15 @@ class TrafficVariant:
     bundle: ProfileBundle
 
 
+#: fraction of every ordering component a shifted variant drops
+DROP_FRACTION = 0.35
+#: fraction of the hot set each shifted variant replaces with previously
+#: cold units (new-endpoint traffic)
+ADOPT_FRACTION = 0.75
+
+
 def _perturb_sequence(items: Sequence, universe: Sequence,
-                      rng: random.Random, drop_fraction: float,
-                      adopt_fraction: float) -> List:
+                      rng: random.Random) -> List:
     """A seeded traffic shift over ``items``: drop, rotate, adopt cold units.
 
     Dropping and *adopting* change which units this traffic touches (what
@@ -72,7 +78,7 @@ def _perturb_sequence(items: Sequence, universe: Sequence,
     items = list(items)
     if len(items) <= 1:
         return items
-    keep = max(1, len(items) - int(round(len(items) * drop_fraction)))
+    keep = max(1, len(items) - int(round(len(items) * DROP_FRACTION)))
     chosen = sorted(rng.sample(range(len(items)), keep))
     subset = [items[index] for index in chosen]
     if len(subset) > 1:
@@ -80,7 +86,7 @@ def _perturb_sequence(items: Sequence, universe: Sequence,
         subset = subset[pivot:] + subset[:pivot]
     hot = set(items)
     cold = [unit for unit in universe if unit not in hot]
-    adopt = min(len(cold), int(round(len(items) * adopt_fraction)))
+    adopt = min(len(cold), int(round(len(items) * ADOPT_FRACTION)))
     if adopt > 0:
         for unit in rng.sample(cold, adopt):
             subset.insert(rng.randrange(0, max(1, len(subset) // 2) + 1),
@@ -117,16 +123,14 @@ def synthesize_variants(
     base: ProfileBundle,
     count: int = 3,
     seed: int = 7,
-    drop_fraction: float = 0.35,
-    adopt_fraction: float = 0.75,
     universe: Optional[Dict[str, Dict[str, List]]] = None,
 ) -> List[TrafficVariant]:
     """Derive ``count`` traffic variants from one genuinely traced bundle.
 
     Variant 0 (``steady``) is the traced profile itself; each further
-    variant drops a seeded ~``drop_fraction`` of every ordering component,
-    rotates the remainder, and (when a ``universe`` from
-    :func:`population` is given) adopts ~``adopt_fraction`` previously
+    variant drops a seeded ~:data:`DROP_FRACTION` of every ordering
+    component, rotates the remainder, and (when a ``universe`` from
+    :func:`population` is given) adopts ~:data:`ADOPT_FRACTION` previously
     cold units — a traffic population with a genuinely different hot set,
     which is what makes a stale layout *cost* faults rather than merely
     look reordered.  Call counts are shared (the same code runs, at
@@ -143,16 +147,14 @@ def synthesize_variants(
                 kind=kind,
                 signatures=_perturb_sequence(
                     base.code[kind].signatures,
-                    universe["code"].get(kind, ()),
-                    rng, drop_fraction, adopt_fraction),
+                    universe["code"].get(kind, ()), rng),
             )
         for strategy in sorted(base.heap):
             bundle.heap[strategy] = HeapOrderProfile(
                 strategy=strategy,
                 ids=_perturb_sequence(
                     base.heap[strategy].ids,
-                    universe["heap"].get(strategy, ()),
-                    rng, drop_fraction, adopt_fraction),
+                    universe["heap"].get(strategy, ()), rng),
             )
         bundle.calls = CallCountProfile(counts=dict(base.calls.counts))
         variants.append(TrafficVariant(name=f"shift-{index}", bundle=bundle))
@@ -171,12 +173,6 @@ class DriftScenario:
     #: (traffic shifts again here so a rebuild actually happens); None =
     #: no injection
     inject_bad_epoch: Optional[int] = None
-    #: how many traffic variants to synthesize
-    variants: int = 3
-    drop_fraction: float = 0.35
-    #: fraction of the hot set each shifted variant replaces with
-    #: previously cold units (new-endpoint traffic)
-    adopt_fraction: float = 0.75
     mutation: str = MUTATE_SWAP_CU_OFFSETS
 
     def mix_weights(self, epoch: int, count: int) -> Dict[int, float]:
@@ -292,12 +288,8 @@ def run_scenario(
     scenario = scenario or DriftScenario()
     profiled = pipeline.profile(seed=scenario.seed)
     universe = population(pipeline.build_baseline(seed=scenario.seed))
-    variants = synthesize_variants(
-        profiled.profiles, count=scenario.variants, seed=scenario.seed,
-        drop_fraction=scenario.drop_fraction,
-        adopt_fraction=scenario.adopt_fraction,
-        universe=universe,
-    )
+    variants = synthesize_variants(profiled.profiles, seed=scenario.seed,
+                                   universe=universe)
     loop = PgoLoop(pipeline, strategy, thresholds=thresholds, canary=canary,
                    chaos=chaos, seed=scenario.seed)
 

@@ -8,11 +8,9 @@
   kernel persists every written record, so abnormal termination loses
   nothing.  We simulate this by writing through on every append.
 
-Buffers write trace-format **v2** by default: every flush (every record in
-MMAP mode) becomes a framed, CRC32-checksummed chunk, so a trace damaged by
-an abnormal termination or storage fault stays salvageable chunk-by-chunk
-(see :mod:`repro.profiling.tracefile`).  ``format_version=1`` restores the
-bare-record v1 stream.
+Every flush (every record in MMAP mode) becomes a framed, CRC32-checksummed
+chunk, so a trace damaged by an abnormal termination or storage fault stays
+salvageable chunk-by-chunk (see :mod:`repro.profiling.tracefile`).
 
 The buffers also count events and flushed bytes, which feeds the profiling
 overhead model (Sec. 7.4).
@@ -38,15 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .tracefile import (
-    MODE_DUMP_ON_FULL,
-    MODE_MMAP,
-    TRACE_VERSION,
-    VERSION_V1,
-    VERSION_V2,
-    encode_chunk,
-    encode_header,
-)
+from .tracefile import MODE_DUMP_ON_FULL, MODE_MMAP, encode_chunk, encode_header
 
 DEFAULT_BUFFER_BYTES = 64 * 1024
 
@@ -78,19 +68,15 @@ class ThreadTraceBuffer:
 
     def __init__(self, thread_id: int, mode: int,
                  capacity: int = DEFAULT_BUFFER_BYTES,
-                 format_version: int = TRACE_VERSION,
                  fault_hook: Optional[object] = None) -> None:
         if mode not in (MODE_DUMP_ON_FULL, MODE_MMAP):
             raise ValueError(f"unknown dump mode {mode}")
-        if format_version not in (VERSION_V1, VERSION_V2):
-            raise ValueError(f"unknown trace format version {format_version}")
         self.thread_id = thread_id
         self.mode = mode
         self.capacity = capacity
-        self.format_version = format_version
         self.fault_hook = fault_hook
         self.stats = TraceStats()
-        self._file = bytearray(encode_header(mode, thread_id, format_version))
+        self._file = bytearray(encode_header(mode, thread_id))
         self._pending: List[bytes] = []
         self._pending_bytes = 0
         self._killed = False
@@ -144,9 +130,8 @@ class ThreadTraceBuffer:
         self._write(payload)
 
     def _write(self, payload: bytes) -> None:
-        """Persist one payload, framed when writing format v2."""
-        if self.format_version == VERSION_V2:
-            payload = encode_chunk(payload)
+        """Persist one payload as a framed chunk."""
+        payload = encode_chunk(payload)
         self._file += payload
         self.stats.bytes_written += len(payload)
 
@@ -165,11 +150,6 @@ class ThreadTraceBuffer:
         self._pending.clear()
         self._pending_bytes = 0
         self._killed = True
-
-    @property
-    def pending_records(self) -> int:
-        """Records currently buffered (lost if a kill lands now)."""
-        return len(self._pending)
 
     @property
     def data(self) -> bytes:
@@ -191,11 +171,9 @@ class TraceSession:
 
     def __init__(self, mode: int = MODE_DUMP_ON_FULL,
                  capacity: int = DEFAULT_BUFFER_BYTES,
-                 format_version: int = TRACE_VERSION,
                  fault_hook: Optional[object] = None) -> None:
         self.mode = mode
         self.capacity = capacity
-        self.format_version = format_version
         self.fault_hook = fault_hook
         self._buffers: Dict[int, ThreadTraceBuffer] = {}
         if fault_hook is not None and hasattr(fault_hook, "attach"):
@@ -205,7 +183,6 @@ class TraceSession:
         buffer = self._buffers.get(thread_id)
         if buffer is None:
             buffer = ThreadTraceBuffer(thread_id, self.mode, self.capacity,
-                                       format_version=self.format_version,
                                        fault_hook=self.fault_hook)
             self._buffers[thread_id] = buffer
         return buffer

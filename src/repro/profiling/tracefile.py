@@ -1,22 +1,20 @@
 """Binary trace-file format (one file per thread; paper Sec. 6.1).
 
-Two on-disk layouts share the same header::
+Layout (format version 2; version 1, a bare record stream, is no longer
+read)::
 
-    magic "NITR" | version u8 | mode u8 | thread_id uvarint | body...
+    magic "NITR" | version u8 | mode u8 | thread_id uvarint | chunk...
 
-* **v1** — the body is a bare record stream.  A single corrupt byte poisons
-  everything after it, and a SIGKILL landing mid-flush leaves a file that a
-  strict parser rejects wholesale.
-* **v2** — the body is a sequence of *framed chunks*, one per buffer flush
-  (one per record in write-through/MMAP mode)::
+The body is a sequence of *framed chunks*, one per buffer flush (one per
+record in write-through/MMAP mode)::
 
-      marker 0xC5 | payload_len uvarint | crc32 u32 LE | payload (records)
+    marker 0xC5 | payload_len uvarint | crc32 u32 LE | payload (records)
 
-  Framing localizes damage: a corrupt or torn chunk is skipped and the
-  parser resynchronizes on the next marker, so a salvage pass recovers every
-  intact flush around it.
+Framing localizes damage: a corrupt or torn chunk is skipped and the parser
+resynchronizes on the next marker, so a salvage pass recovers every intact
+flush around it.
 
-Record kinds (identical in both versions)::
+Record kinds::
 
     0x01 METHOD_ENTRY  method_id
     0x02 CU_ENTRY      cu_id
@@ -30,8 +28,8 @@ machinery.
 
 :func:`parse_trace` is the strict parser: any structural damage raises
 :class:`TraceDecodeError`.  :func:`parse_trace_lenient` never raises — it
-recovers the longest valid record prefix (v1) or every verifiable chunk
-(v2) and returns a :class:`SalvageReport` describing what was dropped.
+recovers every verifiable chunk and returns a :class:`SalvageReport`
+describing what was dropped.
 """
 
 from __future__ import annotations
@@ -43,17 +41,13 @@ from typing import Iterator, List, Tuple, Union
 from ..util.varint import VarintDecodeError, decode_uvarint, encode_uvarint
 
 MAGIC = b"NITR"
-VERSION_V1 = 1
+#: the one trace-format version written and read
 VERSION_V2 = 2
-#: version written by :class:`repro.profiling.tracebuf.ThreadTraceBuffer`
-TRACE_VERSION = VERSION_V2
-#: kept for backward compatibility: the bare-record header version
-VERSION = VERSION_V1
 
 #: minimum bytes before the thread-id varint can even start
 HEADER_FIXED_BYTES = 6
 
-#: start-of-chunk marker (v2); deliberately not a valid record tag
+#: start-of-chunk marker; deliberately not a valid record tag
 CHUNK_MARKER = 0xC5
 #: marker + 4 CRC bytes + at least 1 length byte
 CHUNK_MIN_OVERHEAD = 6
@@ -112,12 +106,12 @@ def encode_path(method_id: int, start_block: int, path_value: int,
     return bytes(out)
 
 
-def encode_header(mode: int, thread_id: int, version: int = VERSION_V1) -> bytes:
+def encode_header(mode: int, thread_id: int, version: int = VERSION_V2) -> bytes:
     return MAGIC + bytes([version, mode]) + encode_uvarint(thread_id)
 
 
 def encode_chunk(payload: bytes) -> bytes:
-    """Frame one flush payload as a v2 chunk (marker, length, CRC32)."""
+    """Frame one flush payload as a chunk (marker, length, CRC32)."""
     out = bytearray([CHUNK_MARKER])
     out += encode_uvarint(len(payload))
     out += zlib.crc32(payload).to_bytes(4, "little")
@@ -132,7 +126,7 @@ class TraceFile:
     mode: int
     thread_id: int
     records: List[TraceRecord]
-    version: int = VERSION_V1
+    version: int = VERSION_V2
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +144,7 @@ def _parse_header(data: bytes) -> Tuple[int, int, int, int]:
     if data[:4] != MAGIC:
         raise TraceDecodeError("bad trace magic")
     version = data[4]
-    if version not in (VERSION_V1, VERSION_V2):
+    if version != VERSION_V2:
         raise TraceDecodeError(f"unsupported trace version {version}")
     mode = data[5]
     try:
@@ -161,19 +155,17 @@ def _parse_header(data: bytes) -> Tuple[int, int, int, int]:
 
 
 def parse_trace(data: bytes) -> TraceFile:
-    """Parse a complete per-thread trace file (v1 or v2), strictly.
+    """Parse a complete per-thread trace file, strictly.
 
     Raises :class:`TraceDecodeError` (a :class:`ValueError`) on any
-    truncation or corruption.
+    truncation or corruption, and on a header of any version but
+    :data:`VERSION_V2`.
     """
     version, mode, thread_id, pos = _parse_header(data)
-    if version == VERSION_V1:
-        records = list(_iter_records(data, pos, len(data)))
-    else:
-        records = []
-        while pos < len(data):
-            payload, pos = _read_chunk(data, pos)
-            records.extend(_iter_records(payload, 0, len(payload)))
+    records = []
+    while pos < len(data):
+        payload, pos = _read_chunk(data, pos)
+        records.extend(_iter_records(payload, 0, len(payload)))
     return TraceFile(mode=mode, thread_id=thread_id, records=records,
                      version=version)
 
@@ -314,11 +306,11 @@ def _parse_one_record(data: bytes, pos: int, end: int
 def parse_trace_lenient(data: bytes) -> SalvagedTrace:
     """Best-effort parse that never raises.
 
-    * v1 bodies: recover the longest valid record prefix.
-    * v2 bodies: keep every chunk whose CRC verifies, skip corrupt ones and
+    * Keep every chunk whose CRC verifies, skip corrupt ones and
       resynchronize on the next chunk marker; a torn *tail* chunk (mid-flush
       kill) contributes its record prefix as *unverified* records.
-    * Unreadable headers yield an empty trace and a report saying why.
+    * Unreadable headers (an unsupported version included) yield an empty
+      trace and a report saying why.
 
     On an uncorrupted input the recovered trace is identical to
     :func:`parse_trace` output and ``report.complete`` is True.
@@ -344,28 +336,12 @@ def parse_trace_lenient(data: bytes) -> SalvagedTrace:
     report.header_ok = True
     trace = TraceFile(mode=mode, thread_id=thread_id, records=[],
                       version=version)
-    if version == VERSION_V1:
-        _salvage_v1(data, pos, trace, report)
-    else:
-        _salvage_v2(data, pos, trace, report)
+    _salvage_chunks(data, pos, trace, report)
     report.records_recovered = len(trace.records)
     return SalvagedTrace(trace, report)
 
 
-def _salvage_v1(data: bytes, pos: int, trace: TraceFile,
-                report: SalvageReport) -> None:
-    records, stop = _recover_record_prefix(data, pos, len(data))
-    trace.records.extend(records)
-    if stop < len(data):
-        report.truncated = True
-        report.bytes_dropped += len(data) - stop
-        report.notes.append(
-            f"v1 body damaged at offset {stop}; dropped {len(data) - stop} "
-            "trailing bytes"
-        )
-
-
-def _salvage_v2(data: bytes, pos: int, trace: TraceFile,
+def _salvage_chunks(data: bytes, pos: int, trace: TraceFile,
                 report: SalvageReport) -> None:
     end = len(data)
     while pos < end:

@@ -6,8 +6,8 @@ rather than abort (Hoag et al., arXiv:2211.09285; Makor et al.,
 arXiv:2502.20536).  The policy below encodes the ladder the pipeline
 descends when a profiling run goes wrong:
 
-1. parse leniently and accept a *salvaged* profile if enough records
-   survive;
+1. parse leniently and accept a *salvaged* profile if any record
+   survives;
 2. otherwise retry profiling up to ``max_retries`` more times with
    exponential-backoff-style seed perturbation (a fresh build + run);
 3. at build time, if the heap-ID match rate against the snapshot falls
@@ -42,8 +42,6 @@ class DegradationPolicy:
 
     #: additional profiling attempts after the first one fails
     max_retries: int = 2
-    #: salvaged records needed to accept a profile at all
-    min_records: int = 1
     #: heap-ID profile-to-snapshot match-rate floor; below it the heap
     #: ordering is dropped (mismatched-build guard)
     min_match_rate: float = 0.25
@@ -98,12 +96,6 @@ class DegradationReport:
     verification: Optional["LayoutVerificationReport"] = None
     degraded: bool = False
     reasons: List[str] = field(default_factory=list)
-
-    @property
-    def fallback_used(self) -> bool:
-        """True when any part of the build fell back to the default layout."""
-        return (self.code_fallback or self.heap_fallback
-                or self.layout_fallback or self.profile_source == "none")
 
     def note(self, reason: str) -> None:
         self.degraded = True

@@ -20,11 +20,6 @@ from __future__ import annotations
 PAGE_SIZE = 4096
 
 
-def page_of(offset: int, page_size: int = PAGE_SIZE) -> int:
-    """The page index containing byte ``offset``."""
-    return offset // page_size
-
-
 def page_count(size_bytes: int, page_size: int = PAGE_SIZE) -> int:
     """Pages needed to hold ``size_bytes`` (0 bytes -> 0 pages)."""
     if size_bytes < 0:

@@ -1,13 +1,12 @@
 """LEB128-style variable-length integer codec.
 
 Trace files produced by the tracing profiler (Sec. 6.1 of the paper) store
-path IDs and object identities compactly.  We use unsigned LEB128 for
-non-negative values and a zig-zag transform for signed values.
+path IDs and object identities compactly as unsigned LEB128.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 
 class VarintDecodeError(ValueError):
@@ -54,48 +53,3 @@ def decode_uvarint(data: bytes, offset: int = 0) -> Tuple[int, int]:
         shift += 7
         if shift > 70:
             raise VarintDecodeError("uvarint too long")
-
-
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer to an unsigned one (zig-zag)."""
-    return (value << 1) ^ (value >> 63) if value >= -(1 << 63) else _zigzag_big(value)
-
-
-def _zigzag_big(value: int) -> int:
-    # Arbitrary-precision fallback: Python ints are unbounded, so emulate the
-    # usual two's-complement trick directly.
-    return (value << 1) ^ (value >> (max(value.bit_length(), 63)))
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    return (value >> 1) ^ -(value & 1)
-
-
-def encode_svarint(value: int) -> bytes:
-    """Encode a signed integer (zig-zag + LEB128)."""
-    return encode_uvarint(zigzag_encode(value))
-
-
-def decode_svarint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode a signed integer (zig-zag + LEB128)."""
-    raw, pos = decode_uvarint(data, offset)
-    return zigzag_decode(raw), pos
-
-
-def encode_uvarints(values: Iterable[int]) -> bytes:
-    """Encode a sequence of non-negative integers back to back."""
-    out = bytearray()
-    for value in values:
-        out += encode_uvarint(value)
-    return bytes(out)
-
-
-def decode_all_uvarints(data: bytes) -> List[int]:
-    """Decode every unsigned varint in ``data``."""
-    values: List[int] = []
-    pos = 0
-    while pos < len(data):
-        value, pos = decode_uvarint(data, pos)
-        values.append(value)
-    return values

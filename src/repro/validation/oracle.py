@@ -27,11 +27,13 @@ if TYPE_CHECKING:  # pipeline imports this module; keep the cycle type-only
 
 @dataclass(frozen=True)
 class VerificationPolicy:
-    """Knobs of the verification layer, as armed on a pipeline."""
+    """Knobs of the verification layer, as armed on a pipeline.
 
-    #: structurally verify every optimized build; violations quarantine the
-    #: (workload, strategy) pair and roll the build back to default layout
-    verify_structure: bool = True
+    An armed pipeline structurally verifies every optimized build; a
+    violation quarantines the (workload, strategy) pair and rolls the
+    build back to the default layout.
+    """
+
     #: quarantine convicted combinations (False = report + rollback only)
     quarantine: bool = True
     #: watchdog budgets applied to pipeline workload runs (None = unbounded)

@@ -69,10 +69,6 @@ class WatchdogReport:
     def completed(self) -> bool:
         return self.outcome == OUTCOME_COMPLETED
 
-    @property
-    def timed_out(self) -> bool:
-        return self.outcome in (OUTCOME_OPS_EXCEEDED, OUTCOME_DEADLINE_EXCEEDED)
-
     def describe(self) -> str:
         text = (f"watchdog [{self.budget.describe()}]: {self.outcome} "
                 f"after {self.elapsed_s:.3f}s")

@@ -47,7 +47,7 @@ from repro.runtime.executor import (
     run_binary,
 )
 from repro.runtime.paging import SSD, IoDevice, PageCache
-from repro.util.pagemath import PAGE_SIZE, page_count, page_of, pages_spanned
+from repro.util.pagemath import PAGE_SIZE, page_count, pages_spanned
 from repro.workloads.awfy.suite import awfy_workload
 from repro.workloads.microservices.suite import microservice_workload
 
@@ -57,9 +57,9 @@ from repro.workloads.microservices.suite import microservice_workload
 
 class TestPageMath:
     def test_page_of(self):
-        assert page_of(0) == 0
-        assert page_of(PAGE_SIZE - 1) == 0
-        assert page_of(PAGE_SIZE) == 1
+        assert list(pages_spanned(0, 1)) == [0]
+        assert list(pages_spanned(PAGE_SIZE - 1, 1)) == [0]
+        assert list(pages_spanned(PAGE_SIZE, 1)) == [1]
 
     def test_page_count(self):
         assert page_count(0) == 0
@@ -78,14 +78,6 @@ class TestPageMath:
     def test_pages_spanned_negative_size_raises(self):
         with pytest.raises(ValueError):
             pages_spanned(0, -1)
-
-    def test_sections_reexport_agrees(self):
-        from repro.image.sections import pages_spanned as sections_spanned
-
-        for offset, size in ((0, 1), (4095, 2), (8192, 4096), (5, 0)):
-            assert list(sections_spanned(offset, size)) == list(
-                pages_spanned(offset, size)
-            )
 
 
 # -- per-event device costs ---------------------------------------------------
@@ -282,9 +274,9 @@ class TestAttributeProperties:
         cache.touch(TEXT_SECTION, PAGE_SIZE, 1)   # cu1's page first
         cache.touch(TEXT_SECTION, 0, 1)           # then cu0's
         report = attribute(binary, cache.fault_log, SSD)
-        section = report.sections[TEXT_SECTION]
-        assert section.blame_of("cu1").first_touch == 0
-        assert section.blame_of("cu0").first_touch == 1
+        blame = {unit.unit: unit for unit in report.sections[TEXT_SECTION].units}
+        assert blame["cu1"].first_touch == 0
+        assert blame["cu0"].first_touch == 1
         assert [entry.event.logical_time for entry in report.timeline] == [0, 1]
 
     def test_front_density_curve_tracks_faults(self):

@@ -149,7 +149,7 @@ class TestHistoryStore:
         assert removed == 1
         assert [e["timestamp"] for e in store.entries()] == [4.0]
 
-    def test_v1_migration_roundtrip(self, tmp_path):
+    def test_v1_entry_is_skipped(self, tmp_path):
         v1 = {
             "schema": 1,
             "run_id": "deadbeef0001",
@@ -161,18 +161,10 @@ class TestHistoryStore:
         }
         store = BenchHistory(tmp_path / "h.jsonl")
         store.path.write_text(json.dumps(v1) + "\n")
-        (migrated,) = store.entries()
-        assert migrated["schema"] == HISTORY_SCHEMA
-        assert migrated["toolchain"]["version"] == "sim-graal-ce-23.1"
-        assert migrated["phases"]["cold"] == {"wall_s": 2.5, "tasks": 0,
-                                              "cache_hits": 0,
-                                              "cache_misses": 0}
-        assert migrated["matrix"]["hash"] == matrix_hash(v1["config"])
-        assert migrated["cell_faults"] == {}
-        # compact persists the migrated form; a reread needs no migration
-        store.compact()
-        raw = json.loads(store.path.read_text())
-        assert raw["schema"] == HISTORY_SCHEMA
+        entry(store, timestamp=43.0)
+        assert [e["timestamp"] for e in store.entries()] == [43.0]
+        assert store.skipped == 1
+        assert migrate_entry(v1) is None
 
     def test_newer_schema_rejected(self):
         assert migrate_entry({"schema": HISTORY_SCHEMA + 1}) is None

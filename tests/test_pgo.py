@@ -100,8 +100,7 @@ def _bundle(signatures, ids=(), counts=None) -> ProfileBundle:
 def _provenance(epoch=0, workload="w") -> ProfileProvenance:
     return ProfileProvenance(
         workload=workload, epoch=epoch,
-        sources=(TraceSource(label="t", weight=1.0, records=10,
-                             salvaged=False, digest="d"),),
+        sources=(TraceSource(label="t", weight=1.0, digest="d"),),
     )
 
 

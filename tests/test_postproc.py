@@ -27,6 +27,8 @@ from repro.postproc.framework import (
 from repro.profiling.instrument import plan_instrumentation
 from repro.profiling.tracefile import (
     MODE_DUMP_ON_FULL,
+    VERSION_V2,
+    encode_chunk,
     encode_header,
     encode_path,
 )
@@ -58,8 +60,9 @@ class TestDecoding:
         manifest = binary.manifest
         main_id = manifest.method_ids["Main.main()"]
         # Hand-craft a path record with the wrong number of object IDs.
-        bogus = encode_header(MODE_DUMP_ON_FULL, 0) + encode_path(main_id, 0, 0, [1])
-        with pytest.raises(TraceDecodeError):
+        bogus = (encode_header(MODE_DUMP_ON_FULL, 0, version=VERSION_V2)
+                 + encode_chunk(encode_path(main_id, 0, 0, [1])))
+        with pytest.raises(TraceDecodeError, match="heap-access sites"):
             list(decode_events(manifest, bogus))
 
     def test_zero_ids_skipped(self):

@@ -10,10 +10,10 @@ from repro.profiling.tracefile import (
     CHUNK_MARKER,
     MODE_DUMP_ON_FULL,
     MODE_MMAP,
-    VERSION_V1,
     VERSION_V2,
     CuEntryRecord,
     MethodEntryRecord,
+    PathRecord,
     TraceDecodeError,
     encode_chunk,
     encode_cu_entry,
@@ -26,10 +26,10 @@ from repro.profiling.tracefile import (
 from repro.util.varint import VarintDecodeError, decode_uvarint
 
 
-def make_trace(version, n_records=30, capacity=64):
-    """A buffered trace with several flush chunks."""
-    buffer = ThreadTraceBuffer(thread_id=7, mode=MODE_DUMP_ON_FULL,
-                               capacity=capacity, format_version=version)
+def make_trace(mode=MODE_DUMP_ON_FULL, n_records=30, capacity=64):
+    """A buffered trace with several flush chunks (one per record in MMAP
+    mode)."""
+    buffer = ThreadTraceBuffer(thread_id=7, mode=mode, capacity=capacity)
     for index in range(n_records):
         buffer.append(encode_method_entry(index))
         if index % 5 == 0:
@@ -39,12 +39,16 @@ def make_trace(version, n_records=30, capacity=64):
 
 
 class TestFormatV2:
-    def test_v2_roundtrip_matches_v1_records(self):
-        v1 = parse_trace(make_trace(VERSION_V1))
-        v2 = parse_trace(make_trace(VERSION_V2))
-        assert v1.records == v2.records
-        assert v2.version == VERSION_V2
-        assert v2.thread_id == 7
+    def test_v2_roundtrip(self):
+        trace = parse_trace(make_trace())
+        expected = []
+        for index in range(30):
+            expected.append(MethodEntryRecord(index))
+            if index % 5 == 0:
+                expected.append(PathRecord(index, 0, 3, (index + 1, 0)))
+        assert trace.records == expected
+        assert trace.version == VERSION_V2
+        assert trace.thread_id == 7
 
     def test_v2_mmap_write_through(self):
         buffer = ThreadTraceBuffer(0, MODE_MMAP)
@@ -55,13 +59,13 @@ class TestFormatV2:
         ]
 
     def test_v2_crc_detects_payload_corruption(self):
-        data = bytearray(make_trace(VERSION_V2))
+        data = bytearray(make_trace())
         data[len(data) // 2] ^= 0x40
         with pytest.raises(TraceDecodeError):
             parse_trace(bytes(data))
 
     def test_v2_truncation_detected(self):
-        data = make_trace(VERSION_V2)
+        data = make_trace()
         with pytest.raises(TraceDecodeError):
             parse_trace(data[:-3])
 
@@ -70,23 +74,36 @@ class TestFormatV2:
         with pytest.raises(TraceDecodeError):
             parse_trace(data)
 
+    def test_v1_header_is_unsupported(self):
+        records = encode_method_entry(1) + encode_method_entry(2)
+        data = encode_header(MODE_DUMP_ON_FULL, 0, version=1) + records
+        with pytest.raises(TraceDecodeError,
+                           match="unsupported trace version 1"):
+            parse_trace(data)
+        salvaged = parse_trace_lenient(data)
+        assert salvaged.trace.records == []
+        assert not salvaged.report.header_ok
+        assert salvaged.report.bytes_dropped == len(data)
+        assert any("unsupported trace version 1" in note
+                   for note in salvaged.report.notes)
+
 
 class TestTypedBoundsErrors:
     """Truncation must raise TraceDecodeError, never a bare IndexError."""
 
     @pytest.mark.parametrize("size", range(0, 6))
     def test_short_header_raises_typed_error(self, size):
-        data = (b"NITR" + bytes([VERSION_V1, MODE_DUMP_ON_FULL]))[:size]
+        data = (b"NITR" + bytes([VERSION_V2, MODE_DUMP_ON_FULL]))[:size]
         with pytest.raises(TraceDecodeError):
             parse_trace(data)
 
     def test_header_truncated_mid_thread_id_varint(self):
-        data = b"NITR" + bytes([VERSION_V1, MODE_DUMP_ON_FULL]) + b"\x80"
+        data = b"NITR" + bytes([VERSION_V2, MODE_DUMP_ON_FULL]) + b"\x80"
         with pytest.raises(TraceDecodeError):
             parse_trace(data)
 
     def test_record_truncated_mid_varint(self):
-        data = encode_header(MODE_DUMP_ON_FULL, 0) + b"\x01\x80"
+        data = encode_header(MODE_DUMP_ON_FULL, 0) + encode_chunk(b"\x01\x80")
         with pytest.raises(TraceDecodeError):
             parse_trace(data)
 
@@ -100,9 +117,9 @@ class TestTypedBoundsErrors:
 class TestLenientIdentity:
     """On undamaged input, lenient == strict (the acceptance criterion)."""
 
-    @pytest.mark.parametrize("version", [VERSION_V1, VERSION_V2])
-    def test_identical_to_strict_parse(self, version):
-        data = make_trace(version)
+    @pytest.mark.parametrize("mode", [MODE_DUMP_ON_FULL, MODE_MMAP])
+    def test_identical_to_strict_parse(self, mode):
+        data = make_trace(mode)
         strict = parse_trace(data)
         salvaged = parse_trace_lenient(data)
         assert salvaged.trace == strict
@@ -117,14 +134,6 @@ class TestLenientIdentity:
 
 
 class TestSalvage:
-    def test_v1_truncation_recovers_prefix(self):
-        records = [encode_method_entry(i) for i in range(10)]
-        data = encode_header(MODE_DUMP_ON_FULL, 0) + b"".join(records)
-        salvaged = parse_trace_lenient(data[:-1])
-        assert salvaged.report.truncated
-        assert not salvaged.report.complete
-        assert [r.method_id for r in salvaged.trace.records] == list(range(9))
-
     def test_v2_corrupt_chunk_skipped_others_survive(self):
         header = encode_header(MODE_DUMP_ON_FULL, 0, version=VERSION_V2)
         chunks = [encode_chunk(encode_method_entry(i)) for i in range(5)]
@@ -154,7 +163,7 @@ class TestSalvage:
         assert 4 <= len(ids) < 8  # prefix of the torn flush, never all of it
 
     def test_partial_header_salvages_nothing_but_reports(self):
-        data = make_trace(VERSION_V2)[:4]
+        data = make_trace()[:4]
         salvaged = parse_trace_lenient(data)
         assert not salvaged.report.header_ok
         assert salvaged.report.truncated
@@ -179,15 +188,15 @@ class TestSalvageFuzz:
     """parse_trace_lenient must never raise, whatever the bytes."""
 
     def test_seeded_random_and_mutated_blobs(self):
-        base = make_trace(VERSION_V2)
-        base_v1 = make_trace(VERSION_V1)
+        base = make_trace()
+        base_mmap = make_trace(MODE_MMAP)
         rng = random.Random(20250806)
         for case in range(150):
             kind = case % 3
             if kind == 0:  # pure noise
                 blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 400)))
             else:  # mutate a real trace
-                blob = bytearray(base if kind == 1 else base_v1)
+                blob = bytearray(base if kind == 1 else base_mmap)
                 for _ in range(rng.randrange(1, 8)):
                     action = rng.randrange(3)
                     if action == 0 and blob:
@@ -211,7 +220,7 @@ class TestOversizedRecords:
         buffer.append(big)
         buffer.append(encode_method_entry(1))
         assert buffer.stats.oversized_records == 1
-        assert buffer.pending_records == 1  # only the small record is pending
+        assert len(buffer._pending) == 1  # only the small record is pending
         # The oversized record is already durable: a kill cannot lose it.
         buffer.kill()
         records = parse_trace(buffer.data).records

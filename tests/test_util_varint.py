@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.varint import (
-    decode_all_uvarints,
-    decode_svarint,
-    decode_uvarint,
-    encode_svarint,
-    encode_uvarint,
-    encode_uvarints,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.util.varint import decode_uvarint, encode_uvarint
 
 
 class TestUnsigned:
@@ -49,23 +40,3 @@ class TestUnsigned:
     def test_roundtrip(self, value):
         encoded = encode_uvarint(value)
         assert decode_uvarint(encoded) == (value, len(encoded))
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=30))
-    def test_sequence_roundtrip(self, values):
-        assert decode_all_uvarints(encode_uvarints(values)) == values
-
-
-class TestSigned:
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
-    def test_zigzag_roundtrip(self, value):
-        assert zigzag_decode(zigzag_encode(value)) == value
-
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
-    def test_svarint_roundtrip(self, value):
-        encoded = encode_svarint(value)
-        assert decode_svarint(encoded) == (value, len(encoded))
-
-    def test_small_negatives_are_compact(self):
-        assert len(encode_svarint(-1)) == 1
-        assert len(encode_svarint(-64)) == 1
-        assert len(encode_svarint(64)) == 2

@@ -20,10 +20,17 @@ from repro.validation import (
     VerificationPolicy,
     WatchdogBudget,
     run_with_watchdog,
+    verify_layout,
     verify_strategy,
+)
+from repro.validation.watchdog import (
+    OUTCOME_DEADLINE_EXCEEDED,
+    OUTCOME_OPS_EXCEEDED,
 )
 from repro.workloads.awfy.suite import awfy_workload
 from repro.workloads.microservices.suite import microservice_workload
+
+TIMED_OUT = (OUTCOME_OPS_EXCEEDED, OUTCOME_DEADLINE_EXCEEDED)
 
 
 def small_awfy(name="Bounce"):
@@ -57,7 +64,7 @@ class TestWatchdog:
         binary = pipeline.build_baseline(seed=1)
         report = run_with_watchdog(binary, pipeline.exec_config,
                                    WatchdogBudget(max_ops=100))
-        assert report.timed_out
+        assert report.outcome in TIMED_OUT
         assert report.outcome == "ops-budget-exceeded"
         assert report.metrics is None
 
@@ -67,7 +74,7 @@ class TestWatchdog:
         report = run_with_watchdog(binary, pipeline.exec_config,
                                    WatchdogBudget(deadline_s=1e-6))
         assert report.outcome == "deadline-exceeded"
-        assert report.timed_out
+        assert report.outcome in TIMED_OUT
 
     def test_run_finishing_past_its_deadline_trips(self):
         # The run ends well within one GIL switch interval, so the watchdog
@@ -97,7 +104,8 @@ class TestWatchdog:
         metrics = pipeline.measure(binary, iterations=2, seed=1)
         assert len(metrics) == 2
         assert len(pipeline.last_watchdog_reports) == 2
-        assert all(r.timed_out for r in pipeline.last_watchdog_reports)
+        assert all(r.outcome in TIMED_OUT
+                   for r in pipeline.last_watchdog_reports)
         report = pipeline.last_degradation_report
         assert report is not None
         assert any("ops-budget-exceeded" in reason for reason in report.reasons)
@@ -185,7 +193,7 @@ class TestToolchainFacade:
 
     def test_verify_build_checks_any_binary(self):
         toolchain = NativeImageToolchain(small_awfy())
-        assert toolchain.verify_build(toolchain.build(seed=1)).ok
+        assert verify_layout(toolchain.build(seed=1)).ok
 
     def test_unknown_strategy_rejected(self):
         toolchain = NativeImageToolchain(small_awfy())

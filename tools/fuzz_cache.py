@@ -3,7 +3,8 @@
 
 Each case stores a known payload, damages the on-disk entry the way
 storage actually fails — bit flips, truncation, appended garbage, a
-swapped payload, sidecar rot, or a deleted file half — and then reads it
+swapped payload, sidecar rot, a flipped bit in a sidecar key name with a
+swapped payload, or a deleted file half — and then reads it
 back through a fresh (memo-free) :class:`ArtifactCache`.  Two things must
 hold on every case:
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import random
 import shutil
 import sys
@@ -50,7 +52,7 @@ def make_payload(rng: random.Random):
 
 def damage(rng: random.Random, pkl: Path, meta: Path) -> str:
     """Apply one random damage shape; returns its name for reporting."""
-    mode = rng.randrange(6)
+    mode = rng.randrange(7)
     blob = bytearray(pkl.read_bytes())
     if mode == 0 and blob:
         for _ in range(rng.randrange(1, 8)):
@@ -73,6 +75,18 @@ def damage(rng: random.Random, pkl: Path, meta: Path) -> str:
         doc["crc32"] = rng.randrange(1 << 32)
         meta.write_text(json.dumps(doc))
         return "sidecar rot"
+    if mode == 5:
+        # One flipped bit in one key name keeps the JSON valid but loses
+        # that key; the payload is swapped for another valid pickle, so a
+        # read that skips the checksum returns a wrong value.
+        doc = json.loads(meta.read_text())
+        name = rng.choice(sorted(doc))
+        at = rng.randrange(len(name))
+        flipped = chr(ord(name[at]) ^ (1 << rng.randrange(7)))
+        doc[name[:at] + flipped + name[at + 1:]] = doc.pop(name)
+        meta.write_text(json.dumps(doc))
+        pkl.write_bytes(pickle.dumps(make_payload(rng)))
+        return f"sidecar key rot ({name})"
     if rng.randrange(2):
         pkl.unlink()
         return "payload deleted"

@@ -2,6 +2,10 @@
 """Fuzz the salvage parser: feed seeded random/mutated byte strings through
 ``parse_trace_lenient`` and assert it never raises.
 
+The mutated cases start from a reference trace or from the same trace with
+its version byte set to 1 (a format no longer read), which by itself must
+salvage to an empty trace.
+
 Run:  python tools/fuzz_salvage.py [--count 500] [--seed 1]
 
 Used by the CI fuzz job; exits non-zero on the first crash, printing the
@@ -21,17 +25,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.profiling.tracebuf import ThreadTraceBuffer  # noqa: E402
 from repro.profiling.tracefile import (  # noqa: E402
     MODE_DUMP_ON_FULL,
-    VERSION_V1,
-    VERSION_V2,
     encode_method_entry,
     encode_path,
     parse_trace_lenient,
 )
 
 
-def reference_trace(version: int) -> bytes:
+def reference_trace() -> bytes:
     buffer = ThreadTraceBuffer(thread_id=1, mode=MODE_DUMP_ON_FULL,
-                               capacity=96, format_version=version)
+                               capacity=96)
     for index in range(40):
         buffer.append(encode_method_entry(index))
         if index % 4 == 0:
@@ -69,7 +71,12 @@ def main() -> int:
     parser.add_argument("--only", type=int, help="run a single case index")
     args = parser.parse_args()
 
-    bases = [reference_trace(VERSION_V1), reference_trace(VERSION_V2)]
+    reference = reference_trace()
+    version_1 = reference[:4] + bytes([1]) + reference[5:]
+    if parse_trace_lenient(version_1).trace.records:
+        print("FAIL: the version-1 trace salvaged records")
+        return 1
+    bases = [reference, version_1]
     failures = 0
     recovered_total = 0
     for case in range(args.count):

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""List definitions under ``src/`` that no Python file references, and
+"""List definitions under ``src/`` that nothing but tests references, and
 imports that their module never uses.
 
 Scans every module under ``src/`` for top-level functions and classes
 and the methods of those classes (dunders are skipped). A definition is
 referenced when its name occurs as a whole word in any ``.py`` file under
-``src/``, ``tests/``, ``benchmarks/``, ``perfbench/``, ``examples/`` or
-``tools/``. The definition's own line does not count, and neither does a
-re-export in an ``__init__.py`` (an ``import`` statement or the
-``__all__`` list).
+``src/``, ``benchmarks/``, ``perfbench/``, ``examples/`` or ``tools/``.
+The definition's own line does not count, and neither does a re-export in
+an ``__init__.py`` (an ``import`` statement or the ``__all__`` list).
+Files under ``tests/`` do not count either: a definition only its own
+tests reach is dead code with tests attached.
 
 A module-level import is unused when the name it binds occurs as a whole
 word nowhere in its module outside the import statement. ``__init__.py``
@@ -30,7 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
+SCANNED = ("src", "benchmarks", "perfbench", "examples", "tools")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
