@@ -744,13 +744,27 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
         failures.append(f"warm phase recomputed work: {ran} (want none)")
     # The cold sweep shares each program's compile and profile across its
     # strategies; a count above one per program means workers duplicated it.
-    cold_run = payload.get("phases", {}).get("cold", {}).get("phases_run", {})
-    programs = len(payload.get("config", {}).get("workloads", ()))
+    cold = payload.get("phases", {}).get("cold", {})
+    cold_run = cold.get("phases_run", {})
+    config = payload.get("config", {})
+    programs = len(config.get("workloads", ()))
     for name in ("compile", "trace", "post-process"):
         if cold_run.get(name, 0) > programs:
             failures.append(
                 f"cold phase ran {name} x{cold_run[name]} for {programs} "
                 "program(s) (want at most one per program)")
+    # Each iteration of a program's baseline runs; a worker runs one of a
+    # program's optimized layouts once and derives the other layouts and
+    # iterations from its touches.
+    iterations = config.get("iterations", 1)
+    workers = cold.get("workers", 1)
+    runs_bound = programs * (iterations + workers)
+    if cold_run.get("measure", 0) > runs_bound:
+        failures.append(
+            f"cold phase ran measure x{cold_run['measure']} for {programs} "
+            f"program(s) x {iterations} iteration(s) on {workers} worker(s) "
+            f"(want at most {runs_bound}: one baseline run per program and "
+            "iteration, and one optimized run per program per worker)")
     attribution = payload.get("attribution")
     if attribution:
         failures.extend(_attribution_failures(attribution,

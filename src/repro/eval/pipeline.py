@@ -50,7 +50,11 @@ from ..image.sections import HEAP_SECTION, TEXT_SECTION
 from ..minijava.bytecode import Program
 from ..minijava.frontend import compile_source
 from ..obs import phase
-from ..ordering.optimize import CU_OPT_ORDERING, synthesize_optimizer_profiles
+from ..ordering.optimize import (
+    CU_OPT_ORDERING,
+    has_seed_profile,
+    synthesize_optimizer_profiles,
+)
 from ..ordering.profiles import ProfileBundle, ProfileCompleteness
 from ..postproc.framework import build_profiles
 from ..profiling.tracebuf import TraceSession
@@ -66,7 +70,14 @@ from ..robustness.degradation import (
     DegradationReport,
     ProfilingAttempt,
 )
-from ..runtime.executor import ExecutionConfig, RunMetrics, run_binary
+from ..runtime.executor import (
+    ExecutionConfig,
+    LayoutFreeTouch,
+    RunMetrics,
+    derived_run,
+    layout_free_touches,
+    run_binary,
+)
 from ..validation.invariants import (
     LayoutVerificationError,
     LayoutVerificationReport,
@@ -206,6 +217,10 @@ class WorkloadPipeline:
     cache hit restores the associated verification report and re-registers
     any quarantine conviction recorded by the building run, so the
     verification rung survives the cache.
+
+    The layouts of that one prepared image share one interpreter run: the
+    pipeline keeps the first real run of one of them and derives the
+    others' runs from it (:meth:`_run`).
     """
 
     def __init__(
@@ -237,6 +252,15 @@ class WorkloadPipeline:
         #: compiled lazily (a fully cache-hit sweep never needs it)
         self._program: Optional[Program] = None
         self._builder: Optional[NativeImageBuilder] = None
+        #: (binary, run, its layout-free touches once a derivation needed
+        #: them) of the last real run of a layout of the builder's kept
+        #: prepared image, which the other layouts' runs are derived from
+        self._shared_run: Optional[Tuple[
+            NativeImageBinary, RunMetrics,
+            Optional[List[LayoutFreeTouch]]]] = None
+        #: the baseline runs the last warm-path probe found, for
+        #: :meth:`run_strategy` when only the optimized side missed
+        self._warm_baseline: Optional[List[RunMetrics]] = None
         self._src_digest = source_digest(workload.source)
         self._build_fp = self.build_config.fingerprint()
         self._exec_fp = self.exec_config.fingerprint()
@@ -400,10 +424,14 @@ class WorkloadPipeline:
         # match what the final build will place.  strategy=None never
         # recurses back into this method.
         reference = self.build_optimized(profiles, None, seed=seed)
+        if not has_seed_profile(profiles):
+            return profiles
+        # the search scores the run every layout of the build shares
+        run = self._run(reference)
         with phase("optimize", workload=self.workload.name,
                    strategy=strategy.name):
             return synthesize_optimizer_profiles(
-                reference, profiles, self.exec_config)
+                reference, run, profiles, self.exec_config)
 
     def _optimized_key(self, profiles: ProfileBundle,
                        strategy: Optional[StrategySpec],
@@ -767,6 +795,9 @@ class WorkloadPipeline:
         Measurements of cache-addressed binaries are themselves cached
         (the simulator is deterministic, so replaying metrics is exact);
         binaries built outside the cache path are always re-measured.
+        Without a budget each run goes through :meth:`_run`, so a layout
+        of the builder's kept prepared image is derived, not executed,
+        once one of its sibling layouts ran.
         """
         mkey = None
         if self._cache_armed and getattr(binary, "_cache_key", None):
@@ -787,27 +818,19 @@ class WorkloadPipeline:
     def _measure_uncached(
         self, binary: NativeImageBinary, iterations: int, seed: int
     ) -> List[RunMetrics]:
-        with phase("measure", workload=self.workload.name,
-                   mode=binary.mode, runs=iterations):
-            return self._measure_runs(binary, iterations, seed)
-
-    def _measure_runs(
-        self, binary: NativeImageBinary, iterations: int, seed: int
-    ) -> List[RunMetrics]:
         budget = self.verification.watchdog if self.verification else None
         self.last_watchdog_reports = []
         if budget is None:
-            return [
-                run_binary(binary, self.exec_config,
-                           run_index=(seed << 8) | index)
-                for index in range(iterations)
-            ]
+            return [self._run(binary, (seed << 8) | index)
+                    for index in range(iterations)]
         results: List[RunMetrics] = []
         for index in range(iterations):
-            watchdog = run_with_watchdog(
-                binary, self.exec_config, budget,
-                run_index=(seed << 8) | index,
-            )
+            with phase("measure", workload=self.workload.name,
+                       mode=binary.mode):
+                watchdog = run_with_watchdog(
+                    binary, self.exec_config, budget,
+                    run_index=(seed << 8) | index,
+                )
             self.last_watchdog_reports.append(watchdog)
             if watchdog.metrics is not None:
                 results.append(watchdog.metrics)
@@ -817,6 +840,38 @@ class WorkloadPipeline:
                 )
                 results.append(RunMetrics())
         return results
+
+    def _run(self, binary: NativeImageBinary,
+             run_index: int = 0) -> RunMetrics:
+        """One cold, untraced run of ``binary``, derived where it can be.
+
+        The layouts of the builder's kept prepared image run one program
+        over the same code and values.  The first of them to run executes
+        (``phase("measure")``) and is kept; every later run of one of
+        them is derived from its touches (:func:`derived_run`,
+        ``phase("replay")``), no interpreter involved.  Any other binary
+        (regular, instrumented, cache-loaded, or from a fresh builder)
+        runs for real and is not kept.
+        """
+        kept = self._builder.kept if self._builder is not None else None
+        shares = kept is not None and binary.program is kept.program
+        shared = self._shared_run
+        if shares and shared is not None \
+                and shared[0].program is binary.program:
+            with phase("replay", workload=self.workload.name,
+                       mode=binary.mode):
+                source, run, stream = shared
+                if stream is None:
+                    stream = layout_free_touches(source, run.touches)
+                    self._shared_run = (source, run, stream)
+                return derived_run(run, stream, binary, self.exec_config,
+                                   run_index)
+        with phase("measure", workload=self.workload.name,
+                   mode=binary.mode):
+            run = run_binary(binary, self.exec_config, run_index=run_index)
+        if shares:
+            self._shared_run = (binary, run, None)
+        return run
 
     # -- one-shot convenience ------------------------------------------------------------
 
@@ -829,7 +884,9 @@ class WorkloadPipeline:
         tasks and by ``repro compare``/``robustness``/``trace``: a warm
         cell is served by :meth:`cached_strategy_runs`; otherwise it
         builds the baseline, profiles, builds the optimized image, and
-        measures both.  Raises whatever the underlying stages raise (see
+        measures both.  Baseline runs the warm probe already found are
+        reused, so the regular image is built or loaded only when its
+        runs are not cached.  Raises whatever the underlying stages raise (see
         :meth:`profile` and :meth:`build_optimized`); with degradation +
         verification armed it only raises on programming errors, never on
         damaged inputs.
@@ -837,13 +894,14 @@ class WorkloadPipeline:
         cached = self.cached_strategy_runs(strategy, seed, iterations)
         if cached is not None:
             return cached
-        baseline = self.build_baseline(seed=seed)
+        base_runs, self._warm_baseline = self._warm_baseline, None
+        baseline = None if base_runs is not None else self.build_baseline(
+            seed=seed)
         outcome = self.profile(seed=seed)
         optimized = self.build_optimized(outcome.profiles, strategy, seed=seed)
-        return (
-            self.measure(baseline, iterations, seed),
-            self.measure(optimized, iterations, seed),
-        )
+        if baseline is not None:
+            base_runs = self.measure(baseline, iterations, seed)
+        return base_runs, self.measure(optimized, iterations, seed)
 
     def cached_strategy_runs(
         self, strategy: StrategySpec, seed: int = 0, iterations: int = 1
@@ -860,8 +918,9 @@ class WorkloadPipeline:
         are restored from their side entry exactly as a cached
         :meth:`build_optimized` would.  Returns ``None`` on any miss (at
         once when no cache is armed), and :meth:`run_strategy` then runs
-        the stages.
+        the stages, reusing the baseline runs found here.
         """
+        self._warm_baseline = None
         if not self._cache_armed:
             return None
         base_key = image_key(self._src_digest, self._build_fp, MODE_REGULAR,
@@ -869,6 +928,7 @@ class WorkloadPipeline:
         base_runs = self._cached_measurements(base_key, iterations, seed)
         if base_runs is None:
             return None
+        self._warm_baseline = base_runs
         outcome = self.profile(seed=seed)  # a warm profile() is itself a hit
         if self._quarantine_applies(strategy):
             return None

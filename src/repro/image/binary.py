@@ -146,18 +146,22 @@ class NativeImageBinary:
 
 def copy_heap_values(
     statics: Dict[str, StaticsHolder], resources: List[ResourceBlob]
-) -> "tuple[Dict[str, StaticsHolder], List[ResourceBlob]]":
+) -> "tuple[Dict[str, StaticsHolder], List[ResourceBlob], List[Any]]":
     """A private copy of a build's heap values, resource blobs included.
 
     Section layout links every placed value to its snapshot entry
     (``image_ref``), so each layout places its own copy and the build-time
     values stay as they were.  Strings are shared: they carry no link.
+    The third result lists every copy in copy order, which is the same
+    for every copy of one set of values, so a copy's place in it names
+    one value across all layouts of a prepared image
+    (:attr:`~repro.image.heap.HeapObject.origin`).
     """
     memo: Dict[int, Any] = {id(blob): ResourceBlob(blob.name, blob.size)
                             for blob in resources}
     copied = {name: _clone_value(holder, memo)
               for name, holder in statics.items()}
-    return copied, [memo[id(blob)] for blob in resources]
+    return copied, [memo[id(blob)] for blob in resources], list(memo.values())
 
 
 def _clone_value(value: Any, memo: Dict[int, Any]) -> Any:

@@ -127,6 +127,11 @@ class NativeImageBuilder:
         #: ((seed, call counts), image) of the last optimized prepare
         self._kept: Optional[Tuple[Tuple[int, Dict[str, int]], PreparedImage]] = None
 
+    @property
+    def kept(self) -> Optional[PreparedImage]:
+        """The prepared image later optimized builds are laid out from."""
+        return self._kept[1] if self._kept is not None else None
+
     def build(
         self,
         mode: str = MODE_REGULAR,
@@ -245,8 +250,8 @@ class NativeImageBuilder:
 
         # 9. heap snapshot traversal over this layout's copy of the values;
         #    object IDs are computed when first read (HeapSnapshot.id_of)
-        statics, resources = copy_heap_values(prepared.statics,
-                                              prepared.resources)
+        statics, resources, copies = copy_heap_values(prepared.statics,
+                                                      prepared.resources)
         extra_roots = []
         if mode == MODE_INSTRUMENTED:
             for index in range(config.instrumented_buffer_objects):
@@ -263,6 +268,10 @@ class NativeImageBuilder:
         snapshot = snapshotter.snapshot(
             ordered_cus, prepared.reachability, prepared.folded, resources
         )
+        for origin, value in enumerate(copies):
+            entry = snapshot.lookup(value)
+            if entry is not None:
+                entry.origin = origin
 
         # 10. heap ordering
         heap_match = None

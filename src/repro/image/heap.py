@@ -72,6 +72,11 @@ class HeapObject:
     address: int = -1  # assigned at section layout
     #: strategy IDs computed so far; read them through HeapSnapshot.id_of
     ids: Dict[str, int] = field(default_factory=dict)
+    #: the value's place in the copy order of
+    #: :func:`~repro.image.binary.copy_heap_values`, the same in every
+    #: layout of one prepared image (None for strings, which are keyed by
+    #: their value, and for build-internal roots)
+    origin: Optional[int] = None
 
     @property
     def is_root(self) -> bool:

@@ -291,28 +291,25 @@ def search_order(problem: LayoutProblem) -> SearchResult:
 
 def synthesize_optimizer_profiles(
     binary: "NativeImageBinary",
+    run: "RunMetrics",
     bundle: ProfileBundle,
     exec_config: Optional["ExecutionConfig"] = None,
 ) -> ProfileBundle:
     """Augment ``bundle`` with the search-derived ``cu-opt`` ordering.
 
     ``binary`` is a *reference* build (default layout, PGO inlining) that
-    supplies unit sizes and, run once under ``exec_config``, the touches
-    the search scores layouts with.  The run is a plain
-    :func:`~repro.runtime.executor.run_binary`: no ``measure`` phase and
-    no cache entry.  Returns a new bundle carrying the
-    ``cu-opt`` profile (an existing one is kept — synthesis is
+    supplies unit sizes, and ``run`` one run of it under ``exec_config``
+    whose touches the search scores layouts with (the pipeline passes the
+    run every layout of the build shares).  Returns a new bundle carrying
+    the ``cu-opt`` profile (an existing one is kept — synthesis is
     idempotent); the input bundle is never mutated.  Without a usable
     seed profile nothing is added, and the existing degradation ladder
-    falls back to the default layout.  Deterministic: same (binary,
+    falls back to the default layout.  Deterministic: same (binary, run,
     bundle, exec_config) ⇒ byte-identical profiles.
     """
-    from ..runtime.executor import run_binary
-
     if CU_OPT_ORDERING in bundle.code or not has_seed_profile(bundle):
         return bundle
-    problem = code_problem(binary, run_binary(binary, exec_config), bundle,
-                           exec_config)
+    problem = code_problem(binary, run, bundle, exec_config)
     result = search_order(problem)
     profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
                                signatures=list(result.order))

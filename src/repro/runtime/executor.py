@@ -22,6 +22,14 @@ Every run records its distinct touches in first-touch order
 record through a fresh page cache (:func:`replay_touches`) reproduces the
 run's faults exactly; page maps, attribution and the ``cu-opt`` cost model
 (:func:`text_touches`) are views of that replay, not runs of their own.
+
+The layouts of one prepared image run the same program over the same CUs
+and heap values, so their runs touch the same code and objects in the
+same order; only the addresses differ.  :func:`layout_free_touches`
+names each touch without its layout (CU and CU-relative offset, object
+origin), :func:`placed_touches` places such a stream in another layout,
+and :func:`derived_run` rebuilds every field of that layout's run from
+one real run.
 """
 
 from __future__ import annotations
@@ -112,28 +120,76 @@ def replay_touches(binary: NativeImageBinary, config: ExecutionConfig,
     return cache
 
 
+#: one touch as no layout shapes it, ``(section, unit, offset, size)``:
+#: a ``.text`` touch names its CU and the offset in it, a ``.svm_heap``
+#: touch the object's origin (a string: its value) at offset 0
+LayoutFreeTouch = Tuple[str, Any, int, int]
+
+
+def _heap_unit(obj) -> Any:
+    """The name of a placed object every layout of its build shares."""
+    return obj.value if isinstance(obj.value, str) else obj.origin
+
+
+def layout_free_touches(
+        binary: NativeImageBinary,
+        touches: Iterable[Tuple[str, int, int]]) -> List[LayoutFreeTouch]:
+    """``touches`` of a run of ``binary``, with its layout taken out.
+
+    A ``.text`` touch becomes (CU name, CU-relative offset), a heap touch
+    (always a whole object) the object's
+    :attr:`~repro.image.heap.HeapObject.origin`, or its value for a
+    string.  Sizes and order are kept, so :func:`placed_touches` over the
+    same ``binary`` gives ``touches`` back.
+    """
+    placed = binary.text.placed
+    starts = [cu.offset for cu in placed]
+    objects = {obj.address: obj for obj in binary.heap.ordered}
+    stream: List[LayoutFreeTouch] = []
+    for section, offset, size in touches:
+        if section == TEXT_SECTION:
+            cu = placed[bisect_right(starts, offset) - 1]
+            stream.append((section, cu.cu.name, offset - cu.offset, size))
+        else:
+            stream.append((section, _heap_unit(objects[offset]), 0, size))
+    return stream
+
+
+def placed_touches(binary: NativeImageBinary,
+                   stream: Iterable[LayoutFreeTouch]
+                   ) -> List[Tuple[str, int, int]]:
+    """A layout-free ``stream`` at ``binary``'s addresses.
+
+    The inverse of :func:`layout_free_touches` for any layout of the
+    prepared image the stream was taken on.
+    """
+    bases = {
+        TEXT_SECTION: {placed.cu.name: placed.offset
+                       for placed in binary.text.placed},
+        HEAP_SECTION: {_heap_unit(obj): obj.address
+                       for obj in binary.heap.ordered},
+    }
+    return [(section, bases[section][unit] + offset, size)
+            for section, unit, offset, size in stream]
+
+
 def text_touches(binary: NativeImageBinary,
                  metrics: "RunMetrics") -> List[Tuple[str, int, int]]:
     """The distinct ``.text`` touches of one run of ``binary``.
 
-    Each range the run touched, in first-touch order, as (CU name,
-    CU-relative start, end), up to the first response when the run
-    responded — the point a microservice's startup is measured at.  The
-    native-blob startup pages are not included (see
-    :func:`native_startup_pages`).
+    The ``.text`` view of the run's layout-free touches: each range the
+    run touched, in first-touch order, as (CU name, CU-relative start,
+    end), up to the first response when the run responded — the point a
+    microservice's startup is measured at.  The native-blob startup pages
+    are not included (see :func:`native_startup_pages`).
     """
     touched = metrics.touches
     if metrics.response_touches is not None:
         touched = touched[:metrics.response_touches]
-    placed = binary.text.placed
-    starts = [cu.offset for cu in placed]
-    touches = []
-    for section, offset, size in touched:
-        if section == TEXT_SECTION:
-            cu = placed[bisect_right(starts, offset) - 1]
-            start = offset - cu.offset
-            touches.append((cu.cu.name, start, start + size))
-    return touches
+    text = [touch for touch in touched if touch[0] == TEXT_SECTION]
+    return [(unit, offset, offset + size)
+            for _section, unit, offset, size
+            in layout_free_touches(binary, text)]
 
 
 @dataclass
@@ -336,43 +392,88 @@ class BinaryExecutor:
         )
         if self._tracer is not None:
             metrics.trace_event_counts = self._tracer.event_counts()
-        metrics.time_s = self._time_of(metrics.ops, metrics.faults,
-                                       metrics.trace_event_counts, run_index)
+        if hooks.responded:
+            metrics.first_response_ops = hooks.response_ops
+            metrics.first_response_faults = hooks.response_snapshot
+        _set_times(metrics, config, run_index)
         registry = obs_metrics()
         registry.counter("exec.runs")
         registry.counter("exec.ops", metrics.ops)
         for section, count in metrics.faults.items():
             registry.counter(f"exec.faults.{section}", count)
-        if hooks.responded:
-            metrics.first_response_ops = hooks.response_ops
-            metrics.first_response_faults = hooks.response_snapshot
-            response_faults = hooks.response_snapshot or {}
-            metrics.first_response_time_s = self._time_of(
-                hooks.response_ops or 0, response_faults,
-                metrics.trace_event_counts, run_index,
-            )
         return metrics
 
-    # -- time model ---------------------------------------------------------------
 
-    def _time_of(self, ops: int, faults: Dict[str, int],
-                 trace_counts: Dict[str, int], run_index: int) -> float:
-        config = self._config
-        time_s = config.base_startup_s
-        time_s += ops * config.op_time_s
-        time_s += config.device.fault_cost(sum(faults.values()))
-        if trace_counts:
-            time_s += trace_counts.get("method_entries", 0) * config.probe_method_entry_s
-            time_s += trace_counts.get("cu_entries", 0) * config.probe_method_entry_s
-            time_s += trace_counts.get("blocks", 0) * config.probe_block_s
-            time_s += trace_counts.get("heap_ids", 0) * config.probe_heap_id_s
-            time_s += trace_counts.get("path_records", 0) * config.probe_record_s
-            time_s += trace_counts.get("dumps", 0) * config.dump_cost_s
-            time_s += trace_counts.get("mmap_writes", 0) * config.mmap_write_through_s
-        if config.time_jitter > 0:
-            rng = random.Random((config.jitter_seed << 16) ^ run_index)
-            time_s *= max(0.5, 1.0 + rng.gauss(0.0, config.time_jitter))
-        return time_s
+# -- time model -------------------------------------------------------------------
+
+
+def _set_times(metrics: RunMetrics, config: ExecutionConfig,
+               run_index: int) -> None:
+    """Fill ``metrics``' times from its ops, faults and probe counts."""
+    metrics.time_s = _time_of(config, metrics.ops, metrics.faults,
+                              metrics.trace_event_counts, run_index)
+    if metrics.first_response_ops is not None:
+        metrics.first_response_time_s = _time_of(
+            config, metrics.first_response_ops,
+            metrics.first_response_faults or {},
+            metrics.trace_event_counts, run_index)
+
+
+def _time_of(config: ExecutionConfig, ops: int, faults: Dict[str, int],
+             trace_counts: Dict[str, int], run_index: int) -> float:
+    time_s = config.base_startup_s
+    time_s += ops * config.op_time_s
+    time_s += config.device.fault_cost(sum(faults.values()))
+    if trace_counts:
+        time_s += trace_counts.get("method_entries", 0) * config.probe_method_entry_s
+        time_s += trace_counts.get("cu_entries", 0) * config.probe_method_entry_s
+        time_s += trace_counts.get("blocks", 0) * config.probe_block_s
+        time_s += trace_counts.get("heap_ids", 0) * config.probe_heap_id_s
+        time_s += trace_counts.get("path_records", 0) * config.probe_record_s
+        time_s += trace_counts.get("dumps", 0) * config.dump_cost_s
+        time_s += trace_counts.get("mmap_writes", 0) * config.mmap_write_through_s
+    if config.time_jitter > 0:
+        rng = random.Random((config.jitter_seed << 16) ^ run_index)
+        time_s *= max(0.5, 1.0 + rng.gauss(0.0, config.time_jitter))
+    return time_s
+
+
+def derived_run(run: RunMetrics, stream: Iterable[LayoutFreeTouch],
+                target: NativeImageBinary, config: ExecutionConfig,
+                run_index: int = 0) -> RunMetrics:
+    """The run of ``target`` that one untraced run implies, without running.
+
+    ``run`` is a cold run under ``config`` of a layout of the prepared
+    image ``target`` was laid out from, and ``stream`` its touches as
+    :func:`layout_free_touches` names them.  ``target`` executes the same
+    program over the same CUs and values, so its run makes the same
+    touches at its own addresses: ops, output, result and the touch count
+    at the first response carry over, faults (at the end and at the
+    first response) come from :func:`replay_touches`, and times from the
+    executor's time model at ``run_index``.  Every field equals what
+    :func:`run_binary` of ``target`` would return.
+    """
+    touches = placed_touches(target, stream)
+    cut = (len(touches) if run.response_touches is None
+           else run.response_touches)
+    cache = replay_touches(target, config, touches[:cut])
+    at_response = cache.snapshot_counts()
+    for section, offset, size in touches[cut:]:
+        cache.touch(section, offset, size)
+    derived = RunMetrics(
+        ops=run.ops,
+        faults=cache.snapshot_counts(),
+        output=list(run.output),
+        result=run.result,
+        trace_event_counts=dict(run.trace_event_counts),
+        touches=touches,
+        response_touches=run.response_touches,
+    )
+    if run.first_response_ops is not None:
+        derived.first_response_ops = run.first_response_ops
+        derived.first_response_faults = at_response
+    _set_times(derived, config, run_index)
+    return derived
 
 
 def run_binary(binary: NativeImageBinary,

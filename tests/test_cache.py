@@ -183,13 +183,17 @@ class TestPipelineCaching:
         assert counts.total("cache.miss.") > 0
 
     def test_strategy_change_reuses_profile_but_rebuilds_image(self, tmp_path):
-        _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
+        base_a, _ = _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
         other = _pipeline(tmp_path)
         before = get_registry().snapshot()
-        other.run_strategy(STRATEGY_HEAP_PATH, seed=3)
+        base_b, _ = other.run_strategy(STRATEGY_HEAP_PATH, seed=3)
         counters = _counts(before).counters
-        # baseline image + profile + baseline metrics come from the cache...
+        # profile + baseline metrics come from the cache, and the baseline
+        # image is not even loaded...
         assert counters[f"cache.hit.{KIND_PROFILE}"] >= 1
+        assert counters[f"cache.hit.{KIND_METRICS}"] == 1
+        assert f"cache.hit.{KIND_IMAGE}" not in counters
+        assert base_b == base_a
         # ...but the differently-ordered optimized image must be rebuilt
         assert counters[f"cache.miss.{KIND_IMAGE}"] >= 1
 

@@ -156,11 +156,14 @@ def test_search_is_seed_deterministic(queens_reference):
 
 
 def test_synthesize_is_idempotent_and_pure(queens_reference):
-    _pipeline, reference, bundle = queens_reference
-    augmented = synthesize_optimizer_profiles(reference, bundle)
+    pipeline, reference, bundle = queens_reference
+    run = run_binary(reference, pipeline.exec_config)
+    augmented = synthesize_optimizer_profiles(reference, run, bundle,
+                                              pipeline.exec_config)
     assert "cu-opt" not in bundle.code  # input bundle untouched
     assert "cu-opt" in augmented.code
-    again = synthesize_optimizer_profiles(reference, augmented)
+    again = synthesize_optimizer_profiles(reference, run, augmented,
+                                          pipeline.exec_config)
     assert again.digest() == augmented.digest()
 
 

@@ -360,6 +360,40 @@ class TestBench:
             {"post-process": 2, "trace": 2})
         assert check_payload(payload) == []
 
+    def test_check_payload_flags_cold_runs_beyond_one_per_worker(self):
+        """A cold pass runs each iteration of each program's baseline and
+        one of its optimized layouts per worker; the other layouts' runs
+        and iterations are derived, so more real runs mean they went back
+        to one run per layout."""
+        payload = {
+            "ok": True,
+            "deterministic": True,
+            "config": {"workloads": ["Bounce", "Sieve"]},
+            "phases": {
+                "cold": {"workers": 2,
+                         "phases_run": {"measure": 7, "replay": 20}},
+                "warm": {"cache_misses": 0, "cache_hit_rate": 1.0,
+                         "phases_run": {}},
+            },
+        }
+        assert check_payload(payload) == [
+            "cold phase ran measure x7 for 2 program(s) x 1 iteration(s) "
+            "on 2 worker(s) (want at most 6: one baseline run per program "
+            "and iteration, and one optimized run per program per worker)",
+        ]
+        payload["phases"]["cold"]["phases_run"]["measure"] = 6
+        assert check_payload(payload) == []
+        # two iterations: four baseline runs and up to four optimized
+        payload["config"]["iterations"] = 2
+        payload["phases"]["cold"]["phases_run"]["measure"] = 8
+        assert check_payload(payload) == []
+        payload["phases"]["cold"]["phases_run"]["measure"] = 9
+        assert check_payload(payload) == [
+            "cold phase ran measure x9 for 2 program(s) x 2 iteration(s) "
+            "on 2 worker(s) (want at most 8: one baseline run per program "
+            "and iteration, and one optimized run per program per worker)",
+        ]
+
 
 class TestRegressionGate:
     @staticmethod
