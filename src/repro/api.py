@@ -99,10 +99,12 @@ class NativeImageToolchain:
     oracle (invariants + differential execution + watchdogs).
 
     Pass ``cache`` (an :class:`repro.cache.ArtifactCache` or a directory
-    path) to make every stage content-addressed: builds, profiling runs,
-    and measurements whose inputs did not change are loaded from the cache
-    instead of recomputed; the registry's ``cache.*`` counters (see
-    :meth:`metrics_snapshot`) count its hits, misses and puts.
+    path) to make every stage but the build content-addressed: profiling
+    runs, measurements and the ``cu-opt`` layout search whose inputs did
+    not change are loaded from the cache instead of recomputed (builds
+    are laid out again, which costs less than loading them); the
+    registry's ``cache.*`` counters (see :meth:`metrics_snapshot`) count
+    its hits, misses and puts.
     """
 
     def __init__(
@@ -223,10 +225,10 @@ class NativeImageToolchain:
     def optimize(self, seed: int = 0):
         """Run the search-based layout optimizer (``repro optimize``).
 
-        Runs the reference build once and takes its ``.text`` touches,
-        searches the CU order with greedy chain merging over the co-access
-        graph, builds the winning ``cu-opt`` layout through the cached
-        pipeline, verifies it against the structural + differential
+        Builds the ``cu-opt`` layout through the pipeline, whose one
+        search (greedy chain merging over the co-access graph, scored on
+        the reference build's ``.text`` touches) runs unless the cache
+        stored it, verifies it against the structural + differential
         oracle, and scores it and ``cu`` by their measured ``.text``
         faults.  Returns the :class:`repro.ordering.OptimizationReport`;
         ``report.ok`` is the never-worse-than-seed invariant.
@@ -237,7 +239,7 @@ class NativeImageToolchain:
     # -- build & run ---------------------------------------------------------
 
     def build(self, seed: int = 0) -> NativeImageBinary:
-        """Build (or cache-load) the regular baseline image for ``seed``."""
+        """Build the regular baseline image for ``seed``."""
         return self._pipeline.build_baseline(seed=seed)
 
     def run(self, binary: NativeImageBinary, iterations: int = 1) -> List[RunMetrics]:

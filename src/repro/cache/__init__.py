@@ -1,10 +1,12 @@
 """Content-addressed artifact cache for the evaluation pipeline.
 
 Keys every expensive pipeline artifact — compiled programs, raw traces,
-post-processed ordering profiles, built images, and run metrics — by a
-digest of (workload source, ordering strategy, build/execution/policy
+post-processed ordering profiles, run metrics, and per-build reports —
+by a digest of (workload source, ordering strategy, build/execution/policy
 configuration, toolchain version, seed), so unchanged combinations are
-loaded instead of rebuilt.  See :mod:`repro.cache.keys` for the key
+loaded instead of recomputed.  Built images are not stored: the
+pipeline builds again, laying optimized builds out from its kept
+prepared image.  See :mod:`repro.cache.keys` for the key
 derivations and :mod:`repro.cache.store` for the on-disk store.
 
 Arm it on a pipeline::

@@ -1,9 +1,9 @@
 """Content-addressed cache keys for pipeline artifacts.
 
 Every cacheable artifact of the evaluation pipeline — compiled programs,
-raw trace files, post-processed ordering profiles, built images, and run
-metrics — is addressed by a SHA-256 digest of *everything that determines
-its content*:
+raw trace files, post-processed ordering profiles, run metrics, and the
+per-build reports — is addressed by a SHA-256 digest of *everything that
+determines its content*:
 
 * the workload's MiniJava source text,
 * the build/execution/policy configuration (fingerprinted from the
@@ -30,9 +30,9 @@ from typing import Any, Optional
 
 from .. import __version__
 
-#: bump when the cached payload layout changes incompatibly (2: heap
-#: snapshots carry their ID options and compute IDs when first read)
-CACHE_SCHEMA = 2
+#: bump when the cached payload layout changes incompatibly (3: no image
+#: entries, and a ``cu-opt`` build's report entry carries its layout search)
+CACHE_SCHEMA = 3
 
 #: identity of the toolchain that produced an artifact; part of every key's
 #: sidecar metadata and the stale-eviction criterion
@@ -119,12 +119,14 @@ def profile_key(src_digest: str, build_fp: str, profiler_fp: str,
 def image_key(src_digest: str, build_fp: str, mode: str,
               code_ordering: Optional[str], heap_ordering: Optional[str],
               profiles_digest: str, seed: int) -> str:
-    """Key of one built :class:`NativeImageBinary`.
+    """Key of one build: it addresses the build's measurements and report.
 
-    ``profiles_digest`` is empty for regular/instrumented builds; for
-    optimized builds it binds the image to the exact profile content that
-    guided it (so a re-profiled workload re-builds) — for the search-based
-    strategies, the seed profiles plus the search configuration.
+    The image itself is not stored (laying it out again costs less than
+    loading it).  ``profiles_digest`` is empty for regular/instrumented
+    builds; for optimized builds it binds the key to the exact profile
+    content that guided the build (so a re-profiled workload re-measures)
+    — for the search-based strategies, the seed profiles plus the search
+    configuration.
     """
     return _derive("image", src_digest, build_fp, mode, code_ordering,
                    heap_ordering, profiles_digest, str(seed))

@@ -5,7 +5,7 @@ Layout::
     <root>/
       trace/ab/abcdef....pkl      artifact payload (pickle)
       trace/ab/abcdef....json     sidecar metadata (toolchain, created, note)
-      profile/..., image/..., metrics/..., program/...
+      profile/..., metrics/..., report/..., program/...
 
 Entries are immutable: a key fully determines the payload, so a ``put`` of
 an existing key is a no-op.  Writes go through a temporary file that is
@@ -52,10 +52,14 @@ from .keys import TOOLCHAIN_VERSION
 KIND_PROGRAM = "program"
 KIND_TRACE = "trace"
 KIND_PROFILE = "profile"
+#: built images; the pipeline no longer stores them (laying a build out
+#: again costs less than loading it), but :meth:`ArtifactCache.clear`
+#: still removes the ones an older cache holds
 KIND_IMAGE = "image"
 KIND_METRICS = "metrics"
-#: small rung-decision records (verification/degradation/quarantine) stored
-#: beside each optimized image, loadable without the image payload itself
+#: small per-build records under each optimized build's key: its rung
+#: decisions (verification/degradation/quarantine) and, for ``cu-opt``,
+#: the layout search it was laid out from
 KIND_REPORT = "report"
 ALL_KINDS = (KIND_PROGRAM, KIND_TRACE, KIND_PROFILE, KIND_IMAGE,
              KIND_METRICS, KIND_REPORT)
@@ -100,8 +104,8 @@ class ArtifactCache:
         self.fault_injector = None
         self._sweep_orphans()
         # In-memory LRU over disk loads: repeat lookups of the same key
-        # (six strategies sharing one baseline image / profile) skip the
-        # unpickle, which dominates warm-path wall-clock.  Entries are
+        # (seven strategies sharing one profile) skip the unpickle, which
+        # dominates warm-path wall-clock.  Entries are
         # immutable by contract, so handing out the same object is safe;
         # only successful *disk* loads are memoized, keeping the disk the
         # source of truth right after a put.
@@ -229,7 +233,9 @@ class ArtifactCache:
         raised — caching is an accelerator, never a correctness gate.  So
         is any I/O error during the write (disk full, transient storage
         fault, an armed ``fault_injector``): the entry simply is not
-        stored and the caller keeps its computed value.
+        stored and the caller keeps its computed value.  A written
+        entry bumps ``cache.put.<kind>`` and adds its payload size to
+        ``cache.put_bytes.<kind>``.
         """
         path = self._entry_path(kind, key)
         injector = self.fault_injector
@@ -260,6 +266,7 @@ class ArtifactCache:
             self._transient_error(kind, "put")
             return False
         metrics().counter(f"cache.put.{kind}")
+        metrics().counter(f"cache.put_bytes.{kind}", len(payload))
         if injector is not None:
             injector.after_put(kind, key, path)
         return True

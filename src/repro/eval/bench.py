@@ -23,10 +23,13 @@ written to ``BENCH_pipeline.json`` (schema below) for CI trend tracking.
 A fourth, optional phase (``attribution``, on by default) runs the startup
 attribution profiler (:mod:`repro.eval.explain`) on one AWFY workload and
 one microservice of the matrix against the warm cache.  It explains the
-warm sweep's own cells: each cached run carries its touch stream, which
-the explainer replays, so the phase runs nothing.  ``--check`` asserts
-both: the phase ran no pipeline phase, and each attributed fault total
-equals its cell's ``total_faults``.  Its per-workload top-blamed units
+warm sweep's own cells: it builds the two layouts each explanation
+compares again (the cache keeps runs, not images), and each cached run
+carries its touch stream, which the explainer replays, so it runs no
+interpreter.  ``--check`` asserts both: the phase ran at most two builds
+per explained workload and no pipeline phase but their ``prepare`` and
+``order``, and each attributed fault total equals its cell's
+``total_faults``.  Its per-workload top-blamed units
 also feed the regression gate: when ``--baseline`` fails, the gate names
 the symbols most responsible for the current layout's faults instead of
 just the numbers.
@@ -43,11 +46,12 @@ any epoch.
 
 A seventh, optional phase (``optimize``, on by default) runs the
 search-based layout optimizer (:mod:`repro.ordering.optimize`) on every
-workload of the matrix against the warm cache: greedy chain merging
-searches the CU order once per workload, the ``cu`` and ``cu-opt``
-layouts are loaded from the cache the sweep filled and verified
-(structural + differential), and the payload records their measured
-``.text`` fault counts — the sweep's own cells.  ``--check`` asserts
+workload of the matrix against the warm cache: the ``cu-opt`` layout is
+built from the greedy chain-merging search the sweep stored with the
+build's report (no second search), it is verified (structural +
+differential), and the payload records the search's numbers and the
+measured ``.text`` fault counts of ``cu`` and ``cu-opt`` — the sweep's
+own cached cells.  ``--check`` asserts
 that the optimizer layout never loses to ``cu``, that the search
 predicted the measured count exactly, and that every built candidate
 passed verification.
@@ -72,7 +76,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cache import ArtifactCache
+from ..cache import KIND_IMAGE, ArtifactCache
 from ..cache.keys import TOOLCHAIN_VERSION
 from ..obs.history import DEFAULT_HISTORY, BenchHistory, make_entry, matrix_hash
 from ..util.stats import MAD_SIGMA, cusum_alarm, mad, median
@@ -194,6 +198,7 @@ def _phase_dict(sweep: SweepResult) -> Dict[str, Any]:
         "cache_hit_rate": round(sweep.cache_hit_rate, 4),
         # a warm sweep must execute no pipeline phase
         "phases_run": _phases_run(sweep.metrics.counters),
+        "cache_put_kb": _cache_put_kb(sweep.metrics.counters),
     }
 
 
@@ -202,6 +207,15 @@ def _phases_run(counters: Dict[str, int]) -> Dict[str, int]:
     return {name[len("phase."):]: count
             for name, count in sorted(counters.items())
             if name.startswith("phase.")}
+
+
+def _cache_put_kb(counters: Dict[str, int]) -> Dict[str, float]:
+    """KB of payload written to the cache, by artifact kind, from the
+    ``cache.put_bytes.<kind>`` counters."""
+    prefix = "cache.put_bytes."
+    return {name[len(prefix):]: round(count / 1024, 1)
+            for name, count in sorted(counters.items())
+            if name.startswith(prefix)}
 
 
 def _run_serial_legacy(workloads: Sequence[Workload],
@@ -258,9 +272,11 @@ def _attribution_phase(workloads: Sequence[Workload],
                        cache_dir: str) -> Dict[str, Any]:
     """``repro why`` over the warm sweep's own cells.
 
-    Builds, profiles and runs are all warm-cache hits at the sweep's seeds
-    and iterations; each report replays the touches of its cell's cached
-    run.  ``phases_run`` records the pipeline phases the phase ran (none,
+    Profiles and runs are warm-cache hits at the sweep's seeds and
+    iterations; each report replays the touches of its cell's cached run
+    over its layout, which is built again (the regular and the optimized
+    one per workload).  ``phases_run`` records the pipeline phases the
+    phase ran (those two builds with their ``prepare`` and ``order``,
     when the sweep covered its cells), and ``baseline_events`` /
     ``events`` the attributed fault totals, which ``--check`` compares
     with the cells' ``total_faults``.
@@ -293,6 +309,7 @@ def _attribution_phase(workloads: Sequence[Workload],
         "strategy": spec.name,
         "wall_s": round(time.perf_counter() - start, 4),
         "phases_run": _phases_run(counters),
+        "cache_put_kb": _cache_put_kb(counters),
         "workloads": entries,
     }
 
@@ -352,14 +369,15 @@ def _optimize_phase(workloads: Sequence[Workload],
                     cache_dir: str) -> Dict[str, Any]:
     """The search-based layout optimizer on every workload, warm cache.
 
-    Seed-strategy and ``cu-opt`` builds and their measurements are
-    warm-cache hits from the cold/warm phases (same per-task seeds and
-    iterations); the new work is one recording run and one search per
-    workload plus verification of the winning layout.  Fault counts are
-    the measured ``.text`` cells of both builds, so the recorded
-    never-worse verdicts compare real runs.  ``phases_run`` records the
-    pipeline phases the builds ran; with ``cu`` and ``cu-opt`` in the
-    matrix it is empty.
+    The ``cu-opt`` search and the measurements of the seed-strategy and
+    ``cu-opt`` builds are warm-cache hits from the cold/warm phases (same
+    per-task seeds and iterations); the new work is building the
+    regular, ``cu`` and ``cu-opt`` layouts again and verifying the
+    winning one.  Fault counts are the measured ``.text`` cells of both
+    builds, so the recorded never-worse verdicts compare real runs.
+    ``phases_run`` records the pipeline phases the builds ran; with
+    ``cu`` and ``cu-opt`` in the matrix it holds no ``optimize`` and no
+    ``measure``.
     """
     from ..obs import get_registry
     from ..ordering.optimize import optimize_workload
@@ -389,6 +407,7 @@ def _optimize_phase(workloads: Sequence[Workload],
     return {
         "wall_s": round(wall, 4),
         "phases_run": _phases_run(counters),
+        "cache_put_kb": _cache_put_kb(counters),
         "workloads": entries,
         "sections": sections_total,
         "improved_sections": improved,
@@ -742,6 +761,15 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
         ran = ", ".join(f"{name} x{count}"
                         for name, count in sorted(warm["phases_run"].items()))
         failures.append(f"warm phase recomputed work: {ran} (want none)")
+    recorded = {**payload.get("phases", {}),
+                **{name: payload[name] for name in ("attribution", "optimize")
+                   if payload.get(name)}}
+    for name, entry in sorted(recorded.items()):
+        image_kb = entry.get("cache_put_kb", {}).get(KIND_IMAGE)
+        if image_kb is not None:
+            failures.append(
+                f"{name} phase put {image_kb} KB of image entries (want "
+                "none: builds are laid out again, not stored)")
     # The cold sweep shares each program's compile and profile across its
     # strategies; a count above one per program means workers duplicated it.
     cold = payload.get("phases", {}).get("cold", {})
@@ -857,19 +885,33 @@ def check_payload(payload: Dict[str, Any]) -> List[str]:
     return failures
 
 
+#: the pipeline phases the attribution phase may run: the builds of the
+#: layouts it explains, with their stages
+ATTRIBUTION_PHASES = ("build", "prepare", "order")
+
+
 def _attribution_failures(attribution: Dict[str, Any],
                           results: Sequence[Dict[str, Any]]) -> List[str]:
-    """The attribution phase ran nothing and agrees with its cells."""
+    """The attribution phase only rebuilt the layouts it explains, and
+    agrees with its cells."""
     failures = []
-    if attribution.get("phases_run"):
-        ran = ", ".join(f"{name} x{count}" for name, count
-                        in sorted(attribution["phases_run"].items()))
+    phases_run = attribution.get("phases_run", {})
+    ran = ", ".join(f"{name} x{count}" for name, count
+                    in sorted(phases_run.items())
+                    if name not in ATTRIBUTION_PHASES)
+    if ran:
         failures.append(f"attribution phase recomputed work: {ran} (want "
                         "none: it explains the warm sweep's cached cells)")
+    explained = attribution.get("workloads", {})
+    if phases_run.get("build", 0) > 2 * len(explained):
+        failures.append(
+            f"attribution phase ran build x{phases_run['build']} for "
+            f"{len(explained)} explained workload(s) (want at most two "
+            "per workload: its regular and optimized layout)")
     strategy = attribution.get("strategy")
     cells = {(cell.get("workload"), cell.get("strategy")): cell
              for cell in results}
-    for name, entry in sorted(attribution.get("workloads", {}).items()):
+    for name, entry in sorted(explained.items()):
         cell = cells.get((name, strategy), {})
         for side, key in (("baseline", "baseline_events"),
                           ("optimized", "events")):
@@ -911,8 +953,8 @@ def format_summary(payload: Dict[str, Any]) -> str:
         lines.append(
             f"  attribution ({attribution['strategy']}): "
             f"{attribution['wall_s']:.2f}s, "
-            f"{sum(attribution.get('phases_run', {}).values())} pipeline "
-            "phase(s) run, on "
+            f"{attribution.get('phases_run', {}).get('build', 0)} "
+            "layout(s) rebuilt, on "
             + ", ".join(sorted(attribution.get("workloads", {})))
         )
     chaos = payload.get("chaos")

@@ -19,8 +19,9 @@ actionable blame.
 Each side is one run from the pipeline's own ``measure`` path, replayed:
 every run records its touch stream, and :func:`attributed_run` replays it
 through the paging simulator to get the fault log attribution needs.  So
-a warm cache serves builds, profiles *and* runs unchanged, and a cached
-sweep cell is explained without running anything.
+a warm cache serves profiles *and* runs unchanged, and a cached sweep
+cell is explained by building its two layouts again, without running
+the interpreter.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def explain_strategy(
 ) -> WhyReport:
     """End-to-end ``repro why``: baseline vs one strategy's optimized image.
 
-    Builds (or cache-loads) both images and the shared profiles through
+    Builds both images from the (possibly cached) shared profiles through
     the pipeline, attributes one measured run of each (``iterations`` and
     ``seed`` pick the measurement, so a sweep's cached cell is reused),
     and returns the ranked diff.  Deterministic for a fixed (workload,

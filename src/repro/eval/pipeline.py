@@ -10,11 +10,13 @@ Implements the methodology of Fig. 1 for one workload:
 4. run baseline and optimized binaries with cold caches and report
    page faults per section and the simulated execution time.
 
-With an :class:`~repro.cache.ArtifactCache` armed, every stage is
-content-addressed: compiled programs, raw traces, post-processed profiles,
-built images, and run metrics are keyed by digests of (workload source,
-strategy, build/execution/policy configuration, toolchain version, seed)
-and loaded instead of rebuilt when nothing they depend on changed.  See
+With an :class:`~repro.cache.ArtifactCache` armed, every stage but the
+build is content-addressed: compiled programs, raw traces,
+post-processed profiles, run metrics and per-build reports are keyed by
+digests of (workload source, strategy, build/execution/policy
+configuration, toolchain version, seed) and loaded instead of recomputed
+when nothing they depend on changed.  Builds always run: laying a build
+out from the kept prepared image costs less than loading it.  See
 :mod:`repro.cache.keys` for the exact key derivations.
 """
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cache import (
-    KIND_IMAGE,
     KIND_METRICS,
     KIND_PROFILE,
     KIND_PROGRAM,
@@ -52,8 +53,10 @@ from ..minijava.frontend import compile_source
 from ..obs import phase
 from ..ordering.optimize import (
     CU_OPT_ORDERING,
+    SearchResult,
     has_seed_profile,
     synthesize_optimizer_profiles,
+    with_search_order,
 )
 from ..ordering.profiles import ProfileBundle, ProfileCompleteness
 from ..postproc.framework import build_profiles
@@ -207,16 +210,17 @@ class WorkloadPipeline:
     ``last_watchdog_reports`` and the degradation report.
 
     ``cache`` (an :class:`~repro.cache.ArtifactCache`) makes every stage
-    content-addressed: unchanged (source, strategy, config, seed)
-    combinations load their compiled program, traces, profiles, images,
-    and metrics instead of recomputing them.  Caching is bypassed whenever
-    a non-pure hook is armed (``fault_hook``, ``verification.mutator``) —
-    injected faults and mutations must never be replayed from disk — and
-    so is the sharing of one prepared image by all optimized builds of a
-    seed (:meth:`builder`).  A
-    cache hit restores the associated verification report and re-registers
-    any quarantine conviction recorded by the building run, so the
-    verification rung survives the cache.
+    but the build content-addressed: unchanged (source, strategy, config,
+    seed) combinations load their compiled program, traces, profiles and
+    metrics instead of recomputing them, and a ``cu-opt`` build is laid
+    out from the layout search its cached report holds.  Caching is
+    bypassed whenever a non-pure hook is armed (``fault_hook``,
+    ``verification.mutator``) — injected faults and mutations must never
+    be replayed from disk — and so is the sharing of one prepared image
+    by all optimized builds of a seed (:meth:`builder`).  A warm cell
+    (:meth:`cached_strategy_runs`) restores its build's verification
+    report and re-registers any quarantine conviction recorded by the
+    building run, so the verification rung survives the cache.
 
     The layouts of that one prepared image share one interpreter run: the
     pipeline keeps the first real run of one of them and derives the
@@ -249,6 +253,8 @@ class WorkloadPipeline:
         self.last_degradation_report: Optional[DegradationReport] = None
         self.last_verification_report: Optional[LayoutVerificationReport] = None
         self.last_watchdog_reports: List[WatchdogReport] = []
+        #: the layout search the last ``cu-opt`` build was laid out from
+        self.last_search: Optional[SearchResult] = None
         #: compiled lazily (a fully cache-hit sweep never needs it)
         self._program: Optional[Program] = None
         self._builder: Optional[NativeImageBuilder] = None
@@ -315,29 +321,24 @@ class WorkloadPipeline:
 
     # -- builds ------------------------------------------------------------------
 
-    def _cached_build(self, mode: str, seed: int) -> NativeImageBinary:
-        """Regular/instrumented build, served content-addressed if possible."""
-        key = image_key(self._src_digest, self._build_fp, mode,
-                        None, None, "", seed)
-        if self._cache_armed:
-            binary = self.cache.get(KIND_IMAGE, key)
-            if binary is not None:
-                binary._cache_key = key
-                return binary
+    def _plain_key(self, mode: str, seed: int) -> str:
+        """Cache key of the regular or instrumented build for ``seed``."""
+        return image_key(self._src_digest, self._build_fp, mode,
+                         None, None, "", seed)
+
+    def _build_unordered(self, mode: str, seed: int) -> NativeImageBinary:
+        """Regular/instrumented build, carrying its cache key."""
         binary = self.builder().build(mode=mode, seed=seed)
-        binary._cache_key = key
-        if self._cache_armed:
-            self.cache.put(KIND_IMAGE, key, binary,
-                           note=f"{self.workload.name} {mode}")
+        binary._cache_key = self._plain_key(mode, seed)
         return binary
 
     def build_baseline(self, seed: int = 0) -> NativeImageBinary:
-        """Build (or cache-load) the regular image for ``seed``."""
-        return self._cached_build(MODE_REGULAR, seed)
+        """Build the regular image for ``seed``."""
+        return self._build_unordered(MODE_REGULAR, seed)
 
     def build_instrumented(self, seed: int = 0) -> NativeImageBinary:
-        """Build (or cache-load) the instrumented image for ``seed``."""
-        return self._cached_build(MODE_INSTRUMENTED, seed)
+        """Build the instrumented image for ``seed``."""
+        return self._build_unordered(MODE_INSTRUMENTED, seed)
 
     def build_optimized(
         self,
@@ -356,24 +357,22 @@ class WorkloadPipeline:
         fails structural verification (a broken builder, not a broken
         profile).
 
-        With a cache armed, the key binds the strategy, the *content
-        digest* of the seed ``profiles``, both policies, the seed and, for
-        the search-based strategies, the execution config; a hit
-        restores the built image, its verification report, the degradation
-        report, and any quarantine conviction of the building run without
-        running the reference build or the layout search.
+        The build always runs.  With a cache armed, its key binds the
+        strategy, the *content digest* of the seed ``profiles``, both
+        policies, the seed and, for the search-based strategies, the
+        execution config.  The key addresses the build's measurements and
+        its report entry: the verification report, the degradation report,
+        any quarantine conviction and, for ``cu-opt``, the layout search
+        (``last_search``), so a rebuild of a cached ``cu-opt`` build lays
+        out the stored order without the reference build or the search.
         """
         self.last_verification_report = None
+        self.last_search = None
         if self._quarantine_applies(strategy):
             return self._build_quarantined(profiles, strategy, seed)
         key = self._optimized_key(profiles, strategy, seed)
-        if key is not None:
-            binary = self.cache.get(KIND_IMAGE, key)
-            if binary is not None:
-                binary._cache_key = key
-                self._restore_rung(self.cache.get(KIND_REPORT, key), strategy)
-                return binary
-        profiles = self.optimize_profiles(profiles, strategy, seed=seed)
+        profiles, search = self.optimize_profiles(profiles, strategy, seed,
+                                                  key)
         if self.degradation_policy is not None:
             binary = self._build_optimized_degraded(profiles, strategy, seed)
         else:
@@ -381,51 +380,52 @@ class WorkloadPipeline:
         if self.verification is not None:
             binary = self._verification_rung(binary, profiles, strategy, seed)
         binary._cache_key = key
+        self.last_search = search
         if key is not None:
             entry = (self.quarantine.entry_for(self.workload.name, strategy.name)
                      if strategy is not None else None)
-            note = (f"{self.workload.name} optimized "
-                    f"({strategy.name if strategy else 'default'})")
-            # image payload and rung decisions live in separate entries so
-            # the warm fast path (cached_strategy_runs) can restore the
-            # rung without unpickling the image
-            self.cache.put(KIND_IMAGE, key, binary, note=note)
             self.cache.put(KIND_REPORT, key, {
                 "verification": self.last_verification_report,
                 "degradation": self.last_degradation_report,
                 "quarantine": entry,
-            }, note=note)
+                "search": search,
+            }, note=(f"{self.workload.name} optimized "
+                     f"({strategy.name if strategy else 'default'})"))
         return binary
 
     def optimize_profiles(
         self,
         profiles: ProfileBundle,
         strategy: Optional[StrategySpec],
-        seed: int = 0,
-    ) -> ProfileBundle:
+        seed: int,
+        key: Optional[str],
+    ) -> Tuple[ProfileBundle, Optional[SearchResult]]:
         """Derive the search-based ordering when ``strategy`` needs it.
 
-        For ``cu-opt`` this runs the layout search of
-        :mod:`repro.ordering.optimize` against a cached *reference* build
-        (default layout, PGO inlining — the source of unit sizes and of
-        the recorded touches) and returns a new bundle carrying the derived
-        profile; for every other strategy — or when the bundle already
-        carries the profile — the input bundle returns unchanged.  Pure
-        and deterministic given (profiles, strategy, ``self.exec_config``,
-        seed) — the key material of :meth:`_optimized_key` — so
-        :meth:`build_optimized` runs it only on a cache miss.  When the
-        seed profiles the search needs are missing, no profile is added
-        and the degradation ladder falls back as usual.
+        For ``cu-opt`` returns a new bundle carrying a ``cu-opt`` profile,
+        and the layout search (:mod:`repro.ordering.optimize`) it places:
+        the search the report entry under ``key`` (the build's cache key)
+        stores, or else one run in an ``optimize`` phase against a
+        *reference* build (default layout, PGO inlining — the source of
+        unit sizes and of the recorded touches).  The search is pure given
+        the key material of :meth:`_optimized_key`, so a stored search is
+        the search.  For every other strategy, when the bundle already
+        carries the profile, or when the seed profiles the search needs
+        are missing (the degradation ladder then falls back as usual), the
+        bundle returns unchanged with no search.
         """
         if (strategy is None or not strategy.is_search
-                or CU_OPT_ORDERING in profiles.code):
-            return profiles
+                or CU_OPT_ORDERING in profiles.code
+                or not has_seed_profile(profiles)):
+            return profiles, None
+        stored = self.cache.get(KIND_REPORT, key) if key is not None else None
+        if stored is not None:
+            search = stored["search"]
+            return with_search_order(profiles, search), search
         # Reference build: default layout + PGO inlining, so unit sizes
         # match what the final build will place.  strategy=None never
         # recurses back into this method.
         reference = self.build_optimized(profiles, None, seed=seed)
-        if not has_seed_profile(profiles):
-            return profiles
         # the search scores the run every layout of the build shares
         run = self._run(reference)
         with phase("optimize", workload=self.workload.name,
@@ -461,8 +461,7 @@ class WorkloadPipeline:
             material, seed,
         )
 
-    def _restore_rung(self, rung: Optional[Dict[str, object]],
-                      strategy: Optional[StrategySpec]) -> None:
+    def _restore_rung(self, rung: Optional[Dict[str, object]]) -> None:
         """Replay a cached build's rung decisions (reports + quarantine)."""
         if rung is None:
             return
@@ -471,8 +470,7 @@ class WorkloadPipeline:
         if report is not None:
             self.last_degradation_report = report
         entry = rung.get("quarantine")
-        if (entry is not None and strategy is not None
-                and self.verification is not None
+        if (entry is not None and self.verification is not None
                 and self.verification.quarantine):
             self.quarantine.quarantine(entry.workload, entry.strategy,
                                        entry.reason,
@@ -792,9 +790,8 @@ class WorkloadPipeline:
         contributes empty metrics and a note in the degradation report
         rather than wedging the measurement loop.
 
-        Measurements of cache-addressed binaries are themselves cached
-        (the simulator is deterministic, so replaying metrics is exact);
-        binaries built outside the cache path are always re-measured.
+        Measurements are cached under the binary's build key (the
+        simulator is deterministic, so replaying metrics is exact).
         Without a budget each run goes through :meth:`_run`, so a layout
         of the builder's kept prepared image is derived, not executed,
         once one of its sibling layouts ran.
@@ -850,8 +847,8 @@ class WorkloadPipeline:
         (``phase("measure")``) and is kept; every later run of one of
         them is derived from its touches (:func:`derived_run`,
         ``phase("replay")``), no interpreter involved.  Any other binary
-        (regular, instrumented, cache-loaded, or from a fresh builder)
-        runs for real and is not kept.
+        (regular, instrumented, or from a fresh builder) runs for real and
+        is not kept.
         """
         kept = self._builder.kept if self._builder is not None else None
         shares = kept is not None and binary.program is kept.program
@@ -885,8 +882,8 @@ class WorkloadPipeline:
         cell is served by :meth:`cached_strategy_runs`; otherwise it
         builds the baseline, profiles, builds the optimized image, and
         measures both.  Baseline runs the warm probe already found are
-        reused, so the regular image is built or loaded only when its
-        runs are not cached.  Raises whatever the underlying stages raise (see
+        reused, so the regular image is built only when its runs are not
+        cached.  Raises whatever the underlying stages raise (see
         :meth:`profile` and :meth:`build_optimized`); with degradation +
         verification armed it only raises on programming errors, never on
         damaged inputs.
@@ -910,22 +907,20 @@ class WorkloadPipeline:
 
         When every measurement of the (strategy, seed) cell is already
         cached, returns ``(baseline runs, optimized runs)`` without
-        unpickling either image payload — metrics entries are keyed by
-        image *key*, not image *content*, so the binaries never need to be
-        loaded, and optimizer cells key on the cached seed profiles (see
-        :meth:`_optimized_key`), so no layout search runs.  Rung decisions
-        (verification report, degradation report, quarantine conviction)
-        are restored from their side entry exactly as a cached
-        :meth:`build_optimized` would.  Returns ``None`` on any miss (at
-        once when no cache is armed), and :meth:`run_strategy` then runs
-        the stages, reusing the baseline runs found here.
+        building either image — metrics entries are keyed by the build's
+        *key*, which resolves from inputs alone, and optimizer cells key
+        on the cached seed profiles (see :meth:`_optimized_key`), so no
+        layout search runs.  Rung decisions (verification report,
+        degradation report, quarantine conviction) are restored from the
+        build's report entry.  Returns ``None`` on any miss (at once when
+        no cache is armed), and :meth:`run_strategy` then runs the stages,
+        reusing the baseline runs found here.
         """
         self._warm_baseline = None
         if not self._cache_armed:
             return None
-        base_key = image_key(self._src_digest, self._build_fp, MODE_REGULAR,
-                             None, None, "", seed)
-        base_runs = self._cached_measurements(base_key, iterations, seed)
+        base_runs = self._cached_measurements(
+            self._plain_key(MODE_REGULAR, seed), iterations, seed)
         if base_runs is None:
             return None
         self._warm_baseline = base_runs
@@ -939,7 +934,7 @@ class WorkloadPipeline:
         if opt_runs is None:
             return None
         self.last_verification_report = None
-        self._restore_rung(self.cache.get(KIND_REPORT, opt_key), strategy)
+        self._restore_rung(self.cache.get(KIND_REPORT, opt_key))
         return base_runs, opt_runs
 
     def _cached_measurements(

@@ -81,10 +81,10 @@ class BuildConfig:
     def fingerprint(self) -> str:
         """Stable content digest of every build knob.
 
-        Part of the content-addressed cache key of each built image: any
+        Part of the content-addressed cache key of each build: any
         change to any field (including nested :class:`InlinerConfig`
-        thresholds) yields a different fingerprint, so cached images can
-        never be served across configuration changes.
+        thresholds) yields a different fingerprint, so a build's cached
+        measurements can never be served across configuration changes.
         """
         from ..cache.keys import fingerprint
         return fingerprint(self)

@@ -289,31 +289,38 @@ def search_order(problem: LayoutProblem) -> SearchResult:
     )
 
 
+def with_search_order(bundle: ProfileBundle,
+                      result: SearchResult) -> ProfileBundle:
+    """``bundle`` plus a ``cu-opt`` profile placing ``result.order``."""
+    profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
+                               signatures=list(result.order))
+    return replace(bundle, code={**bundle.code, CU_OPT_ORDERING: profile})
+
+
 def synthesize_optimizer_profiles(
     binary: "NativeImageBinary",
     run: "RunMetrics",
     bundle: ProfileBundle,
     exec_config: Optional["ExecutionConfig"] = None,
-) -> ProfileBundle:
+) -> Tuple[ProfileBundle, Optional[SearchResult]]:
     """Augment ``bundle`` with the search-derived ``cu-opt`` ordering.
 
     ``binary`` is a *reference* build (default layout, PGO inlining) that
     supplies unit sizes, and ``run`` one run of it under ``exec_config``
     whose touches the search scores layouts with (the pipeline passes the
     run every layout of the build shares).  Returns a new bundle carrying
-    the ``cu-opt`` profile (an existing one is kept — synthesis is
-    idempotent); the input bundle is never mutated.  Without a usable
-    seed profile nothing is added, and the existing degradation ladder
-    falls back to the default layout.  Deterministic: same (binary, run,
-    bundle, exec_config) ⇒ byte-identical profiles.
+    the ``cu-opt`` profile and the search it came from; the input bundle
+    is never mutated.  An existing ``cu-opt`` profile is kept (synthesis
+    is idempotent), and without a usable seed profile nothing is added
+    and the existing degradation ladder falls back to the default layout;
+    either way nothing is searched and the search is ``None``.
+    Deterministic: same (binary, run, bundle, exec_config) ⇒
+    byte-identical profiles.
     """
     if CU_OPT_ORDERING in bundle.code or not has_seed_profile(bundle):
-        return bundle
-    problem = code_problem(binary, run, bundle, exec_config)
-    result = search_order(problem)
-    profile = CodeOrderProfile(kind=CU_OPT_ORDERING,
-                               signatures=list(result.order))
-    return replace(bundle, code={**bundle.code, CU_OPT_ORDERING: profile})
+        return bundle, None
+    result = search_order(code_problem(binary, run, bundle, exec_config))
+    return with_search_order(bundle, result), result
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +437,21 @@ class OptimizationReport:
 
 def optimize_workload(pipeline, seed: int = 0,
                       iterations: int = 1) -> OptimizationReport:
-    """Search one workload's ``.text`` layout and score the winner vs ``cu``.
+    """Score one workload's ``cu-opt`` layout against ``cu``.
 
-    ``pipeline`` is a :class:`~repro.eval.pipeline.WorkloadPipeline`; the
-    search runs on the reference build it caches, under its
-    ``exec_config``, so the ``cu-opt`` build it produces places the order
-    scored here.  The built ``cu-opt`` candidate runs the structural
-    layout verifier and the differential execution oracle.  Fault numbers
-    are the measured ``.text`` faults (at first response for
-    microservices) of ``pipeline.measure`` runs of the *built* ``cu`` and
-    ``cu-opt`` binaries; with a warm cache and the sweep's ``iterations``
-    and ``seed`` these are the sweep's own cells.
+    ``pipeline`` is a :class:`~repro.eval.pipeline.WorkloadPipeline`.  The
+    search numbers (unit counts, candidate costs, winner, predicted
+    faults) are those of the one search the pipeline's ``cu-opt`` build
+    is laid out from (``pipeline.last_search``): the search a cached
+    build stored, or else the one the build runs in its ``optimize``
+    phase.  The built ``cu-opt`` binary runs the structural layout
+    verifier and the differential execution oracle.  Fault numbers are
+    the measured ``.text`` faults (at first response for microservices)
+    of ``pipeline.measure`` runs of the *built* ``cu`` and ``cu-opt``
+    binaries; with a warm cache and the sweep's ``iterations`` and
+    ``seed`` these are the sweep's own cells.
     """
     from ..eval.pipeline import STRATEGY_CU, STRATEGY_CU_OPT
-    from ..runtime.executor import run_binary
     from ..validation.differential import run_differential
     from ..validation.invariants import verify_layout
 
@@ -451,23 +459,23 @@ def optimize_workload(pipeline, seed: int = 0,
     entry = SectionOptimization()
     report = OptimizationReport(workload=pipeline.workload.name, seed=seed,
                                 sections=[entry])
-    reference = pipeline.build_optimized(bundle, None, seed=seed)
-    baseline = pipeline.build_baseline(seed=seed)
     if not has_seed_profile(bundle):
         entry.skipped = True
         entry.reason = "no usable seed profile for code"
         return report
-    problem = code_problem(reference,
-                           run_binary(reference, pipeline.exec_config),
-                           bundle, pipeline.exec_config)
-    result = search_order(problem)
+    opt_binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=seed)
+    result = pipeline.last_search
+    if result is None:
+        entry.skipped = True
+        entry.reason = "the cu-opt ordering is quarantined"
+        return report
     entry.units = result.units
     entry.hot_units = result.hot_units
     entry.optimizer_costs = dict(result.costs)
     entry.best_optimizer = result.best_name
     entry.predicted_faults = result.best_cost
     seed_binary = pipeline.build_optimized(bundle, STRATEGY_CU, seed=seed)
-    opt_binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=seed)
+    baseline = pipeline.build_baseline(seed=seed)
     entry.verified = verify_layout(opt_binary).ok
     entry.differential_ok = run_differential(
         baseline, opt_binary, pipeline.exec_config,

@@ -155,7 +155,7 @@ class ProfileBundle:
         salvage, CSV round-trip); completeness annotations are metadata
         and deliberately excluded.  Used to key optimized builds in the
         artifact cache: a re-profiled workload whose orderings did not
-        actually change still hits its cached image.
+        actually change still hits its cached measurements.
         """
         hasher = hashlib.sha256()
         for kind in sorted(self.code):

@@ -439,9 +439,11 @@ def _attribution_payload(phases_run=None, events=12, baseline_events=20):
 
 class TestBenchAttribution:
     def test_payload_records_attribution_under_budget(self, tmp_path):
-        """The attribution phase's budget is zero pipeline phases: it
-        explains the warm sweep's cached cells without running anything,
-        and blames exactly the faults each cell counted."""
+        """The attribution phase's budget is the two builds each
+        explanation compares (regular and optimized, with their prepare
+        and order stages): it explains the warm sweep's cached runs
+        without running the interpreter or any other pipeline phase, and
+        blames exactly the faults each cell counted."""
         config = BenchConfig.quick(
             max_workers=1,
             skip_serial=True,
@@ -450,7 +452,9 @@ class TestBenchAttribution:
         payload = run_bench(config)
         attribution = payload["attribution"]
         assert attribution["strategy"] == "cu"
-        assert attribution["phases_run"] == {}
+        assert attribution["phases_run"] == {"build": 4, "order": 2,
+                                             "prepare": 4}
+        assert attribution["cache_put_kb"] == {}
         assert set(attribution["workloads"]) == {"Bounce", "quarkus"}
         cells = {(cell["workload"], cell["strategy"]): cell
                  for cell in payload["results"]}
@@ -483,6 +487,22 @@ class TestBenchAttribution:
             phases_run={"measure": 2}))
         assert len(failures) == 1
         assert "attribution phase recomputed work: measure x2" in failures[0]
+
+    def test_check_payload_bounds_rebuilds_at_two_per_workload(self):
+        """Rebuilding the two layouts of each explained cell passes;
+        a third build, or any phase beyond build, prepare and order,
+        fails."""
+        rebuilt = {"build": 2, "order": 1, "prepare": 2}
+        assert check_payload(_attribution_payload(phases_run=rebuilt)) == []
+        failures = check_payload(_attribution_payload(
+            phases_run={**rebuilt, "build": 3, "replay": 1}))
+        assert failures == [
+            "attribution phase recomputed work: replay x1 (want none: it "
+            "explains the warm sweep's cached cells)",
+            "attribution phase ran build x3 for 1 explained workload(s) "
+            "(want at most two per workload: its regular and optimized "
+            "layout)",
+        ]
 
     @pytest.mark.parametrize("totals", [(11, 20), (12, 21)],
                              ids=["optimized", "baseline"])

@@ -11,6 +11,7 @@ from repro.cache import (
     KIND_METRICS,
     KIND_PROFILE,
     KIND_PROGRAM,
+    KIND_REPORT,
     KIND_TRACE,
     ArtifactCache,
     fingerprint,
@@ -21,6 +22,7 @@ from repro.cache import (
     trace_key,
 )
 from repro.eval.pipeline import (
+    ALL_STRATEGY_SPECS,
     STRATEGY_CU,
     STRATEGY_HEAP_PATH,
     Workload,
@@ -28,6 +30,7 @@ from repro.eval.pipeline import (
 )
 from repro.obs import get_registry
 from repro.runtime.executor import ExecutionConfig
+from repro.workloads import awfy_workload
 
 PROGRAM = """
 class Main {
@@ -102,9 +105,22 @@ class TestStore:
 
     def test_put_existing_key_is_noop(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        assert cache.put(KIND_IMAGE, "cd" * 32, "first")
-        assert not cache.put(KIND_IMAGE, "cd" * 32, "second")
-        assert cache.get(KIND_IMAGE, "cd" * 32) == "first"
+        assert cache.put(KIND_REPORT, "cd" * 32, "first")
+        assert not cache.put(KIND_REPORT, "cd" * 32, "second")
+        assert cache.get(KIND_REPORT, "cd" * 32) == "first"
+
+    def test_put_counts_payload_bytes_per_kind(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        before = get_registry().snapshot()
+        cache.put(KIND_TRACE, "ab" * 32, b"x" * 5000)
+        cache.put(KIND_TRACE, "ab" * 32, b"x" * 5000)  # no-op: not counted
+        cache.put(KIND_REPORT, "cd" * 32, {"search": None})
+        counters = _counts(before).counters
+        entry = tmp_path / KIND_TRACE / "ab" / f"{'ab' * 32}.pkl"
+        assert counters["cache.put.trace"] == 1
+        assert counters["cache.put_bytes.trace"] == entry.stat().st_size
+        assert counters["cache.put_bytes.trace"] > 5000
+        assert counters["cache.put_bytes.report"] > 0
 
     def test_unpicklable_value_is_skipped_not_raised(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -189,13 +205,12 @@ class TestPipelineCaching:
         base_b, _ = other.run_strategy(STRATEGY_HEAP_PATH, seed=3)
         counters = _counts(before).counters
         # profile + baseline metrics come from the cache, and the baseline
-        # image is not even loaded...
+        # image is not even built...
         assert counters[f"cache.hit.{KIND_PROFILE}"] >= 1
         assert counters[f"cache.hit.{KIND_METRICS}"] == 1
-        assert f"cache.hit.{KIND_IMAGE}" not in counters
         assert base_b == base_a
-        # ...but the differently-ordered optimized image must be rebuilt
-        assert counters[f"cache.miss.{KIND_IMAGE}"] >= 1
+        # ...but the differently-ordered optimized image must be built
+        assert counters["phase.build"] == 1
 
     def test_profiler_config_change_misses(self, tmp_path):
         _pipeline(tmp_path).run_strategy(STRATEGY_CU, seed=3)
@@ -212,7 +227,21 @@ class TestPipelineCaching:
         other = _pipeline(tmp_path)
         before = get_registry().snapshot()
         other.run_strategy(STRATEGY_CU, seed=4)
-        assert _counts(before).counters[f"cache.miss.{KIND_IMAGE}"] >= 1
+        assert _counts(before).counters[f"cache.miss.{KIND_METRICS}"] >= 1
+
+    def test_cached_strategies_store_no_image_and_match_uncached(
+            self, tmp_path):
+        """A cache-armed run of all 7 strategies leaves no image entry
+        (builds are laid out again, not stored), and its cells equal an
+        uncached pipeline's."""
+        cache = ArtifactCache(tmp_path / "cache")
+        cached = WorkloadPipeline(awfy_workload("Queens"), cache=cache)
+        plain = WorkloadPipeline(awfy_workload("Queens"))
+        for spec in ALL_STRATEGY_SPECS:
+            assert cached.run_strategy(spec, seed=3) == \
+                plain.run_strategy(spec, seed=3), spec.name
+        assert list(cache.entries(KIND_IMAGE)) == []
+        assert list(cache.entries(KIND_METRICS))
 
     def test_uncached_pipeline_unaffected(self, tmp_path):
         pipeline = WorkloadPipeline(Workload(name="plain", source=PROGRAM))

@@ -6,7 +6,8 @@ headline speedup are recomputed here from ``BENCH_pipeline.json`` with
 figures`` renders, so a doc number that drifts from the payload fails
 tier-1.  The artifact-appendix B.3 shape claims that
 ``benchmarks/bench_fig{2,3,4,5}`` assert are checked on the same
-geomeans, which needs no runs.
+geomeans, which needs no runs, and the payload itself must pass
+``repro bench --check``'s gates.
 """
 
 import json
@@ -16,6 +17,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.eval.bench import check_payload
 from repro.eval.figures import aggregate_cells
 from repro.eval.pipeline import ALL_STRATEGY_SPECS
 from repro.obs.history import matrix_hash
@@ -127,6 +129,13 @@ class TestExperimentsDoc:
             if row[column] != f"{text[row['workload'], strategy]:g}"
         ]
         assert not wrong, wrong
+
+
+def test_committed_payload_passes_its_check(payload):
+    """The committed payload passes the gates ``repro bench --check``
+    applies to a fresh run, so the numbers the docs quote come from a
+    run that passed them."""
+    assert check_payload(payload) == []
 
 
 def test_readme_headline_matches_payload(geomeans):

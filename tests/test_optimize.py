@@ -158,13 +158,14 @@ def test_search_is_seed_deterministic(queens_reference):
 def test_synthesize_is_idempotent_and_pure(queens_reference):
     pipeline, reference, bundle = queens_reference
     run = run_binary(reference, pipeline.exec_config)
-    augmented = synthesize_optimizer_profiles(reference, run, bundle,
-                                              pipeline.exec_config)
+    augmented, result = synthesize_optimizer_profiles(
+        reference, run, bundle, pipeline.exec_config)
     assert "cu-opt" not in bundle.code  # input bundle untouched
-    assert "cu-opt" in augmented.code
-    again = synthesize_optimizer_profiles(reference, run, augmented,
-                                          pipeline.exec_config)
+    assert augmented.code["cu-opt"].signatures == result.order
+    again, searched = synthesize_optimizer_profiles(
+        reference, run, augmented, pipeline.exec_config)
     assert again.digest() == augmented.digest()
+    assert searched is None
 
 
 def test_problem_costs_match_built_binaries():
@@ -279,9 +280,11 @@ def test_optimizer_strategies_flow_through_warm_cache(tmp_path):
 
 
 def test_optimizer_image_keys_on_search_inputs(tmp_path):
-    """Equal inputs hit the cached cu-opt image (byte-identical layout
-    digest) without searching; a different execution config, which the
-    touches are recorded under, misses it and searches again."""
+    """A second pipeline with equal inputs lays its cu-opt build out from
+    the search the first one stored with the build's report: a
+    byte-identical layout digest, no reference build and no search.  A
+    different execution config, which the touches are recorded under,
+    keys another report and searches again."""
     from repro.cache import ArtifactCache
     from repro.obs import get_registry
 
@@ -293,16 +296,17 @@ def test_optimizer_image_keys_on_search_inputs(tmp_path):
         before = get_registry().snapshot()
         binary = pipeline.build_optimized(bundle, STRATEGY_CU_OPT, seed=0)
         counters = get_registry().snapshot().diff(before).counters
-        misses = counters.get("cache.miss.image", 0)
-        return binary, misses, counters.get("phase.optimize", 0)
+        return (binary, pipeline.last_search, counters.get("phase.build", 0),
+                counters.get("phase.optimize", 0))
 
-    cold, misses, searches = build(ExecutionConfig())
-    assert (misses, searches) == (2, 1)  # cu-opt image + reference build
-    warm, misses, searches = build(ExecutionConfig())
-    assert (misses, searches) == (0, 0)
+    cold, search, builds, searches = build(ExecutionConfig())
+    assert (builds, searches) == (2, 1)  # reference build + cu-opt
+    warm, stored, builds, searches = build(ExecutionConfig())
+    assert (builds, searches) == (1, 0)
     assert warm.layout_digest() == cold.layout_digest()
-    _binary, misses, searches = build(ExecutionConfig(quantum=300))
-    assert (misses, searches) == (1, 1)  # the reference build hits
+    assert stored == search
+    _binary, _search, builds, searches = build(ExecutionConfig(quantum=300))
+    assert (builds, searches) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

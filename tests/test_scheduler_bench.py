@@ -257,6 +257,12 @@ class TestBench:
         assert payload["phases"]["warm"]["phases_run"] == {}
         assert payload["phases"]["cold"]["phases_run"]["compile"] == 1
         assert payload["speedup_warm"] > 1.0
+        # the cold pass stores programs, traces, profiles, metrics and
+        # reports, never an image; the warm pass stores nothing
+        assert set(payload["phases"]["cold"]["cache_put_kb"]) == {
+            "metrics", "profile", "program", "report", "trace"}
+        assert payload["phases"]["warm"]["cache_put_kb"] == {}
+        assert payload["phases"]["serial"]["cache_put_kb"] == {}
         assert check_payload(payload) == []
 
         path = write_payload(payload, config.output)
@@ -277,10 +283,11 @@ class TestBench:
         assert check_payload(payload) == []
 
     def test_optimize_phase_reuses_the_sweeps_cu_opt_images(self, tmp_path):
-        """With cu-opt in the matrix, the optimize phase runs its one
-        search per workload outside the pipeline and every build it asks
-        for — the cu-opt image included — is a cache hit: no pipeline
-        phase (no second search, no rebuild) runs inside it."""
+        """With cu-opt in the matrix, the optimize phase lays the cu-opt
+        build out from the search the sweep stored and reads the sweep's
+        measurements: it builds its layouts again, but runs no second
+        search (no optimize phase) and no interpreter (no measure or
+        replay phase), and stores no image."""
         config = BenchConfig(
             workloads=("Bounce",), strategies=("cu", "cu-opt"),
             max_workers=1, skip_serial=True, attribution=False,
@@ -288,7 +295,8 @@ class TestBench:
         )
         payload = run_bench(config)
         optimize = payload["optimize"]
-        assert optimize["phases_run"] == {}
+        assert set(optimize["phases_run"]) == {"build", "order", "prepare"}
+        assert "image" not in optimize["cache_put_kb"]
         [section] = optimize["workloads"]["Bounce"]["sections"]
         assert section["strategy"] == "cu-opt"
         assert section["never_worse"] and section["verified"]
@@ -325,6 +333,29 @@ class TestBench:
             "optimize phase: Json/cu-opt search predicted 10 faults but "
             "the built binary's measured run took 11 (cost model drifted "
             "from the executor)"]
+
+    def test_check_payload_flags_image_puts(self):
+        """A phase that stored an image entry fails the check, the
+        attribution and optimize phases included."""
+        payload = {
+            "ok": True,
+            "deterministic": True,
+            "phases": {
+                "cold": {"cache_put_kb": {"image": 42.5, "metrics": 3.0}},
+                "warm": {"cache_misses": 0, "cache_hit_rate": 1.0,
+                         "phases_run": {}, "cache_put_kb": {}},
+            },
+            "optimize": {"cache_put_kb": {"image": 1.0}},
+        }
+        assert check_payload(payload) == [
+            "cold phase put 42.5 KB of image entries (want none: builds "
+            "are laid out again, not stored)",
+            "optimize phase put 1.0 KB of image entries (want none: "
+            "builds are laid out again, not stored)",
+        ]
+        del payload["phases"]["cold"]["cache_put_kb"]["image"]
+        del payload["optimize"]
+        assert check_payload(payload) == []
 
     def test_check_payload_flags_cold_cache(self):
         payload = {
