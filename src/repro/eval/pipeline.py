@@ -360,11 +360,12 @@ class WorkloadPipeline:
         The build always runs.  With a cache armed, its key binds the
         strategy, the *content digest* of the seed ``profiles``, both
         policies, the seed and, for the search-based strategies, the
-        execution config.  The key addresses the build's measurements and
-        its report entry: the verification report, the degradation report,
-        any quarantine conviction and, for ``cu-opt``, the layout search
-        (``last_search``), so a rebuild of a cached ``cu-opt`` build lays
-        out the stored order without the reference build or the search.
+        execution config.  The key addresses the build's measurements and,
+        for a named strategy, its report entry: the verification report,
+        the degradation report, any quarantine conviction and, for
+        ``cu-opt``, the layout search (``last_search``), so a rebuild of a
+        cached ``cu-opt`` build lays out the stored order without the
+        reference build or the search.
         """
         self.last_verification_report = None
         self.last_search = None
@@ -381,16 +382,16 @@ class WorkloadPipeline:
             binary = self._verification_rung(binary, profiles, strategy, seed)
         binary._cache_key = key
         self.last_search = search
-        if key is not None:
-            entry = (self.quarantine.entry_for(self.workload.name, strategy.name)
-                     if strategy is not None else None)
+        if key is not None and strategy is not None:
+            # only a strategy's cell reads its report back; a default
+            # layout (the cu-opt reference build) stores none
             self.cache.put(KIND_REPORT, key, {
                 "verification": self.last_verification_report,
                 "degradation": self.last_degradation_report,
-                "quarantine": entry,
+                "quarantine": self.quarantine.entry_for(self.workload.name,
+                                                        strategy.name),
                 "search": search,
-            }, note=(f"{self.workload.name} optimized "
-                     f"({strategy.name if strategy else 'default'})"))
+            }, note=f"{self.workload.name} optimized ({strategy.name})")
         return binary
 
     def optimize_profiles(

@@ -27,7 +27,6 @@ from ..obs import phase
 from ..ordering.code_order import default_order, order_compilation_units
 from ..ordering.heap_order import match_and_order
 from ..ordering.ids import (
-    ALL_STRATEGIES,
     DEFAULT_MAX_DEPTH,
     HEAP_PATH,
     INCREMENTAL_ID,
@@ -51,6 +50,7 @@ from .heap import (
     REASON_DATA_SECTION,
     BuildTimeInitializer,
     HeapSnapshotter,
+    SnapshotIds,
     make_extra_root,
 )
 from .sections import layout_heap, layout_text
@@ -304,11 +304,7 @@ class NativeImageBuilder:
         manifest = prepared.manifest
         if manifest is not None:
             manifest.register_cus([cu.name for cu in ordered_cus])
-            manifest.object_ids = {
-                obj.index: {kind: snapshot.id_of(obj, kind)
-                            for kind in ALL_STRATEGIES}
-                for obj in snapshot
-            }
+            manifest.object_ids = SnapshotIds(snapshot)
 
         return NativeImageBinary(
             program=program,

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..minijava.bytecode import Program
 from ..vm.interpreter import Interpreter, RuntimeHooks
@@ -37,12 +38,13 @@ from ..graal.cunits import CompilationUnit
 from ..graal.reachability import ReachabilityResult
 from ..graal.transform import FoldedConstant
 from ..ordering.ids import (
+    ALL_STRATEGIES,
     HEAP_PATH,
     INCREMENTAL_ID,
     STRUCTURAL_HASH,
-    assign_heap_path_hashes,
     assign_incremental_ids,
-    assign_structural_hashes,
+    heap_path_hash,
+    structural_hash,
 )
 
 # Heap-inclusion reasons (paper Sec. 5.3); re-exported for convenience.
@@ -102,22 +104,21 @@ def object_size(value: Any) -> int:
     raise TypeError(f"not a heap value: {type(value).__name__}")
 
 
-#: ID kind -> the algorithm (paper Algorithms 1-3) that assigns it
-_ID_ALGORITHMS = {
-    INCREMENTAL_ID: assign_incremental_ids,
-    STRUCTURAL_HASH: assign_structural_hashes,
-    HEAP_PATH: assign_heap_path_hashes,
+#: ID kind -> the algorithm (paper Algorithms 2-3) computing one object's
+#: ID from the object, its values and its parent chain alone
+_OBJECT_ID_ALGORITHMS = {
+    STRUCTURAL_HASH: structural_hash,
+    HEAP_PATH: heap_path_hash,
 }
 
 
 class HeapSnapshot:
     """The result of snapshotting: ordered objects plus lookup tables.
 
-    Object IDs are computed one kind at a time, for every object, the
-    first time :meth:`id_of` reads that kind.  ``id_options`` (kind -> the
-    option its algorithm takes; the build's ``BuildConfig`` settings)
-    travel with the snapshot, so an unpickled snapshot computes the same
-    IDs the build would have.
+    Object IDs are computed when :meth:`id_of` first reads them.
+    ``id_options`` (kind -> the option its algorithm takes; the build's
+    ``BuildConfig`` settings) travel with the snapshot, so an unpickled
+    snapshot computes the same IDs the build would have.
     """
 
     def __init__(self, id_options: Optional[Dict[str, Any]] = None) -> None:
@@ -125,20 +126,24 @@ class HeapSnapshot:
         self._by_identity: Dict[int, HeapObject] = {}
         self._strings: Dict[str, HeapObject] = {}
         self._id_options = dict(id_options or {})
-        #: kinds :meth:`id_of` has computed
-        self._id_kinds: set = set()
 
     def id_of(self, obj: HeapObject, kind: str) -> Optional[int]:
         """``obj``'s ID of ``kind``; ``None`` if it carries none.
 
-        The first read of a kind that has an option computes it for the
-        whole snapshot.  Any other kind (a custom strategy) is read as it
-        was stored on the objects.
+        An ID already on the object is read as stored (a custom strategy's
+        are only ever stored).  Otherwise a kind with an option is
+        computed: the structural and heap-path hashes for ``obj`` alone,
+        the incremental IDs for the whole snapshot in one pass, since
+        their per-type counters run in encounter order.
         """
-        if kind not in self._id_kinds and kind in self._id_options:
-            _ID_ALGORITHMS[kind](self, self._id_options[kind])
-            self._id_kinds.add(kind)
-        return obj.ids.get(kind)
+        ids = obj.ids
+        if kind not in ids and kind in self._id_options:
+            option = self._id_options[kind]
+            if kind == INCREMENTAL_ID:
+                assign_incremental_ids(self, option)
+            else:
+                ids[kind] = _OBJECT_ID_ALGORITHMS[kind](obj, option)
+        return ids.get(kind)
 
     def lookup(self, value: Any) -> Optional[HeapObject]:
         """The snapshot entry for a runtime value, if present."""
@@ -160,6 +165,29 @@ class HeapSnapshot:
             self._strings[obj.value] = obj
         else:
             self._by_identity[id(obj.value)] = obj
+
+
+class SnapshotIds(Mapping):
+    """Snapshot index -> ``{kind: ID}`` of all three kinds, read through
+    :meth:`HeapSnapshot.id_of`: the instrumented manifest's table, which
+    computes the IDs only of the objects a trace names."""
+
+    def __init__(self, snapshot: HeapSnapshot) -> None:
+        self._snapshot = snapshot
+
+    def __getitem__(self, index: int) -> Dict[str, Optional[int]]:
+        objects = self._snapshot.objects
+        if not isinstance(index, int) or not 0 <= index < len(objects):
+            raise KeyError(index)
+        obj = objects[index]
+        return {kind: self._snapshot.id_of(obj, kind)
+                for kind in ALL_STRATEGIES}
+
+    def __len__(self) -> int:
+        return len(self._snapshot.objects)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._snapshot.objects)))
 
 
 class InitTriggeringStatics(dict):

@@ -102,6 +102,11 @@ class Instr:
         """Simulated machine-code size of the instruction, in bytes."""
         return OPCODE_SIZES[self.op]
 
+    def __reduce__(self):
+        # pickled as its three fields, not as a dataclass's attribute
+        # dict: compiled programs are most of what the artifact cache holds
+        return (Instr, (self.op, self.args, self.line))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         args = " ".join(str(a) for a in self.args)
         return f"{self.op} {args}".strip()

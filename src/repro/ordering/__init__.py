@@ -15,10 +15,9 @@ from .ids import (
     INCREMENTAL_ID,
     STRUCTURAL_HASH,
     StructuralHasher,
-    assign_heap_path_hashes,
     assign_incremental_ids,
-    assign_structural_hashes,
     heap_path_hash,
+    structural_hash,
 )
 from .optimize import (
     CU_OPT_ORDERING,
@@ -44,8 +43,7 @@ __all__ = [
     "MatchReport", "match_and_order",
     "ALL_STRATEGIES", "HEAP_PATH", "INCREMENTAL_ID",
     "STRUCTURAL_HASH", "StructuralHasher",
-    "assign_heap_path_hashes", "assign_incremental_ids",
-    "assign_structural_hashes", "heap_path_hash",
+    "assign_incremental_ids", "heap_path_hash", "structural_hash",
     "CU_OPT_ORDERING", "OptimizationReport", "SearchResult",
     "optimize_workload", "search_order", "synthesize_optimizer_profiles",
     "CallCountProfile", "CodeOrderProfile", "HeapOrderProfile",

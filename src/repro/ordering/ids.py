@@ -132,17 +132,10 @@ class StructuralHasher:
         return buffer
 
 
-def assign_structural_hashes(
-    snapshot: HeapSnapshot, max_depth: int = DEFAULT_MAX_DEPTH
-) -> Dict[int, int]:
-    """Assign structural-hash IDs to every snapshot object."""
-    hasher = StructuralHasher(max_depth)
-    ids: Dict[int, int] = {}
-    for obj in snapshot:
-        value = hasher.hash_object(obj)
-        obj.ids[STRUCTURAL_HASH] = value
-        ids[obj.index] = value
-    return ids
+def structural_hash(obj: HeapObject,
+                    max_depth: int = DEFAULT_MAX_DEPTH) -> int:
+    """One object's structural-hash ID (Algorithm 2)."""
+    return StructuralHasher(max_depth).hash_object(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +176,6 @@ def heap_path_hash(obj: Optional[HeapObject],
             buffer += str(edge).encode("utf-8")
         current = current.parent
     return murmur3_64(bytes(buffer))
-
-
-def assign_heap_path_hashes(
-    snapshot: HeapSnapshot, intern_special_case: bool = True
-) -> Dict[int, int]:
-    """Assign heap-path IDs to every snapshot object."""
-    ids: Dict[int, int] = {}
-    for obj in snapshot:
-        value = heap_path_hash(obj, intern_special_case)
-        obj.ids[HEAP_PATH] = value
-        ids[obj.index] = value
-    return ids
 
 
 # ---------------------------------------------------------------------------

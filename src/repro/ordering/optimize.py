@@ -25,9 +25,19 @@ built candidate passes the PR-2 structural oracle before it is measured.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..image.sections import CU_ALIGN, PAGE_SIZE, TEXT_SECTION
 from .coaccess import CoAccessGraph, build_coaccess_graph, layout_objective
@@ -181,63 +191,108 @@ def chain_merge_order(graph: CoAccessGraph, hot: Sequence[str],
                       window: int = 0) -> List[str]:
     """Ext-TSP-style greedy chain merging over the co-access graph.
 
-    Every hot unit starts as a singleton chain; each step merges the
-    (ordered) chain pair whose junction adds the most locality objective,
-    until no merge has positive gain.  Each merge adds exactly its junction
-    gain to :func:`~repro.ordering.coaccess.layout_objective` (intra-chain
-    gaps are preserved by concatenation).  Remaining chains concatenate in
-    first-touch order of their heads; that can drop cross-chain credit the
-    first-touch order ``hot`` earned, so ``hot`` itself is returned when it
-    scores higher — the result never loses to it, the property the
-    hypothesis suite checks.
+    Every hot unit (names must be distinct) starts as a singleton chain;
+    each step merges the (ordered) chain pair whose junction adds the most
+    locality objective, until no merge has positive gain; equal gains go
+    to the smaller ``(left head, right head)``.  Each merge adds exactly
+    its junction gain to :func:`~repro.ordering.coaccess.layout_objective`
+    (intra-chain gaps are preserved by concatenation).  Remaining chains
+    concatenate in first-touch order of their heads; that can drop
+    cross-chain credit the first-touch order ``hot`` earned, so ``hot``
+    itself is returned when it scores higher — the result never loses to
+    it, the property the hypothesis suite checks.
+
+    Gains are exact integers: the objective scaled by ``window`` times the
+    LCM of the edge weights' denominators.  Each ordered pair's gain is
+    computed once and kept (in a max-heap keyed by gain, then heads) until
+    a merge changes one of its chains; only the merged chain's pairs are
+    recomputed, so for ``n`` hot units and window ``w`` the merge costs
+    O(n²·w²) where rescanning every pair after each merge cost O(n³·w²).
     """
     window = window or graph.window
-    chains: List[List[str]] = [[name] for name in hot]
+    if len(set(hot)) != len(hot):
+        raise ValueError("chain merging needs distinct hot units")
+    #: head unit -> its chain; a merged chain keeps its left part's head
+    chains: Dict[str, List[str]] = {name: [name] for name in hot}
+    head_of = {name: name for name in hot}
+    index_of = dict.fromkeys(hot, 0)
+    #: head -> merges its chain took part in (stale heap entries differ)
+    version = dict.fromkeys(hot, 0)
+    links = _integer_links(graph, chains.keys())
+    heap: List[Tuple[int, str, str, int, int]] = []
+
+    def queue_gains(head: str, as_right: bool) -> None:
+        """Queue the gain of every pair with ``head``'s chain on the left
+        (and, with ``as_right``, on the right).
+
+        A pair's gain sums ``weight * (window - gap)`` over the edges
+        between the left chain's last and the right chain's first
+        ``window - 1`` units that end up less than ``window`` apart.
+        """
+        chain = chains[head]
+        gains: Dict[Tuple[str, str], int] = {}
+        for near in range(min(window - 1, len(chain))):
+            # the near-th unit from the end of the left chain
+            for unit, weight in links[chain[-1 - near]].items():
+                other = head_of[unit]
+                gap = near + index_of[unit] + 1
+                if other != head and gap < window:
+                    pair = (head, other)
+                    gains[pair] = gains.get(pair, 0) + weight * (window - gap)
+            if not as_right:
+                continue
+            # the near-th unit from the start of the right chain
+            for unit, weight in links[chain[near]].items():
+                other = head_of[unit]
+                gap = len(chains[other]) - index_of[unit] + near
+                if other != head and gap < window:
+                    pair = (other, head)
+                    gains[pair] = gains.get(pair, 0) + weight * (window - gap)
+        for (left, right), gain in gains.items():
+            if gain > 0:
+                heapq.heappush(heap, (-gain, left, right,
+                                      version[left], version[right]))
+
+    # every singleton pair, each counted once from its left unit
+    for head in hot:
+        queue_gains(head, as_right=False)
+    while heap:
+        _gain, left, right, left_version, right_version = heapq.heappop(heap)
+        if (right not in chains or left not in chains
+                or version[left] != left_version
+                or version[right] != right_version):
+            continue  # a merge since queuing changed one of the chains
+        merged, absorbed = chains[left], chains.pop(right)
+        for offset, unit in enumerate(absorbed, start=len(merged)):
+            head_of[unit] = left
+            index_of[unit] = offset
+        merged.extend(absorbed)
+        version[left] += 1
+        queue_gains(left, as_right=True)
     rank = {name: index for index, name in enumerate(hot)}
-    while len(chains) > 1:
-        best_gain = Fraction(0)
-        best_pair: Optional[Tuple[int, int]] = None
-        for i, left in enumerate(chains):
-            for j, right in enumerate(chains):
-                if i == j:
-                    continue
-                gain = _junction_gain(graph, left, right, window)
-                if gain > best_gain or (
-                    gain == best_gain and best_pair is not None and gain > 0
-                    and (chains[best_pair[0]][0], chains[best_pair[1]][0])
-                    > (left[0], right[0])
-                ):
-                    best_gain = gain
-                    best_pair = (i, j)
-        if best_pair is None or best_gain <= 0:
-            break
-        i, j = best_pair
-        merged = chains[i] + chains[j]
-        chains = [chain for index, chain in enumerate(chains)
-                  if index not in (i, j)]
-        chains.append(merged)
-    chains.sort(key=lambda chain: min(rank[name] for name in chain))
-    merged = [name for chain in chains for name in chain]
-    if (layout_objective(graph, merged, window)
+    ordered = sorted(chains.values(),
+                     key=lambda chain: min(rank[name] for name in chain))
+    merged_order = [name for chain in ordered for name in chain]
+    if (layout_objective(graph, merged_order, window)
             < layout_objective(graph, hot, window)):
         return list(hot)
-    return merged
+    return merged_order
 
 
-def _junction_gain(graph: CoAccessGraph, left: Sequence[str],
-                   right: Sequence[str], window: int) -> Fraction:
-    """Objective gained by concatenating ``left + right`` at the junction."""
-    gain = Fraction(0)
-    for p in range(min(window - 1, len(left))):
-        u = left[-1 - p]
-        for q in range(len(right)):
-            gap = p + q + 1
-            if gap >= window:
-                break
-            weight = graph.weight(u, right[q])
-            if weight:
-                gain += weight * Fraction(window - gap, window)
-    return gain
+def _integer_links(graph: CoAccessGraph,
+                   units: AbstractSet[str]) -> Dict[str, Dict[str, int]]:
+    """Each unit's neighbours among ``units``, with every edge weight
+    scaled by the LCM of the weights' denominators to an exact integer
+    (one positive factor for all, so no comparison of gains changes)."""
+    weights = {(u, v): Fraction(weight)
+               for (u, v), weight in graph.weights.items()
+               if u != v and weight and u in units and v in units}
+    scale = math.lcm(*(weight.denominator for weight in weights.values()))
+    links: Dict[str, Dict[str, int]] = {name: {} for name in units}
+    for (u, v), weight in weights.items():
+        links[u][v] = links[v][u] = (weight.numerator
+                                     * (scale // weight.denominator))
+    return links
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ concatenated, with duplicates removed (Sec. 7.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..ordering.ids import ALL_STRATEGIES
 from ..ordering.profiles import (
@@ -64,47 +64,88 @@ class HeapAccessEvent:
 TraceEvent = Union[MethodEntryEvent, CuEntryEvent, HeapAccessEvent]
 
 
-def _record_events(
-    manifest: InstrumentationManifest, record: TraceRecord
-) -> List[TraceEvent]:
-    """Decode one record against the manifest.
+class _RecordDecoder:
+    """Decodes records against one manifest.
 
-    Raises :class:`TraceDecodeError` when the record contradicts the
-    manifest — an out-of-range ID or a path/site count mismatch, the
-    signature of a trace from a different (mismatched) build.
+    One decoder serves one :func:`run_analyses` call: it memoizes each
+    distinct entry record's event, each distinct ``(method, start block,
+    path value)``'s heap-site count and each object's access event, since
+    a trace repeats a few of them thousands of times.
     """
-    try:
-        if isinstance(record, MethodEntryRecord):
-            return [MethodEntryEvent(manifest.method_signatures[record.method_id])]
-        if isinstance(record, CuEntryRecord):
-            return [CuEntryEvent(manifest.cu_signatures[record.cu_id])]
-        cfg = manifest.cfg_for_id(record.method_id)
-        sites = cfg.heap_sites_on_path(record.start_block, record.path_value)
-    except TraceDecodeError:
-        raise
-    except (IndexError, KeyError, ValueError) as exc:
-        raise TraceDecodeError(f"record contradicts manifest: {exc}") from exc
-    if len(sites) != len(record.object_ids):
-        raise TraceDecodeError(
-            f"{cfg.method.signature}: path ({record.start_block}, "
-            f"{record.path_value}) has {len(sites)} heap-access sites "
-            f"but the record carries {len(record.object_ids)} IDs"
-        )
-    return [
-        HeapAccessEvent(object_index=object_id - 1)
-        for object_id in record.object_ids
-        if object_id != 0  # 0 = runtime-allocated, not in the image
-    ]
+
+    def __init__(self, manifest: InstrumentationManifest) -> None:
+        self._manifest = manifest
+        self._method_entries: Dict[int, List[TraceEvent]] = {}
+        self._cu_entries: Dict[int, List[TraceEvent]] = {}
+        self._site_counts: Dict[Tuple[int, int, int], int] = {}
+        self._accesses: Dict[int, HeapAccessEvent] = {}
+
+    def events(self, record: TraceRecord) -> List[TraceEvent]:
+        """Decode one record (do not mutate the returned list).
+
+        Raises :class:`TraceDecodeError` when the record contradicts the
+        manifest — an out-of-range ID or a path/site count mismatch, the
+        signature of a trace from a different (mismatched) build.
+        """
+        manifest = self._manifest
+        try:
+            if isinstance(record, MethodEntryRecord):
+                events = self._method_entries.get(record.method_id)
+                if events is None:
+                    events = self._method_entries[record.method_id] = [
+                        MethodEntryEvent(
+                            manifest.method_signatures[record.method_id])]
+                return events
+            if isinstance(record, CuEntryRecord):
+                events = self._cu_entries.get(record.cu_id)
+                if events is None:
+                    events = self._cu_entries[record.cu_id] = [
+                        CuEntryEvent(manifest.cu_signatures[record.cu_id])]
+                return events
+            path = (record.method_id, record.start_block, record.path_value)
+            sites = self._site_counts.get(path)
+            if sites is None:
+                cfg = manifest.cfg_for_id(record.method_id)
+                sites = self._site_counts[path] = len(
+                    cfg.heap_sites_on_path(record.start_block,
+                                           record.path_value))
+        except TraceDecodeError:
+            raise
+        except (IndexError, KeyError, ValueError) as exc:
+            raise TraceDecodeError(f"record contradicts manifest: {exc}") from exc
+        object_ids = record.object_ids
+        if sites != len(object_ids):
+            raise TraceDecodeError(
+                f"{manifest.cfg_for_id(record.method_id).method.signature}: "
+                f"path ({record.start_block}, {record.path_value}) has "
+                f"{sites} heap-access sites but the record carries "
+                f"{len(object_ids)} IDs"
+            )
+        accesses = self._accesses
+        events = []
+        for object_id in object_ids:
+            if object_id != 0:  # 0 = runtime-allocated, not in the image
+                event = accesses.get(object_id)
+                if event is None:
+                    event = accesses[object_id] = HeapAccessEvent(
+                        object_index=object_id - 1)
+                events.append(event)
+        return events
+
+
+def _decode_events(decoder: _RecordDecoder,
+                   trace_data: bytes) -> Iterable[TraceEvent]:
+    trace = parse_trace(trace_data)
+    for record in trace.records:
+        for event in decoder.events(record):
+            yield event
 
 
 def decode_events(
     manifest: InstrumentationManifest, trace_data: bytes
 ) -> Iterable[TraceEvent]:
     """Decode one thread's trace file into its event sequence (strict)."""
-    trace = parse_trace(trace_data)
-    for record in trace.records:
-        for event in _record_events(manifest, record):
-            yield event
+    return _decode_events(_RecordDecoder(manifest), trace_data)
 
 
 @dataclass
@@ -122,11 +163,16 @@ def decode_events_lenient(
     manifest: InstrumentationManifest, trace_data: bytes
 ) -> LenientDecode:
     """Best-effort decode: salvage the trace, skip undecodable records."""
+    return _decode_events_lenient(_RecordDecoder(manifest), trace_data)
+
+
+def _decode_events_lenient(decoder: _RecordDecoder,
+                           trace_data: bytes) -> LenientDecode:
     salvaged = parse_trace_lenient(trace_data)
     outcome = LenientDecode(salvage=salvaged.report)
     for record in salvaged.trace.records:
         try:
-            events = _record_events(manifest, record)
+            events = decoder.events(record)
         except TraceDecodeError:
             outcome.records_undecodable += 1
             continue
@@ -193,10 +239,16 @@ class HeapOrderAnalysis(OrderingAnalysis):
         self._manifest = manifest
         self.strategy = strategy
         self._order = _OrderedSet()
+        #: object indices already accessed: a repeat adds nothing
+        self._accessed: set = set()
 
     def accept(self, event: TraceEvent) -> None:
         if isinstance(event, HeapAccessEvent):
-            ids = self._manifest.object_ids.get(event.object_index)
+            index = event.object_index
+            if index in self._accessed:
+                return
+            self._accessed.add(index)
+            ids = self._manifest.object_ids.get(index)
             if ids is None:
                 return
             self._order.add(ids[self.strategy])
@@ -235,16 +287,17 @@ def run_analyses(
     trace and returns a :class:`ProfileCompleteness` accounting of what was
     recovered vs. dropped.
     """
+    decoder = _RecordDecoder(manifest)
     if not lenient:
         for trace_data in trace_files:
-            for event in decode_events(manifest, trace_data):
+            for event in _decode_events(decoder, trace_data):
                 for analysis in analyses:
                     analysis.accept(event)
         return None
 
     completeness = ProfileCompleteness(traces=len(trace_files))
     for trace_data in trace_files:
-        outcome = decode_events_lenient(manifest, trace_data)
+        outcome = _decode_events_lenient(decoder, trace_data)
         report = outcome.salvage
         completeness.records_recovered += report.records_recovered
         completeness.records_unverified += report.records_unverified

@@ -17,7 +17,7 @@ heap-access site (paper Sec. 3/6).  Two artifacts come out of planning:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping
 
 from ..minijava.bytecode import CompiledMethod, Program
 from .cfg import MethodCfg, build_cfg
@@ -39,8 +39,9 @@ class InstrumentationManifest:
     cu_ids: Dict[str, int] = field(default_factory=dict)  # cu root signature -> id
     cu_signatures: List[str] = field(default_factory=list)  # id -> root signature
     #: snapshot object index -> per-strategy 64-bit IDs (the identifiers
-    #: "associated to each object instance" stored in the instrumented image)
-    object_ids: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    #: "associated to each object instance" stored in the instrumented
+    #: image); the build's layout computes an object's IDs on first read
+    object_ids: Mapping[int, Dict[str, int]] = field(default_factory=dict)
 
     def method_id(self, signature: str) -> int:
         return self.method_ids[signature]

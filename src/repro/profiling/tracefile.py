@@ -96,14 +96,11 @@ def encode_cu_entry(cu_id: int) -> bytes:
 
 def encode_path(method_id: int, start_block: int, path_value: int,
                 object_ids: List[int]) -> bytes:
-    out = bytearray([TAG_PATH])
-    out += encode_uvarint(method_id)
-    out += encode_uvarint(start_block)
-    out += encode_uvarint(path_value)
-    out += encode_uvarint(len(object_ids))
-    for object_id in object_ids:
-        out += encode_uvarint(object_id)
-    return bytes(out)
+    fields = (method_id, start_block, path_value, len(object_ids),
+              *object_ids)
+    if max(fields) < 0x80 and min(fields) >= 0:
+        return bytes((TAG_PATH, *fields))  # every field one byte
+    return bytes((TAG_PATH,)) + b"".join(map(encode_uvarint, fields))
 
 
 def encode_header(mode: int, thread_id: int, version: int = VERSION_V2) -> bytes:
@@ -272,30 +269,45 @@ def _recover_record_prefix(data: bytes, pos: int, end: int
     return records, end
 
 
+def _read_uvarints(data: bytes, pos: int, count: int,
+                   out: List[int]) -> int:
+    """Append ``count`` uvarints read at ``pos`` to ``out``; return the
+    offset after them.  One-byte values are read inline."""
+    for _ in range(count):
+        byte = data[pos]
+        if byte < 0x80:
+            out.append(byte)
+            pos += 1
+        else:
+            value, pos = decode_uvarint(data, pos)
+            out.append(value)
+    return pos
+
+
 def _parse_one_record(data: bytes, pos: int, end: int
                       ) -> Tuple[TraceRecord, int]:
     """Parse exactly one record at ``pos``; return ``(record, next_pos)``."""
+    tag = data[pos]
+    fields: List[int] = []
     try:
-        tag = data[pos]
-        pos += 1
-        if tag == TAG_METHOD_ENTRY:
-            method_id, pos = decode_uvarint(data, pos)
-            record: TraceRecord = MethodEntryRecord(method_id)
+        if tag == TAG_PATH:
+            pos = _read_uvarints(data, pos + 1, 4, fields)
+            method_id, start_block, path_value, count = fields
+            ids: List[int] = []
+            pos = _read_uvarints(data, pos, count, ids)
+            record: TraceRecord = PathRecord(method_id, start_block,
+                                             path_value, tuple(ids))
+        elif tag == TAG_METHOD_ENTRY:
+            pos = _read_uvarints(data, pos + 1, 1, fields)
+            record = MethodEntryRecord(fields[0])
         elif tag == TAG_CU_ENTRY:
-            cu_id, pos = decode_uvarint(data, pos)
-            record = CuEntryRecord(cu_id)
-        elif tag == TAG_PATH:
-            method_id, pos = decode_uvarint(data, pos)
-            start_block, pos = decode_uvarint(data, pos)
-            path_value, pos = decode_uvarint(data, pos)
-            count, pos = decode_uvarint(data, pos)
-            ids = []
-            for _ in range(count):
-                object_id, pos = decode_uvarint(data, pos)
-                ids.append(object_id)
-            record = PathRecord(method_id, start_block, path_value, tuple(ids))
+            pos = _read_uvarints(data, pos + 1, 1, fields)
+            record = CuEntryRecord(fields[0])
         else:
             raise TraceDecodeError(f"unknown trace record tag {tag:#x}")
+    except IndexError as exc:
+        # a one-byte read ran off the end of the frame
+        raise TraceDecodeError("truncated record: truncated uvarint") from exc
     except VarintDecodeError as exc:
         raise TraceDecodeError(f"truncated record: {exc}") from exc
     if pos > end:

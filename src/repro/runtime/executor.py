@@ -244,6 +244,9 @@ class ExecHooks(RuntimeHooks):
         self._cache = cache
         self._config = config
         self._tracer = tracer
+        if tracer is not None:
+            # called once per basic block, so the tracer is called directly
+            self.on_block = tracer.on_block
         self.interpreter: Optional[Interpreter] = None
         self.responded = False
         self.response_snapshot: Optional[Dict[str, int]] = None
@@ -307,10 +310,6 @@ class ExecHooks(RuntimeHooks):
         if self._tracer is None:
             return None
         return self._tracer.leaders_for(method)
-
-    def on_block(self, frame: Frame, leader_pc: int, thread: ThreadState) -> None:
-        if self._tracer is not None:
-            self._tracer.on_block(frame, leader_pc, thread)
 
     # -- heap ---------------------------------------------------------------------
 

@@ -17,8 +17,14 @@ class VarintDecodeError(ValueError):
     """
 
 
+#: the one-byte encodings, of 0..127 (most traced fields)
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+
+
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as unsigned LEB128."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"uvarint cannot encode negative value {value}")
     out = bytearray()

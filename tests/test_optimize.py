@@ -5,6 +5,8 @@ The property suite pins the guarantees docs/optimizer.md promises:
 * the co-access builder is permutation-invariant over its input traces;
 * the chain-merge objective is superadditive under concatenation (merging
   two chains never loses locality credit), so greedy merging is monotone;
+* the incremental, integer-scored chain merge picks exactly the merges of
+  the exhaustive ``Fraction`` rescan it replaced (kept here as the oracle);
 * same inputs => identical order => byte-identical built layout;
 * the search's layouts are pinned across commits (Json, Queens and
   Richards at base seed 1);
@@ -17,6 +19,7 @@ The property suite pins the guarantees docs/optimizer.md promises:
 
 import doctest
 import random as stdlib_random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,103 @@ def test_chain_merge_never_loses_to_first_touch_order(traces):
     merged = chain_merge_order(graph, hot, graph.window)
     assert sorted(merged) == sorted(hot)  # a permutation, nothing dropped
     assert layout_objective(graph, merged) >= layout_objective(graph, hot)
+
+
+# ---------------------------------------------------------------------------
+# chain merging against the exhaustive rescan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_chain_merge_order(graph, hot, window=0):
+    """The O(n^3) chain merge that rescans every chain pair's junction
+    gain in ``Fraction`` arithmetic after each merge: the reference the
+    incremental, integer-scored merge must equal exactly."""
+    window = window or graph.window
+    chains = [[name] for name in hot]
+    rank = {name: index for index, name in enumerate(hot)}
+    while len(chains) > 1:
+        best_gain = Fraction(0)
+        best_pair = None
+        for i, left in enumerate(chains):
+            for j, right in enumerate(chains):
+                if i == j:
+                    continue
+                gain = _oracle_junction_gain(graph, left, right, window)
+                if gain > best_gain or (
+                    gain == best_gain and best_pair is not None and gain > 0
+                    and (chains[best_pair[0]][0], chains[best_pair[1]][0])
+                    > (left[0], right[0])
+                ):
+                    best_gain = gain
+                    best_pair = (i, j)
+        if best_pair is None or best_gain <= 0:
+            break
+        i, j = best_pair
+        merged = chains[i] + chains[j]
+        chains = [chain for index, chain in enumerate(chains)
+                  if index not in (i, j)]
+        chains.append(merged)
+    chains.sort(key=lambda chain: min(rank[name] for name in chain))
+    merged = [name for chain in chains for name in chain]
+    if (layout_objective(graph, merged, window)
+            < layout_objective(graph, hot, window)):
+        return list(hot)
+    return merged
+
+
+def _oracle_junction_gain(graph, left, right, window):
+    gain = Fraction(0)
+    for p in range(min(window - 1, len(left))):
+        u = left[-1 - p]
+        for q in range(len(right)):
+            gap = p + q + 1
+            if gap >= window:
+                break
+            weight = graph.weight(u, right[q])
+            if weight:
+                gain += weight * Fraction(window - gap, window)
+    return gain
+
+
+MERGE_UNITS = [f"m{i:02d}" for i in range(14)]
+
+weighted_trace_st = st.tuples(
+    st.lists(st.sampled_from(MERGE_UNITS), min_size=0, max_size=14),
+    st.one_of(st.integers(min_value=0, max_value=6),
+              st.floats(min_value=0, max_value=6, allow_nan=False,
+                        allow_infinity=False)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces=st.lists(weighted_trace_st, min_size=1, max_size=8),
+       graph_window=st.integers(1, 10), merge_window=st.integers(0, 10),
+       data=st.data())
+def test_chain_merge_equals_the_exhaustive_rescan(traces, graph_window,
+                                                   merge_window, data):
+    """Same order as the rescanning ``Fraction`` merge, on any graph,
+    window and first-touch order (a window of 0 means the graph's)."""
+    graph = build_coaccess_graph(traces, window=graph_window)
+    hot = data.draw(st.permutations(sorted(graph.nodes)))
+    assert (chain_merge_order(graph, hot, merge_window)
+            == _oracle_chain_merge_order(graph, hot, merge_window))
+
+
+@pytest.mark.parametrize("name", ["Json", "Queens", "Richards", "spring"])
+def test_chain_merge_equals_the_exhaustive_rescan_on_programs(name):
+    """The same on the search instances of real programs (spring has the
+    most hot units of the 17)."""
+    workload = (microservice_workload(name) if name == "spring"
+                else awfy_workload(name))
+    pipeline = WorkloadPipeline(workload)
+    seed = task_seed(1, name)
+    bundle = pipeline.profile(seed=seed).profiles
+    reference = pipeline.build_optimized(bundle, None, seed=seed)
+    problem = code_problem(reference,
+                           run_binary(reference, pipeline.exec_config),
+                           bundle, pipeline.exec_config)
+    assert (chain_merge_order(problem.graph, problem.hot)
+            == _oracle_chain_merge_order(problem.graph, problem.hot))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +407,37 @@ def test_optimizer_image_keys_on_search_inputs(tmp_path):
     assert stored == search
     _binary, _search, builds, searches = build(ExecutionConfig(quantum=300))
     assert (builds, searches) == (2, 1)
+
+def test_cold_cu_opt_cell_writes_one_report(tmp_path):
+    """Only the cell's own build stores a report: the search's
+    default-layout reference build, which no cell reads back, stores
+    none."""
+    from repro.cache import KIND_REPORT, ArtifactCache
+    from repro.obs import get_registry
+
+    cache = ArtifactCache(tmp_path)
+    pipeline = WorkloadPipeline(awfy_workload("Queens"), cache=cache)
+    before = get_registry().snapshot()
+    pipeline.run_strategy(STRATEGY_CU_OPT, seed=3)
+    counters = get_registry().snapshot().diff(before).counters
+    assert counters.get("phase.optimize", 0) == 1
+    assert counters[f"cache.put.{KIND_REPORT}"] == 1
+    assert [meta["note"] for _key, meta in cache.entries(KIND_REPORT)] \
+        == ["Queens optimized (cu-opt)"]
+
+
+def test_optimize_command_cache_holds_no_default_report(tmp_path, capsys):
+    from repro.cache import KIND_REPORT, ArtifactCache
+    from repro.cli import main
+
+    cache_dir = tmp_path / "cache"
+    assert main(["optimize", "Json", "--seed", "1", "--json",
+                 "--cache-dir", str(cache_dir)]) == 0
+    capsys.readouterr()
+    notes = sorted(meta["note"] for _key, meta
+                   in ArtifactCache(cache_dir).entries(KIND_REPORT))
+    assert notes == ["Json optimized (cu)", "Json optimized (cu-opt)"]
+
 
 
 # ---------------------------------------------------------------------------

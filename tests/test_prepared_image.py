@@ -29,9 +29,9 @@ from repro.ordering.ids import (
     HEAP_PATH,
     INCREMENTAL_ID,
     STRUCTURAL_HASH,
-    assign_heap_path_hashes,
     assign_incremental_ids,
-    assign_structural_hashes,
+    heap_path_hash,
+    structural_hash,
 )
 from repro.runtime.executor import run_binary
 from repro.workloads import awfy_workload, microservice_workload
@@ -63,16 +63,24 @@ PINS = {
     },
 }
 
-#: kind -> (algorithm, the BuildConfig field holding its option)
+def every_object(algorithm):
+    """A one-object ID algorithm run over a whole snapshot, returning
+    ``{object index: ID}`` as :func:`assign_incremental_ids` does."""
+    return lambda snapshot, option: {obj.index: algorithm(obj, option)
+                                     for obj in snapshot}
+
+
+#: kind -> (whole-snapshot algorithm, the BuildConfig field holding its
+#: option)
 ALGORITHMS = {
     INCREMENTAL_ID: (assign_incremental_ids, "incremental_per_type"),
-    STRUCTURAL_HASH: (assign_structural_hashes, "structural_max_depth"),
-    HEAP_PATH: (assign_heap_path_hashes, "heap_path_intern_special"),
+    STRUCTURAL_HASH: (every_object(structural_hash), "structural_max_depth"),
+    HEAP_PATH: (every_object(heap_path_hash), "heap_path_intern_special"),
 }
 
 
 def workload(name):
-    if name == "quarkus":
+    if name in ("quarkus", "spring"):
         return microservice_workload(name)
     return awfy_workload(name)
 
@@ -190,6 +198,30 @@ def test_ids_on_demand_equal_eager_assignment(shared):
             eager = assign(snapshot, getattr(options, field))
             assert on_demand == [eager[obj.index] for obj in snapshot], \
                 (key, kind)
+
+
+@pytest.mark.parametrize("name", ["Queens", "spring"])
+def test_manifest_ids_read_lazily_equal_whole_snapshot_assignment(name):
+    """The instrumented manifest's ``object_ids[i]`` (read here in reverse
+    index order) equals ``{kind: snapshot.id_of(obj, kind)}`` and what the
+    whole-snapshot algorithms assign to a second build of the same seed."""
+    seed = task_seed(1, name)
+    binary = WorkloadPipeline(workload(name)).build_instrumented(seed=seed)
+    snapshot, object_ids = binary.snapshot, binary.manifest.object_ids
+    lazy = {obj.index: object_ids[obj.index]
+            for obj in reversed(snapshot.objects)}
+    pipeline = WorkloadPipeline(workload(name))
+    fresh = pipeline.build_instrumented(seed=seed).snapshot
+    eager = {kind: assign(fresh, getattr(pipeline.build_config, field))
+             for kind, (assign, field) in ALGORITHMS.items()}
+    assert len(object_ids) == len(snapshot) == len(fresh)
+    for obj in snapshot:
+        assert lazy[obj.index] == {kind: snapshot.id_of(obj, kind)
+                                   for kind in ALL_STRATEGIES}
+        assert lazy[obj.index] == {kind: eager[kind][obj.index]
+                                   for kind in ALL_STRATEGIES}
+    assert object_ids.get(len(snapshot)) is None
+    assert object_ids.get(-1) is None
 
 
 def test_unpickled_snapshot_computes_ids_with_its_build_options():

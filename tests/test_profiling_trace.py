@@ -1,5 +1,7 @@
 """Tests for trace files, buffers (dump modes), and the runtime tracer."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.profiling.tracebuf import ThreadTraceBuffer, TraceSession
 from repro.profiling.tracefile import (
     MODE_DUMP_ON_FULL,
     MODE_MMAP,
+    TAG_PATH,
     CuEntryRecord,
     MethodEntryRecord,
     PathRecord,
@@ -15,7 +18,22 @@ from repro.profiling.tracefile import (
     encode_method_entry,
     encode_path,
     parse_trace,
+    parse_trace_lenient,
 )
+
+#: values on each side of the one/two/three-byte varint boundaries, plus
+#: 32- and 64-bit extremes
+BOUNDARIES = (0, 127, 128, 16383, 16384, 2**32, 2**64 - 1)
+
+
+def _leb128(value):
+    """Reference unsigned LEB128: seven bits per byte, low group first."""
+    out = bytearray()
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        out.append(byte | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
 
 
 class TestTraceFileFormat:
@@ -64,6 +82,31 @@ class TestTraceFileFormat:
             (r.method_id, r.start_block, r.path_value, list(r.object_ids))
             for r in trace.records
         ] == paths
+
+    @pytest.mark.parametrize("mode", [MODE_DUMP_ON_FULL, MODE_MMAP])
+    def test_path_fields_at_varint_boundaries_round_trip(self, mode):
+        """Every field at each one-, two- and multi-byte boundary encodes
+        as plain LEB128 and parses back, strictly and leniently."""
+        records = [(method_id, start, value,
+                    [BOUNDARIES[(i + k) % len(BOUNDARIES)]
+                     for k in range(i % 4)])
+                   for i, (method_id, start, value) in enumerate(
+                       itertools.product(BOUNDARIES, repeat=3))]
+        records.append((1, 2, 3, list(range(120, 250))))  # 130 IDs
+        buffer = ThreadTraceBuffer(128, mode)
+        for method_id, start, value, ids in records:
+            encoded = encode_path(method_id, start, value, ids)
+            fields = [method_id, start, value, len(ids), *ids]
+            assert encoded == bytes([TAG_PATH]) + b"".join(
+                _leb128(field) for field in fields)
+            buffer.append(encoded)
+        buffer.terminate()
+        expected = [PathRecord(method_id, start, value, tuple(ids))
+                    for method_id, start, value, ids in records]
+        assert parse_trace(buffer.data).records == expected
+        salvaged = parse_trace_lenient(buffer.data)
+        assert salvaged.report.complete
+        assert salvaged.trace.records == expected
 
 
 class TestDumpModes:

@@ -8,7 +8,9 @@ access), Towers (deep recursion) and quarkus (threads, stop at first
 response).  Every :class:`RunMetrics` field of the regular run, the traced
 instrumented run and the ``cu+heap path`` run must match exactly: the
 touch stream by its SHA-256, and the faulted and resident pages as
-replayed from it at fault-around 0.
+replayed from it at fault-around 0.  The profiling path is pinned for all
+17 programs: the bytes of the seed-1 trace files and the digest of the
+profiles post-processed from them.
 """
 
 import dataclasses
@@ -22,9 +24,22 @@ from repro.eval.pipeline import STRATEGY_COMBINED, WorkloadPipeline
 from repro.eval.scheduler import task_seed
 from repro.image.sections import HEAP_SECTION, TEXT_SECTION
 from repro.minijava import compile_source
+from repro.postproc.framework import build_profiles
+from repro.profiling.tracebuf import TraceSession
+from repro.profiling.tracefile import (
+    MODE_DUMP_ON_FULL,
+    MODE_MMAP,
+    pack_traces,
+)
+from repro.profiling.tracer import PathTracer
 from repro.runtime.executor import RunMetrics, replay_touches, run_binary
 from repro.vm import Interpreter, OpsBudgetError, VMError
-from repro.workloads import awfy_workload, microservice_workload
+from repro.vm.interpreter import ThreadState
+from repro.workloads import (
+    MICROSERVICE_NAMES,
+    awfy_workload,
+    microservice_workload,
+)
 
 
 def _run(ops, faults, time_s, output, result, pages, touches,
@@ -216,6 +231,85 @@ def test_pinned_runs(name):
     assert outcome.profiles.digest() == pins["digest"]
     assert _fields(run_binary(optimized, config), optimized, config) \
         == pins["combined"]
+
+
+#: program -> (SHA-256 of its seed-1 trace files packed in thread-creation
+#: order, ``ProfileBundle.digest()`` of the profiles post-processed from
+#: them): the profiling path pinned byte for byte, for every program.  A
+#: trace header holds its thread's id, which counts the interpreter
+#: threads the process started before, so the pins are the files a fresh
+#: process writes.
+PROFILING_PINS = {
+    "Bounce": (
+        "65d640e5c15448c5005c067f669d04cbaa04d26f322afd99494b0375325b0e54",
+        "ffbf8c5298cd64eb1c4fb5d2fca2ddaf037f6a3a603c50b4cde72b3318416b5d"),
+    "CD": (
+        "c4576ddb0062f2000fed1781c6950f1579d36fc09459f3eaa443559213f890fa",
+        "7df586184cad29099b130050bb55fdb0b4d5ca98b561850355c19460cac25741"),
+    "DeltaBlue": (
+        "4f04adcadf691eae16df397fb885064d22a2b5cb2e0016d64573c340e6822cd5",
+        "5407f73377dc9be9c8eb61e1eef30eb7c4351937726d52960dc4935ff248c3af"),
+    "Havlak": (
+        "c3377ae020d4909ced643dc795138696bffb5d75bf88f3db52bed83cfc59e642",
+        "5ff707ac194f1c00072f6924c14ab3b943d27880fb439c5716df94aaa28942ed"),
+    "Json": (
+        "ea7bc312306ef7c791e5f0b2b25d6a2b7ebfc08610520628214f3031430b46ac",
+        "064abf18d972f71c114af1f80fbae32d5e0ffffaf99047563050dfa6fcc64b09"),
+    "List": (
+        "31ddb916cdab42d57b55ebb2b26e1250d9f7bdc53470aac8539c361980cf2b62",
+        "9e3df4baa63a059979b4d8807c054850dc955a8d18d2011690e79e3f6e27bed4"),
+    "Mandelbrot": (
+        "577843e599e9fbd076b71eab38e42855eca8c671e7620cc1e346fde34a332755",
+        "2fdbf97e81e2d17accc65e951044d1858767879d9c8d2583596d65b5ec2c99c7"),
+    "micronaut": (
+        "9a2f6612863e4dc0e95443bcc3022d154b56a559020ab4d6f41fea9ede42657f",
+        "4004c9a36ca56783a4115949b8d0f6ba0f17f2756c391e9407077069bdc327d5"),
+    "NBody": (
+        "cf7649d38e93f97bf83056b65bb0649dc0e8a9dbea818514ee06e9679070069b",
+        "7bd8a22467cb355bf30e22a08d78e4f4186d75805643d7cdf6a3f4849cae92d7"),
+    "Permute": (
+        "e0f5d74c9e8cfba1e61b1a18d3a4eecce8dc82374ccb659c0ddeba28c0f28bb9",
+        "d4858c3f3386ea028683c4b1b59b6cbd0fd64f884501d4d8d255759d47a5a29d"),
+    "quarkus": (
+        "41529c775f625eeddba367f20b700ab73c4b1b5d21cea4a3e4d6a07ad821f12f",
+        "f49a3a2fb9b9248cc6c51ffe83bbbc844ee12d42bb56505485667cda5ec487f4"),
+    "Queens": (
+        "0d0553ce569e90d25ad119181eac9fcb3db7c0e1eff9a9cd5026669a6415756f",
+        "9b5da17a7ecaf1db6309fa472ea53b3b8f15aca2e9cd5e12aafbb915eeb7ad7a"),
+    "Richards": (
+        "c2788eab8f26b9a315c2b678c052591c19a11cb877dfa98c056eb3ad9e078d60",
+        "d59ee403a443a0503fa73e8973269271517b7ac350f47d8e90cfaaae14deb6cc"),
+    "Sieve": (
+        "b50314900cee7df9f4da23681263c9ce145db7a9d42e412ebc0529c206650670",
+        "194e7059cced5003b86c9bcf30416af106d8dab7aada7fa3409141ad3cb71867"),
+    "spring": (
+        "11c8821df3069a4e858e043da4568a51f7b7622da61b4fc7db309925c342a373",
+        "3af50e4d6323f9349014d9e87a52a9f3338b1d536543ef22135be1b427f932fe"),
+    "Storage": (
+        "93d04428a5a6f10c3241cb6289b68aa7b072fec2326f3bf755029feaf1a77c64",
+        "fb282c300870686f175586b7b2408bca0ed6ce36072a405897b38edec36f6538"),
+    "Towers": (
+        "88f7b9bd0b0a3dccb6ba15abc62d69421f5de511ae62d0d375ac6988aff473a1",
+        "5f01946058a85a762f02e2f85dcfbc5ffec889c571ca7bb16101cfb0de692dd1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILING_PINS))
+def test_profiling_path_is_pinned(name, monkeypatch):
+    monkeypatch.setattr(ThreadState, "_next_id", 0)
+    workload = (microservice_workload(name) if name in MICROSERVICE_NAMES
+                else awfy_workload(name))
+    pipeline = WorkloadPipeline(workload)
+    instrumented = pipeline.build_instrumented(seed=task_seed(1, name))
+    mode = MODE_MMAP if workload.microservice else MODE_DUMP_ON_FULL
+    session = TraceSession(mode=mode)
+    run_binary(instrumented, pipeline.exec_config,
+               tracer=PathTracer(instrumented.manifest, session))
+    files = session.trace_files()
+    trace_sha, profile_digest = PROFILING_PINS[name]
+    assert hashlib.sha256(pack_traces(files)).hexdigest() == trace_sha
+    assert build_profiles(instrumented.manifest, files).digest() \
+        == profile_digest
 
 
 #: SHA-256 of the stdout of commands that explain runs (``repro why``

@@ -16,7 +16,10 @@ class TestUnsigned:
             (127, b"\x7f"),
             (128, b"\x80\x01"),
             (300, b"\xac\x02"),
+            (16383, b"\xff\x7f"),
             (16384, b"\x80\x80\x01"),
+            (2**32, b"\x80\x80\x80\x80\x10"),
+            (2**64 - 1, b"\xff" * 9 + b"\x01"),
         ],
     )
     def test_known_encodings(self, value, encoded):

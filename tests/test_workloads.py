@@ -1,5 +1,7 @@
 """Workload tests: AWFY golden results, microservice behaviour, ballast."""
 
+import pickle
+
 import pytest
 
 from repro.eval.pipeline import STRATEGY_COMBINED, WorkloadPipeline
@@ -128,3 +130,20 @@ class TestBallast:
         small = generate_ballast(seed=1, subsystems=4)
         large = generate_ballast(seed=1, subsystems=12)
         assert len(large) > len(small) * 2
+
+
+@pytest.mark.parametrize("name", ["Json", "spring"])
+def test_compiled_workload_round_trips_through_pickle(name):
+    """A compiled program (what the artifact cache stores) unpickles with
+    the same bytecode in every method."""
+    workload = (microservice_workload(name) if name in MICROSERVICE_NAMES
+                else awfy_workload(name))
+    program = workload.compile()
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy.classes.keys() == program.classes.keys()
+    for class_name, cls in program.classes.items():
+        methods = copy.classes[class_name].methods
+        assert methods.keys() == cls.methods.keys()
+        for key, method in cls.methods.items():
+            assert methods[key].code == method.code, method.signature
+    assert copy.string_literals == program.string_literals

@@ -4,7 +4,10 @@
 
 The mutated cases start from a reference trace or from the same trace with
 its version byte set to 1 (a format no longer read), which by itself must
-salvage to an empty trace.
+salvage to an empty trace.  The reference mixes one-byte fields with
+method ids, path values and object ids either side of the one/two- and
+two/three-byte varint boundaries, so damage lands in both decode paths;
+undamaged, it must salvage to exactly the records the strict parser reads.
 
 Run:  python tools/fuzz_salvage.py [--count 500] [--seed 1]
 
@@ -27,8 +30,12 @@ from repro.profiling.tracefile import (  # noqa: E402
     MODE_DUMP_ON_FULL,
     encode_method_entry,
     encode_path,
+    parse_trace,
     parse_trace_lenient,
 )
+
+#: field values either side of the one/two- and two/three-byte boundaries
+BOUNDARY_VALUES = (127, 128, 16383, 16384)
 
 
 def reference_trace() -> bytes:
@@ -38,6 +45,9 @@ def reference_trace() -> bytes:
         buffer.append(encode_method_entry(index))
         if index % 4 == 0:
             buffer.append(encode_path(index, 0, 2, [index, 0, index + 1]))
+    for value in BOUNDARY_VALUES:
+        buffer.append(encode_method_entry(value))
+        buffer.append(encode_path(value, 1, value, [value - 1, 0, value]))
     buffer.terminate()
     return buffer.data
 
@@ -72,6 +82,12 @@ def main() -> int:
     args = parser.parse_args()
 
     reference = reference_trace()
+    salvaged = parse_trace_lenient(reference)
+    if (not salvaged.report.complete
+            or salvaged.trace.records != parse_trace(reference).records):
+        print("FAIL: the undamaged reference salvages to other records "
+              "than the strict parse reads")
+        return 1
     version_1 = reference[:4] + bytes([1]) + reference[5:]
     if parse_trace_lenient(version_1).trace.records:
         print("FAIL: the version-1 trace salvaged records")
