@@ -284,10 +284,18 @@ _WORKER_CACHE: Optional[ArtifactCache] = None
 
 
 def _worker_cache(config: SchedulerConfig) -> Optional[ArtifactCache]:
+    """The process's cache of ``config.cache_dir``.
+
+    Switching to another directory drops the pipelines of the cache it
+    replaces, which no later task of this process can reach.
+    """
     global _WORKER_CACHE
     if config.cache_dir is None:
         return None
     if _WORKER_CACHE is None or str(_WORKER_CACHE.root) != config.cache_dir:
+        for key in [key for key in _WORKER_PIPELINES
+                    if key[1] is not None and key[1] != config.cache_dir]:
+            del _WORKER_PIPELINES[key]
         _WORKER_CACHE = ArtifactCache(Path(config.cache_dir))
     return _WORKER_CACHE
 

@@ -1,18 +1,5 @@
-"""Trace post-processing: decoding and ordering analyses."""
+"""Trace post-processing: traces folded into ordering profiles."""
 
-from .framework import (
-    CallCountAnalysis,
-    CuOrderAnalysis,
-    HeapOrderAnalysis,
-    MethodOrderAnalysis,
-    TraceDecodeError,
-    build_profiles,
-    decode_events,
-    run_analyses,
-)
+from .framework import TraceDecodeError, build_profiles
 
-__all__ = [
-    "CallCountAnalysis", "CuOrderAnalysis", "HeapOrderAnalysis",
-    "MethodOrderAnalysis", "TraceDecodeError", "build_profiles",
-    "decode_events", "run_analyses",
-]
+__all__ = ["TraceDecodeError", "build_profiles"]

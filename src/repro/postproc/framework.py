@@ -1,10 +1,18 @@
 """Post-processing framework (paper Sec. 6.2).
 
-Reads per-thread trace files, decodes path IDs back into event sequences
-using the instrumentation manifest, and dispatches events to visitor-style
-ordering analyses.  Each analysis keeps an ordered, duplicate-free set in
-encounter order; after all events are consumed, the sets become the CSV
-ordering profiles used by the optimizing build.
+Reads per-thread trace files and folds their records straight into the
+ordering profiles, using the instrumentation manifest to decode path IDs:
+
+* CU first-entry order (cu ordering, Sec. 4.1);
+* method first-entry order and call counts, in one dict (method ordering,
+  Sec. 4.2, and the standard Native-Image PGO call counts);
+* first-accessed image-heap objects, mapped to each ID strategy's IDs
+  once the traces are read (heap ordering, Sec. 5).
+
+Each verified chunk's records are folded as they come (see
+:func:`repro.profiling.tracefile.record_batches`); every path record's
+object-ID count is checked against its decoded path, once per distinct
+``(method, start block, path value)`` for the decode.
 
 Multi-threaded traces are processed in thread-creation order and
 concatenated, with duplicates removed (Sec. 7.1).
@@ -12,8 +20,7 @@ concatenated, with duplicates removed (Sec. 7.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ordering.ids import ALL_STRATEGIES
 from ..ordering.profiles import (
@@ -25,294 +32,136 @@ from ..ordering.profiles import (
 )
 from ..profiling.instrument import InstrumentationManifest
 from ..profiling.tracefile import (
-    CuEntryRecord,
-    MethodEntryRecord,
+    TAG_METHOD_ENTRY,
+    TAG_PATH,
+    RawRecord,
     SalvageReport,
     TraceDecodeError,
-    TraceRecord,
-    parse_trace,
-    parse_trace_lenient,
+    record_batches,
+    salvage_batches,
 )
 
-__all__ = [
-    "MethodEntryEvent", "CuEntryEvent", "HeapAccessEvent", "TraceEvent",
-    "TraceDecodeError", "decode_events", "decode_events_lenient",
-    "LenientDecode", "OrderingAnalysis", "CuOrderAnalysis",
-    "MethodOrderAnalysis", "HeapOrderAnalysis", "CallCountAnalysis",
-    "run_analyses", "build_profiles",
-]
+__all__ = ["TraceDecodeError", "build_profiles"]
 
 
-# -- events -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MethodEntryEvent:
-    signature: str
-
-
-@dataclass(frozen=True)
-class CuEntryEvent:
-    root_signature: str
-
-
-@dataclass(frozen=True)
-class HeapAccessEvent:
-    object_index: int  # snapshot index in the instrumented build
-
-
-TraceEvent = Union[MethodEntryEvent, CuEntryEvent, HeapAccessEvent]
-
-
-class _RecordDecoder:
-    """Decodes records against one manifest.
-
-    One decoder serves one :func:`run_analyses` call: it memoizes each
-    distinct entry record's event, each distinct ``(method, start block,
-    path value)``'s heap-site count and each object's access event, since
-    a trace repeats a few of them thousands of times.
-    """
+class _ProfileFold:
+    """The profiles of one manifest's traces, folded record by record."""
 
     def __init__(self, manifest: InstrumentationManifest) -> None:
         self._manifest = manifest
-        self._method_entries: Dict[int, List[TraceEvent]] = {}
-        self._cu_entries: Dict[int, List[TraceEvent]] = {}
-        self._site_counts: Dict[Tuple[int, int, int], int] = {}
-        self._accesses: Dict[int, HeapAccessEvent] = {}
+        #: CU id -> None, in first-entry order
+        self.cus: Dict[int, None] = {}
+        #: method id -> entries, in first-entry order
+        self.calls: Dict[int, int] = {}
+        #: object id (snapshot index + 1; 0 for runtime objects) -> None,
+        #: in first-access order
+        self.objects: Dict[int, None] = {}
+        #: (method id, start block, path value) -> heap-access sites
+        self._sites: Dict[Tuple[int, int, int], int] = {}
 
-    def events(self, record: TraceRecord) -> List[TraceEvent]:
-        """Decode one record (do not mutate the returned list).
+    def fold(self, records: List[RawRecord], strict: bool) -> int:
+        """Fold ``records`` in; return how many contradict the manifest.
 
-        Raises :class:`TraceDecodeError` when the record contradicts the
-        manifest — an out-of-range ID or a path/site count mismatch, the
-        signature of a trace from a different (mismatched) build.
+        A record that contradicts the manifest — an out-of-range ID or a
+        path/site count mismatch, the signature of a trace from a
+        different (mismatched) build — is skipped, or with ``strict``
+        raises :class:`TraceDecodeError`.
         """
-        manifest = self._manifest
+        calls = self.calls
+        objects = self.objects
+        sites = self._sites
+        rejected = 0
+        for record in records:
+            tag = record[0]
+            if tag == TAG_PATH:
+                _tag, path, object_ids = record
+                count = sites.get(path)
+                if count is None or count != len(object_ids):
+                    try:
+                        self._check_path(path, object_ids)
+                    except TraceDecodeError:
+                        if strict:
+                            raise
+                        rejected += 1
+                        continue
+                for object_id in object_ids:
+                    if object_id not in objects:
+                        objects[object_id] = None
+            elif tag == TAG_METHOD_ENTRY:
+                method_id = record[1]
+                entries = calls.get(method_id)
+                if entries is not None:
+                    calls[method_id] = entries + 1
+                elif self._known(self._manifest.method_signatures,
+                                 method_id, strict):
+                    calls[method_id] = 1
+                else:
+                    rejected += 1
+            else:
+                cu_id = record[1]
+                if cu_id in self.cus:
+                    continue
+                if self._known(self._manifest.cu_signatures, cu_id, strict):
+                    self.cus[cu_id] = None
+                else:
+                    rejected += 1
+        return rejected
+
+    @staticmethod
+    def _known(signatures: List[str], index: int, strict: bool) -> bool:
+        """Whether an entry record's ID names one of ``signatures``."""
         try:
-            if isinstance(record, MethodEntryRecord):
-                events = self._method_entries.get(record.method_id)
-                if events is None:
-                    events = self._method_entries[record.method_id] = [
-                        MethodEntryEvent(
-                            manifest.method_signatures[record.method_id])]
-                return events
-            if isinstance(record, CuEntryRecord):
-                events = self._cu_entries.get(record.cu_id)
-                if events is None:
-                    events = self._cu_entries[record.cu_id] = [
-                        CuEntryEvent(manifest.cu_signatures[record.cu_id])]
-                return events
-            path = (record.method_id, record.start_block, record.path_value)
-            sites = self._site_counts.get(path)
-            if sites is None:
-                cfg = manifest.cfg_for_id(record.method_id)
-                sites = self._site_counts[path] = len(
-                    cfg.heap_sites_on_path(record.start_block,
-                                           record.path_value))
-        except TraceDecodeError:
-            raise
-        except (IndexError, KeyError, ValueError) as exc:
-            raise TraceDecodeError(f"record contradicts manifest: {exc}") from exc
-        object_ids = record.object_ids
-        if sites != len(object_ids):
+            signatures[index]
+        except IndexError as exc:
+            if strict:
+                raise TraceDecodeError(
+                    f"record contradicts manifest: {exc}") from exc
+            return False
+        return True
+
+    def _check_path(self, path: Tuple[int, int, int],
+                    object_ids: Tuple[int, ...]) -> None:
+        """Decode ``path`` and check its record's ID count against it."""
+        manifest = self._manifest
+        method_id, start_block, path_value = path
+        count = self._sites.get(path)
+        if count is None:
+            try:
+                cfg = manifest.cfg_for_id(method_id)
+                count = len(cfg.heap_sites_on_path(start_block, path_value))
+            except (IndexError, KeyError, ValueError) as exc:
+                raise TraceDecodeError(
+                    f"record contradicts manifest: {exc}") from exc
+            self._sites[path] = count
+        if count != len(object_ids):
             raise TraceDecodeError(
-                f"{manifest.cfg_for_id(record.method_id).method.signature}: "
-                f"path ({record.start_block}, {record.path_value}) has "
-                f"{sites} heap-access sites but the record carries "
+                f"{manifest.cfg_for_id(method_id).method.signature}: "
+                f"path ({start_block}, {path_value}) has "
+                f"{count} heap-access sites but the record carries "
                 f"{len(object_ids)} IDs"
             )
-        accesses = self._accesses
-        events = []
-        for object_id in object_ids:
-            if object_id != 0:  # 0 = runtime-allocated, not in the image
-                event = accesses.get(object_id)
-                if event is None:
-                    event = accesses[object_id] = HeapAccessEvent(
-                        object_index=object_id - 1)
-                events.append(event)
-        return events
 
-
-def _decode_events(decoder: _RecordDecoder,
-                   trace_data: bytes) -> Iterable[TraceEvent]:
-    trace = parse_trace(trace_data)
-    for record in trace.records:
-        for event in decoder.events(record):
-            yield event
-
-
-def decode_events(
-    manifest: InstrumentationManifest, trace_data: bytes
-) -> Iterable[TraceEvent]:
-    """Decode one thread's trace file into its event sequence (strict)."""
-    return _decode_events(_RecordDecoder(manifest), trace_data)
-
-
-@dataclass
-class LenientDecode:
-    """Result of :func:`decode_events_lenient` for one trace file."""
-
-    events: List[TraceEvent] = field(default_factory=list)
-    salvage: SalvageReport = field(default_factory=SalvageReport)
-    records_decoded: int = 0
-    #: structurally fine records the manifest rejects (mismatched build)
-    records_undecodable: int = 0
-
-
-def decode_events_lenient(
-    manifest: InstrumentationManifest, trace_data: bytes
-) -> LenientDecode:
-    """Best-effort decode: salvage the trace, skip undecodable records."""
-    return _decode_events_lenient(_RecordDecoder(manifest), trace_data)
-
-
-def _decode_events_lenient(decoder: _RecordDecoder,
-                           trace_data: bytes) -> LenientDecode:
-    salvaged = parse_trace_lenient(trace_data)
-    outcome = LenientDecode(salvage=salvaged.report)
-    for record in salvaged.trace.records:
-        try:
-            events = decoder.events(record)
-        except TraceDecodeError:
-            outcome.records_undecodable += 1
-            continue
-        outcome.records_decoded += 1
-        outcome.events.extend(events)
-    return outcome
-
-
-# -- analyses ------------------------------------------------------------------
-
-
-class OrderingAnalysis:
-    """Base visitor: sees every event in execution order."""
-
-    def accept(self, event: TraceEvent) -> None:
-        raise NotImplementedError
-
-
-class _OrderedSet:
-    """Insertion-ordered set with O(1) membership."""
-
-    def __init__(self) -> None:
-        self._seen: set = set()
-        self.items: List = []
-
-    def add(self, item) -> None:
-        if item not in self._seen:
-            self._seen.add(item)
-            self.items.append(item)
-
-
-class CuOrderAnalysis(OrderingAnalysis):
-    """First-entry order of compilation units (cu ordering, Sec. 4.1)."""
-
-    def __init__(self) -> None:
-        self._order = _OrderedSet()
-
-    def accept(self, event: TraceEvent) -> None:
-        if isinstance(event, CuEntryEvent):
-            self._order.add(event.root_signature)
-
-    def profile(self) -> CodeOrderProfile:
-        return CodeOrderProfile(kind="cu", signatures=list(self._order.items))
-
-
-class MethodOrderAnalysis(OrderingAnalysis):
-    """First-entry order of methods (method ordering, Sec. 4.2)."""
-
-    def __init__(self) -> None:
-        self._order = _OrderedSet()
-
-    def accept(self, event: TraceEvent) -> None:
-        if isinstance(event, MethodEntryEvent):
-            self._order.add(event.signature)
-
-    def profile(self) -> CodeOrderProfile:
-        return CodeOrderProfile(kind="method", signatures=list(self._order.items))
-
-
-class HeapOrderAnalysis(OrderingAnalysis):
-    """First-access order of image-heap objects under one ID strategy."""
-
-    def __init__(self, manifest: InstrumentationManifest, strategy: str) -> None:
-        self._manifest = manifest
-        self.strategy = strategy
-        self._order = _OrderedSet()
-        #: object indices already accessed: a repeat adds nothing
-        self._accessed: set = set()
-
-    def accept(self, event: TraceEvent) -> None:
-        if isinstance(event, HeapAccessEvent):
-            index = event.object_index
-            if index in self._accessed:
-                return
-            self._accessed.add(index)
-            ids = self._manifest.object_ids.get(index)
-            if ids is None:
-                return
-            self._order.add(ids[self.strategy])
-
-    def profile(self) -> HeapOrderProfile:
-        return HeapOrderProfile(strategy=self.strategy, ids=list(self._order.items))
-
-
-class CallCountAnalysis(OrderingAnalysis):
-    """Method call counts (standard Native-Image PGO content)."""
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def accept(self, event: TraceEvent) -> None:
-        if isinstance(event, MethodEntryEvent):
-            self.counts[event.signature] = self.counts.get(event.signature, 0) + 1
-
-    def profile(self) -> CallCountProfile:
-        return CallCountProfile(counts=dict(self.counts))
-
-
-# -- driver ------------------------------------------------------------------------
-
-
-def run_analyses(
-    manifest: InstrumentationManifest,
-    trace_files: List[bytes],
-    analyses: List[OrderingAnalysis],
-    lenient: bool = False,
-) -> Optional[ProfileCompleteness]:
-    """Feed all trace files (thread-creation order) through the analyses.
-
-    Strict mode raises :class:`TraceDecodeError` on the first damaged trace
-    and returns ``None``.  Lenient mode salvages what it can from every
-    trace and returns a :class:`ProfileCompleteness` accounting of what was
-    recovered vs. dropped.
-    """
-    decoder = _RecordDecoder(manifest)
-    if not lenient:
-        for trace_data in trace_files:
-            for event in _decode_events(decoder, trace_data):
-                for analysis in analyses:
-                    analysis.accept(event)
-        return None
-
-    completeness = ProfileCompleteness(traces=len(trace_files))
-    for trace_data in trace_files:
-        outcome = _decode_events_lenient(decoder, trace_data)
-        report = outcome.salvage
-        completeness.records_recovered += report.records_recovered
-        completeness.records_unverified += report.records_unverified
-        completeness.records_undecodable += outcome.records_undecodable
-        completeness.corrupt_chunks += report.corrupt_chunks
-        completeness.bytes_dropped += report.bytes_dropped
-        completeness.notes.extend(report.notes)
-        if not report.header_ok:
-            completeness.traces_unreadable += 1
-        elif not report.complete or outcome.records_undecodable:
-            completeness.traces_damaged += 1
-        for event in outcome.events:
-            for analysis in analyses:
-                analysis.accept(event)
-    return completeness
+    def bundle(self, strategies: List[str],
+               completeness: Optional[ProfileCompleteness]) -> ProfileBundle:
+        manifest = self._manifest
+        methods = manifest.method_signatures
+        bundle = ProfileBundle(completeness=completeness)
+        bundle.code["cu"] = CodeOrderProfile(
+            kind="cu",
+            signatures=[manifest.cu_signatures[cu_id] for cu_id in self.cus])
+        bundle.code["method"] = CodeOrderProfile(
+            kind="method", signatures=[methods[m] for m in self.calls])
+        bundle.calls = CallCountProfile(
+            counts={methods[m]: n for m, n in self.calls.items()})
+        # 0 marks a runtime-allocated object, which is not in the image.
+        accessed = [manifest.object_ids.get(object_id - 1)
+                    for object_id in self.objects if object_id != 0]
+        accessed = [ids for ids in accessed if ids is not None]
+        for strategy in strategies:
+            bundle.heap[strategy] = HeapOrderProfile(
+                strategy=strategy,
+                ids=list(dict.fromkeys(ids[strategy] for ids in accessed)))
+        return bundle
 
 
 def build_profiles(
@@ -323,24 +172,42 @@ def build_profiles(
 ) -> ProfileBundle:
     """One-stop post-processing: traces -> complete profile bundle.
 
-    With ``lenient=True`` damaged traces are salvaged instead of raising,
-    and the bundle's ``completeness`` annotates how much data survived.
+    Trace files are read in thread-creation order.  Strict mode raises
+    :class:`TraceDecodeError` on the first damaged trace: its first
+    structural fault (anywhere in the file) or else its first record that
+    contradicts the manifest.  With ``lenient=True`` damaged traces are
+    salvaged instead, records that contradict the manifest are skipped,
+    and the bundle's ``completeness`` accounts how much data survived.
     """
-    cu_analysis = CuOrderAnalysis()
-    method_analysis = MethodOrderAnalysis()
-    call_analysis = CallCountAnalysis()
-    heap_analyses = [
-        HeapOrderAnalysis(manifest, strategy)
-        for strategy in (strategies or list(ALL_STRATEGIES))
-    ]
-    analyses: List[OrderingAnalysis] = [cu_analysis, method_analysis, call_analysis]
-    analyses.extend(heap_analyses)
-    completeness = run_analyses(manifest, trace_files, analyses, lenient=lenient)
-
-    bundle = ProfileBundle(completeness=completeness)
-    bundle.code["cu"] = cu_analysis.profile()
-    bundle.code["method"] = method_analysis.profile()
-    bundle.calls = call_analysis.profile()
-    for analysis in heap_analyses:
-        bundle.heap[analysis.strategy] = analysis.profile()
-    return bundle
+    fold = _ProfileFold(manifest)
+    completeness = None
+    if not lenient:
+        for trace_data in trace_files:
+            batches = record_batches(trace_data)
+            for records in batches:
+                try:
+                    fold.fold(records, strict=True)
+                except TraceDecodeError:
+                    # Structural damage later in the file is reported
+                    # first, as a parse of the whole file would.
+                    for _records in batches:
+                        pass
+                    raise
+    else:
+        completeness = ProfileCompleteness(traces=len(trace_files))
+        for trace_data in trace_files:
+            report = SalvageReport()
+            rejected = 0
+            for records in salvage_batches(trace_data, report):
+                rejected += fold.fold(records, strict=False)
+            completeness.records_recovered += report.records_recovered
+            completeness.records_unverified += report.records_unverified
+            completeness.records_undecodable += rejected
+            completeness.corrupt_chunks += report.corrupt_chunks
+            completeness.bytes_dropped += report.bytes_dropped
+            completeness.notes.extend(report.notes)
+            if not report.header_ok:
+                completeness.traces_unreadable += 1
+            elif not report.complete or rejected:
+                completeness.traces_damaged += 1
+    return fold.bundle(strategies or list(ALL_STRATEGIES), completeness)

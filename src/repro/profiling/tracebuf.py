@@ -80,35 +80,48 @@ class ThreadTraceBuffer:
         self._pending: List[bytes] = []
         self._pending_bytes = 0
         self._killed = False
+        if fault_hook is None or not hasattr(fault_hook, "on_record"):
+            # No hook sees records: bind the mode's own path once.
+            self.append = (self._write_through if mode == MODE_MMAP
+                           else self._buffer)
 
     def append(self, record: bytes) -> None:
         """Store one encoded record."""
         if self._killed:
             return
-        hook = self.fault_hook
-        if hook is not None and hasattr(hook, "on_record"):
-            record = hook.on_record(self, record)
-            if record is None or self._killed:
-                # The hook swallowed the record or killed the session
-                # (mid-run kill at record N) before it was buffered.
-                return
-        self.stats.records += 1
+        record = self.fault_hook.on_record(self, record)
+        if record is None or self._killed:
+            # The hook swallowed the record or killed the session
+            # (mid-run kill at record N) before it was buffered.
+            return
         if self.mode == MODE_MMAP:
-            self._write(record)
-            return
-        if len(record) > self.capacity:
-            # An oversized record can never fit the buffer; queueing it
-            # would leave the pending buffer permanently over the limit.
-            # Write it through directly instead (and count it).
-            self.flush()
-            self.stats.oversized_records += 1
-            self.stats.dumps += 1
-            self._write(record)
-            return
-        if self._pending_bytes + len(record) > self.capacity:
+            self._write_through(record)
+        else:
+            self._buffer(record)
+
+    def _write_through(self, record: bytes) -> None:
+        self.stats.records += 1
+        self._write(record)
+
+    def _buffer(self, record: bytes) -> None:
+        self.stats.records += 1
+        size = len(record)
+        if self._pending_bytes + size > self.capacity:
+            if size > self.capacity:
+                # An oversized record can never fit the buffer; queueing
+                # it would leave the pending buffer permanently over the
+                # limit.  Write it through directly instead (and count it).
+                self.flush()
+                self.stats.oversized_records += 1
+                self.stats.dumps += 1
+                self._write(record)
+                return
             self.flush()
         self._pending.append(record)
-        self._pending_bytes += len(record)
+        self._pending_bytes += size
+
+    def _dropped(self, record: bytes) -> None:
+        """Appends after a kill reach nothing."""
 
     def flush(self) -> None:
         """Dump the pending buffer to the file (DUMP_ON_FULL mode)."""
@@ -150,6 +163,7 @@ class ThreadTraceBuffer:
         self._pending.clear()
         self._pending_bytes = 0
         self._killed = True
+        self.append = self._dropped
 
     @property
     def data(self) -> bytes:

@@ -26,17 +26,20 @@ derives the count from the path); we keep it in the stream and *verify* it
 against the decode, which doubles as an integrity check of the path
 machinery.
 
-:func:`parse_trace` is the strict parser: any structural damage raises
-:class:`TraceDecodeError`.  :func:`parse_trace_lenient` never raises — it
-recovers every verifiable chunk and returns a :class:`SalvageReport`
-describing what was dropped.
+:func:`decode_records` is the one record parser.  Over it,
+:func:`record_batches` reads a file strictly, one record list per chunk:
+any structural damage raises :class:`TraceDecodeError`.
+:func:`salvage_batches` never raises — it recovers every verifiable chunk
+and accounts what it dropped in a :class:`SalvageReport`.  Post-processing
+folds those lists straight into profiles; :func:`parse_trace` and
+:func:`parse_trace_lenient` turn them into record objects.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..util.varint import VarintDecodeError, decode_uvarint, encode_uvarint
 
@@ -49,6 +52,7 @@ HEADER_FIXED_BYTES = 6
 
 #: start-of-chunk marker; deliberately not a valid record tag
 CHUNK_MARKER = 0xC5
+_MARKER = bytes([CHUNK_MARKER])
 #: marker + 4 CRC bytes + at least 1 length byte
 CHUNK_MIN_OVERHEAD = 6
 
@@ -86,21 +90,34 @@ class PathRecord:
 TraceRecord = Union[MethodEntryRecord, CuEntryRecord, PathRecord]
 
 
+def encode_fields(fields: Sequence[int]) -> bytes:
+    """The uvarints of ``fields``, back to back.
+
+    A record is its tag and its fields, each one uvarint, so the
+    concatenation of two field runs encodes the fields of both.
+    """
+    try:
+        out = bytes(fields)
+    except ValueError:  # a field over 255 (or a negative one)
+        pass
+    else:
+        if out.isascii():  # every field under 0x80: one byte each
+            return out
+    return b"".join(map(encode_uvarint, fields))
+
+
 def encode_method_entry(method_id: int) -> bytes:
-    return bytes([TAG_METHOD_ENTRY]) + encode_uvarint(method_id)
+    return encode_fields((TAG_METHOD_ENTRY, method_id))
 
 
 def encode_cu_entry(cu_id: int) -> bytes:
-    return bytes([TAG_CU_ENTRY]) + encode_uvarint(cu_id)
+    return encode_fields((TAG_CU_ENTRY, cu_id))
 
 
 def encode_path(method_id: int, start_block: int, path_value: int,
                 object_ids: List[int]) -> bytes:
-    fields = (method_id, start_block, path_value, len(object_ids),
-              *object_ids)
-    if max(fields) < 0x80 and min(fields) >= 0:
-        return bytes((TAG_PATH, *fields))  # every field one byte
-    return bytes((TAG_PATH,)) + b"".join(map(encode_uvarint, fields))
+    return encode_fields((TAG_PATH, method_id, start_block, path_value,
+                          len(object_ids), *object_ids))
 
 
 def encode_header(mode: int, thread_id: int, version: int = VERSION_V2) -> bytes:
@@ -109,11 +126,8 @@ def encode_header(mode: int, thread_id: int, version: int = VERSION_V2) -> bytes
 
 def encode_chunk(payload: bytes) -> bytes:
     """Frame one flush payload as a chunk (marker, length, CRC32)."""
-    out = bytearray([CHUNK_MARKER])
-    out += encode_uvarint(len(payload))
-    out += zlib.crc32(payload).to_bytes(4, "little")
-    out += payload
-    return bytes(out)
+    return b"".join((_MARKER, encode_uvarint(len(payload)),
+                     zlib.crc32(payload).to_bytes(4, "little"), payload))
 
 
 @dataclass
@@ -124,6 +138,119 @@ class TraceFile:
     thread_id: int
     records: List[TraceRecord]
     version: int = VERSION_V2
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+#: one decoded record as :func:`decode_records` returns it:
+#: ``(TAG_METHOD_ENTRY, method_id)``, ``(TAG_CU_ENTRY, cu_id)`` or
+#: ``(TAG_PATH, (method_id, start_block, path_value), object_ids)``
+RawRecord = Tuple[Any, ...]
+
+
+def decode_records(payload: bytes) -> Tuple[List[RawRecord], int,
+                                            Optional[str]]:
+    """Decode the records of one chunk payload, in order.
+
+    Returns ``(records, stop, error)``: the records before the first one
+    that does not decode, that record's offset (the payload's length when
+    every record decodes) and why it does not (``None`` when all do).
+    This is the one record parser: strict and lenient parsing and
+    post-processing all read records through it.
+    """
+    records: List[RawRecord] = []
+    append = records.append
+    pos = 0
+    end = len(payload)
+    while pos < end:
+        tag = payload[pos]
+        # Fast paths: an ID of one or two bytes, every other field one
+        # byte (``isascii``: every byte under 0x80).  A program with 128
+        # to 16,383 methods has two-byte method IDs.
+        if tag == TAG_PATH:
+            head = payload[pos + 1:pos + 6]
+            if len(head) >= 4 and head[:4].isascii():
+                method_id, start_block, path_value, count = head[:4]
+                body = pos + 5
+            elif len(head) == 5 and head[1:].isascii():
+                method_id = (head[0] & 0x7F) | (head[1] << 7)
+                start_block, path_value, count = head[2:]
+                body = pos + 6
+            else:
+                body = 0
+            if body:
+                ids = payload[body:body + count]
+                if len(ids) == count and ids.isascii():
+                    append((TAG_PATH, (method_id, start_block, path_value),
+                            tuple(ids)))
+                    pos = body + count
+                    continue
+        elif tag == TAG_METHOD_ENTRY or tag == TAG_CU_ENTRY:
+            head = payload[pos + 1:pos + 3]
+            if head and head[0] < 0x80:
+                append((tag, head[0]))
+                pos += 2
+                continue
+            if len(head) == 2 and head[1] < 0x80:
+                append((tag, (head[0] & 0x7F) | (head[1] << 7)))
+                pos += 3
+                continue
+        try:
+            record, pos = _decode_record(payload, pos)
+        except TraceDecodeError as exc:
+            return records, pos, str(exc)
+        append(record)
+    return records, end, None
+
+
+def _read_uvarints(data: bytes, pos: int, count: int,
+                   out: List[int]) -> int:
+    """Append ``count`` uvarints read at ``pos`` to ``out``; return the
+    offset after them.  One-byte values are read inline."""
+    for _ in range(count):
+        byte = data[pos]
+        if byte < 0x80:
+            out.append(byte)
+            pos += 1
+        else:
+            value, pos = decode_uvarint(data, pos)
+            out.append(value)
+    return pos
+
+
+def _decode_record(data: bytes, pos: int) -> Tuple[RawRecord, int]:
+    """Decode exactly one record at ``pos``, field by field; return
+    ``(record, next_pos)`` or raise :class:`TraceDecodeError`."""
+    tag = data[pos]
+    fields: List[int] = []
+    try:
+        if tag == TAG_PATH:
+            pos = _read_uvarints(data, pos + 1, 4, fields)
+            method_id, start_block, path_value, count = fields
+            ids: List[int] = []
+            pos = _read_uvarints(data, pos, count, ids)
+            return (TAG_PATH, (method_id, start_block, path_value),
+                    tuple(ids)), pos
+        if tag == TAG_METHOD_ENTRY or tag == TAG_CU_ENTRY:
+            pos = _read_uvarints(data, pos + 1, 1, fields)
+            return (tag, fields[0]), pos
+    except IndexError as exc:
+        # a one-byte read ran off the end of the frame
+        raise TraceDecodeError("truncated record: truncated uvarint") from exc
+    except VarintDecodeError as exc:
+        raise TraceDecodeError(f"truncated record: {exc}") from exc
+    raise TraceDecodeError(f"unknown trace record tag {tag:#x}")
+
+
+def _as_record(record: RawRecord) -> TraceRecord:
+    tag = record[0]
+    if tag == TAG_PATH:
+        return PathRecord(*record[1], record[2])
+    if tag == TAG_METHOD_ENTRY:
+        return MethodEntryRecord(record[1])
+    return CuEntryRecord(record[1])
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +278,31 @@ def _parse_header(data: bytes) -> Tuple[int, int, int, int]:
     return version, mode, thread_id, pos
 
 
-def parse_trace(data: bytes) -> TraceFile:
-    """Parse a complete per-thread trace file, strictly.
+def record_batches(data: bytes) -> Iterator[List[RawRecord]]:
+    """The records of a complete trace file, one list per chunk (strict).
 
     Raises :class:`TraceDecodeError` (a :class:`ValueError`) on any
     truncation or corruption, and on a header of any version but
-    :data:`VERSION_V2`.
+    :data:`VERSION_V2`; a chunk's records come only once the whole chunk
+    verified and decoded.
     """
-    version, mode, thread_id, pos = _parse_header(data)
-    records = []
+    _version, _mode, _thread_id, pos = _parse_header(data)
     while pos < len(data):
         payload, pos = _read_chunk(data, pos)
-        records.extend(_iter_records(payload, 0, len(payload)))
+        records, stop, error = decode_records(payload)
+        if error is not None:
+            raise TraceDecodeError(f"{error} (at offset {stop})")
+        yield records
+
+
+def parse_trace(data: bytes) -> TraceFile:
+    """Parse a complete per-thread trace file, strictly.
+
+    Raises :class:`TraceDecodeError` as :func:`record_batches` does.
+    """
+    version, mode, thread_id, _pos = _parse_header(data)
+    records = [_as_record(record) for batch in record_batches(data)
+               for record in batch]
     return TraceFile(mode=mode, thread_id=thread_id, records=records,
                      version=version)
 
@@ -188,15 +328,6 @@ def _read_chunk(data: bytes, pos: int) -> Tuple[bytes, int]:
     if zlib.crc32(payload) != crc_stored:
         raise TraceDecodeError(f"chunk CRC mismatch at offset {pos}")
     return payload, p + 4 + payload_len
-
-
-def _iter_records(data: bytes, pos: int, end: int) -> Iterator[TraceRecord]:
-    while pos < end:
-        try:
-            record, pos = _parse_one_record(data, pos, end)
-        except TraceDecodeError as exc:
-            raise TraceDecodeError(f"{exc} (at offset {pos})") from exc
-        yield record
 
 
 # ---------------------------------------------------------------------------
@@ -251,70 +382,6 @@ class SalvagedTrace:
     report: SalvageReport
 
 
-def _recover_record_prefix(data: bytes, pos: int, end: int
-                           ) -> Tuple[List[TraceRecord], int]:
-    """Parse records until the first error; return ``(records, stop_pos)``.
-
-    ``stop_pos`` is the offset of the first byte that did not decode as the
-    start of a complete, valid record (``end`` when everything decoded).
-    """
-    records: List[TraceRecord] = []
-    while pos < end:
-        try:
-            record, nxt = _parse_one_record(data, pos, end)
-        except TraceDecodeError:
-            return records, pos
-        records.append(record)
-        pos = nxt
-    return records, end
-
-
-def _read_uvarints(data: bytes, pos: int, count: int,
-                   out: List[int]) -> int:
-    """Append ``count`` uvarints read at ``pos`` to ``out``; return the
-    offset after them.  One-byte values are read inline."""
-    for _ in range(count):
-        byte = data[pos]
-        if byte < 0x80:
-            out.append(byte)
-            pos += 1
-        else:
-            value, pos = decode_uvarint(data, pos)
-            out.append(value)
-    return pos
-
-
-def _parse_one_record(data: bytes, pos: int, end: int
-                      ) -> Tuple[TraceRecord, int]:
-    """Parse exactly one record at ``pos``; return ``(record, next_pos)``."""
-    tag = data[pos]
-    fields: List[int] = []
-    try:
-        if tag == TAG_PATH:
-            pos = _read_uvarints(data, pos + 1, 4, fields)
-            method_id, start_block, path_value, count = fields
-            ids: List[int] = []
-            pos = _read_uvarints(data, pos, count, ids)
-            record: TraceRecord = PathRecord(method_id, start_block,
-                                             path_value, tuple(ids))
-        elif tag == TAG_METHOD_ENTRY:
-            pos = _read_uvarints(data, pos + 1, 1, fields)
-            record = MethodEntryRecord(fields[0])
-        elif tag == TAG_CU_ENTRY:
-            pos = _read_uvarints(data, pos + 1, 1, fields)
-            record = CuEntryRecord(fields[0])
-        else:
-            raise TraceDecodeError(f"unknown trace record tag {tag:#x}")
-    except IndexError as exc:
-        # a one-byte read ran off the end of the frame
-        raise TraceDecodeError("truncated record: truncated uvarint") from exc
-    except VarintDecodeError as exc:
-        raise TraceDecodeError(f"truncated record: {exc}") from exc
-    if pos > end:
-        raise TraceDecodeError(f"record overruns its frame by {pos - end} bytes")
-    return record, pos
-
-
 def parse_trace_lenient(data: bytes) -> SalvagedTrace:
     """Best-effort parse that never raises.
 
@@ -328,33 +395,40 @@ def parse_trace_lenient(data: bytes) -> SalvagedTrace:
     :func:`parse_trace` output and ``report.complete`` is True.
     """
     report = SalvageReport()
-    empty = TraceFile(mode=0, thread_id=0, records=[], version=0)
+    records = [_as_record(record) for batch in salvage_batches(data, report)
+               for record in batch]
+    if not report.header_ok:
+        return SalvagedTrace(
+            TraceFile(mode=0, thread_id=0, records=[], version=0), report)
+    version, mode, thread_id, _pos = _parse_header(bytes(data))
+    return SalvagedTrace(
+        TraceFile(mode=mode, thread_id=thread_id, records=records,
+                  version=version), report)
+
+
+def salvage_batches(data: bytes,
+                    report: SalvageReport) -> Iterator[List[RawRecord]]:
+    """The records a lenient parse recovers, one list per chunk.
+
+    Never raises: what it skips or cannot verify, it accounts in
+    ``report`` (see :func:`parse_trace_lenient`).
+    """
     if isinstance(data, (bytearray, memoryview)):
         data = bytes(data)
     if not isinstance(data, bytes):
         report.notes.append(f"not a byte string: {type(data).__name__}")
-        return SalvagedTrace(empty, report)
+        return
     try:
-        version, mode, thread_id, pos = _parse_header(data)
+        version, _mode, _thread_id, pos = _parse_header(data)
     except TraceDecodeError as exc:
         report.notes.append(f"unreadable header: {exc}")
         report.bytes_dropped = len(data)
         # Distinguish a partial header write (truncation) from corruption.
         report.truncated = (len(data) < HEADER_FIXED_BYTES
                             or "truncated" in str(exc))
-        return SalvagedTrace(empty, report)
-
+        return
     report.version = version
     report.header_ok = True
-    trace = TraceFile(mode=mode, thread_id=thread_id, records=[],
-                      version=version)
-    _salvage_chunks(data, pos, trace, report)
-    report.records_recovered = len(trace.records)
-    return SalvagedTrace(trace, report)
-
-
-def _salvage_chunks(data: bytes, pos: int, trace: TraceFile,
-                report: SalvageReport) -> None:
     end = len(data)
     while pos < end:
         if data[pos] != CHUNK_MARKER:
@@ -362,12 +436,10 @@ def _salvage_chunks(data: bytes, pos: int, trace: TraceFile,
             continue
         try:
             payload_len, p = decode_uvarint(data, pos + 1)
+            torn = p + 4 > end
         except VarintDecodeError:
-            report.truncated = True
-            report.bytes_dropped += end - pos
-            report.notes.append(f"torn chunk header at offset {pos}")
-            return
-        if p + 4 > end:
+            torn = True
+        if torn:
             report.truncated = True
             report.bytes_dropped += end - pos
             report.notes.append(f"torn chunk header at offset {pos}")
@@ -378,43 +450,43 @@ def _salvage_chunks(data: bytes, pos: int, trace: TraceFile,
             # full payload, so it cannot be verified — salvage the record
             # prefix of what did reach the file, flagged as unverified.
             partial = data[p + 4:end]
-            records, stop = _recover_record_prefix(partial, 0, len(partial))
-            trace.records.extend(records)
+            records, stop, _error = decode_records(partial)
             report.records_unverified += len(records)
+            report.records_recovered += len(records)
             report.truncated = True
             report.bytes_dropped += len(partial) - stop
             report.notes.append(
                 f"torn tail chunk at offset {pos}: recovered "
                 f"{len(records)} unverified records"
             )
+            yield records
             return
-        payload = bytes(data[p + 4:p + 4 + payload_len])
+        payload = data[p + 4:p + 4 + payload_len]
         if zlib.crc32(payload) != crc_stored:
             report.corrupt_chunks += 1
             report.notes.append(f"chunk CRC mismatch at offset {pos}")
             pos = _resync(data, pos + 1, report, None)
             continue
-        try:
-            records = list(_iter_records(payload, 0, len(payload)))
-        except TraceDecodeError:
+        records, _stop, error = decode_records(payload)
+        if error is None:
+            report.chunks_ok += 1
+        else:
             # CRC-valid but malformed payload (writer bug or marker-aligned
             # corruption): keep the valid prefix.
-            records, _stop = _recover_record_prefix(payload, 0, len(payload))
             report.corrupt_chunks += 1
             report.notes.append(
                 f"malformed payload in chunk at offset {pos}; kept "
                 f"{len(records)} records"
             )
-        else:
-            report.chunks_ok += 1
-        trace.records.extend(records)
+        report.records_recovered += len(records)
         pos = p + 4 + payload_len
+        yield records
 
 
 def _resync(data: bytes, pos: int, report: SalvageReport,
             note: "str | None") -> int:
     """Skip forward to the next chunk marker; account skipped bytes."""
-    nxt = data.find(bytes([CHUNK_MARKER]), pos)
+    nxt = data.find(_MARKER, pos)
     if nxt == -1:
         report.bytes_dropped += len(data) - pos
         if note:

@@ -12,34 +12,74 @@ per-thread trace buffers with:
 Path segments end at cut edges (loop back edges), at calls (flushed *before*
 the callee's records so records nest in true execution order), and at
 returns.
+
+The tracer is table-driven: the first time the interpreter decodes a traced
+method, :meth:`PathTracer.leaders_for` builds the method's table from its
+:class:`~repro.profiling.cfg.MethodCfg` — for each block, the leader pc of
+each successor maps to the edge's increment, whether it cuts, and the
+successor — together with the method's encoded entry record and path-record
+prefix.  A block transition is then one dictionary lookup, and an entry
+record is bytes encoded once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..minijava.bytecode import HEAP_ACCESS_OPS, CompiledMethod
 from ..vm.interpreter import Frame, Interpreter, ThreadState
 from .cfg import MethodCfg
 from .instrument import InstrumentationManifest
-from .tracebuf import TraceSession
-from .tracefile import MODE_MMAP, encode_cu_entry, encode_method_entry, encode_path
+from .tracebuf import ThreadTraceBuffer, TraceSession
+from .tracefile import (
+    MODE_MMAP,
+    TAG_PATH,
+    encode_cu_entry,
+    encode_fields,
+    encode_method_entry,
+)
 
 #: Object-identifier sentinel for runtime-allocated (non-image) objects.
 NON_IMAGE_ID = 0
 
+#: one block's successors: leader pc -> (Ball–Larus increment, cut edge,
+#: successor block, the successor's own row)
+_Row = Dict[int, Tuple[int, bool, int, Any]]
 
-@dataclass
-class _PathState:
-    """Per-frame path-tracking state."""
 
-    cfg: MethodCfg
-    method_id: int
-    start_block: Optional[int] = None
-    current_block: Optional[int] = None
-    value: int = 0
-    pending_ids: List[int] = field(default_factory=list)
+class _MethodTable:
+    """Path-tracing tables of one traced method, built once from its CFG."""
+
+    __slots__ = ("leaders", "entry_record", "path_prefix", "rows", "starts")
+
+    def __init__(self, cfg: MethodCfg, method_id: int) -> None:
+        self.leaders = cfg.leaders
+        self.entry_record = encode_method_entry(method_id)
+        #: a PATH record's tag and method id, which every path shares
+        self.path_prefix = encode_fields((TAG_PATH, method_id))
+        self.rows: List[_Row] = [{} for _ in cfg.blocks]
+        for edge in cfg.edges.values():
+            self.rows[edge.source][cfg.blocks[edge.target].start] = (
+                edge.increment, edge.cut, edge.target, self.rows[edge.target])
+        #: leader pc -> (its block, the block's row), where regions start
+        self.starts: Dict[int, Tuple[int, _Row]] = {
+            block.start: (block.index, self.rows[block.index])
+            for block in cfg.blocks}
+
+
+class _Segment:
+    """A traced frame's open path segment (``row`` is None between
+    regions: before the first block and while a call is out)."""
+
+    __slots__ = ("table", "buffer", "row", "start", "value", "ids")
+
+    def __init__(self, table: _MethodTable, buffer: ThreadTraceBuffer) -> None:
+        self.table = table
+        self.buffer = buffer
+        self.row: Optional[_Row] = None
+        self.start = 0
+        self.value = 0
+        self.ids: List[int] = []
 
 
 class PathTracer:
@@ -48,86 +88,93 @@ class PathTracer:
     def __init__(self, manifest: InstrumentationManifest, session: TraceSession) -> None:
         self._manifest = manifest
         self.session = session
-        self.counts: Dict[str, int] = {
-            "method_entries": 0,
-            "cu_entries": 0,
-            "path_records": 0,
-            "heap_ids": 0,
-            "blocks": 0,
-        }
+        #: id(method) -> its table, or None when the method is not traced;
+        #: a run's methods belong to its program, which outlives the run
+        self._tables: Dict[int, Optional[_MethodTable]] = {}
+        self._cu_records = {signature: encode_cu_entry(cu_id)
+                            for signature, cu_id in manifest.cu_ids.items()}
+        self.method_entries = 0
+        self.cu_entries = 0
+        self.path_records = 0
+        self.heap_ids = 0
+        self.blocks = 0
 
     # -- hook surface (called by ExecHooks) -----------------------------------
 
     def leaders_for(self, method: CompiledMethod) -> Optional[frozenset]:
-        cfg = self._manifest.cfgs.get(method.signature)
-        return cfg.leaders if cfg is not None else None
+        table = self._table(method)
+        return table.leaders if table is not None else None
 
-    def on_cu_entry(self, cu_root_signature: str, thread: ThreadState) -> None:
-        self._flush_caller(thread)
-        cu_id = self._manifest.cu_ids.get(cu_root_signature)
-        if cu_id is None:
-            return
-        self.counts["cu_entries"] += 1
-        self._buffer(thread).append(encode_cu_entry(cu_id))
-
-    def on_method_enter(self, frame: Frame, thread: ThreadState) -> None:
-        self._flush_caller(thread)
-        cfg = self._manifest.cfgs.get(frame.method.signature)
-        if cfg is None:
+    def on_method_enter(self, frame: Frame, caller: Optional[Frame],
+                        cu_entered: Optional[str], thread: ThreadState) -> None:
+        """``frame`` was pushed by a call from ``caller``; ``cu_entered``
+        names the CU whose prologue the entry ran, if it ran one."""
+        if caller is not None:
+            # A call ends its block with a cut fall-through edge whose
+            # increment is 0, so the caller's segment value is final.
+            state = caller.trace_state
+            if state is not None and state.row is not None:
+                self._emit(state, 0)
+                state.row = None
+        if cu_entered is not None:
+            record = self._cu_records.get(cu_entered)
+            if record is not None:
+                self.cu_entries += 1
+                self.session.buffer_for(thread.thread_id).append(record)
+        table = self._table(frame.method)
+        if table is None:
             frame.trace_state = None
             return
-        method_id = self._manifest.method_ids[frame.method.signature]
-        frame.trace_state = _PathState(cfg=cfg, method_id=method_id)
-        self.counts["method_entries"] += 1
-        self._buffer(thread).append(encode_method_entry(method_id))
+        self.method_entries += 1
+        buffer = self.session.buffer_for(thread.thread_id)
+        buffer.append(table.entry_record)
+        frame.trace_state = _Segment(table, buffer)
 
     def on_method_exit(self, frame: Frame, thread: ThreadState) -> None:
         state = frame.trace_state
         if state is not None:
-            self._emit_segment(state, thread, extra_increment=0)
+            if state.row is not None:
+                self._emit(state, 0)
             frame.trace_state = None
 
     def on_block(self, frame: Frame, leader_pc: int, thread: ThreadState) -> None:
         state = frame.trace_state
         if state is None:
             return
-        self.counts["blocks"] += 1
-        cfg = state.cfg
-        new_block = cfg.block_of_pc[leader_pc]
-        if state.current_block is None:
+        self.blocks += 1
+        row = state.row
+        if row is None:
             # Region start: method entry or resume after a call.
-            state.start_block = new_block
-            state.current_block = new_block
+            state.start, state.row = state.table.starts[leader_pc]
             state.value = 0
             return
-        edge = cfg.edge(state.current_block, new_block)
-        if edge is None:
+        step = row.get(leader_pc)
+        if step is None:
+            rows = state.table.rows
+            current = next(i for i, r in enumerate(rows) if r is row)
             raise RuntimeError(
                 f"{frame.method.signature}: untracked CFG edge "
-                f"{state.current_block}->{new_block}"
+                f"{current}->{state.table.starts[leader_pc][0]}"
             )
-        if edge.cut:
-            self._emit_segment(state, thread, extra_increment=edge.increment)
-            state.start_block = new_block
-            state.current_block = new_block
+        increment, cut, block, state.row = step
+        if cut:
+            self._emit(state, increment)
+            state.start = block
             state.value = 0
         else:
-            state.value += edge.increment
-            state.current_block = new_block
+            state.value += increment
 
     def on_object_access(self, obj: Any, op: str, thread: ThreadState) -> None:
         if op not in HEAP_ACCESS_OPS:
             # e.g. ARRAYLEN touches pages but is not a traced access site.
             return
-        frame = thread.frames[-1]
-        state = frame.trace_state
-        if state is None or state.current_block is None:
+        state = thread.frames[-1].trace_state
+        if state is None or state.row is None:
             return
         ref = getattr(obj, "image_ref", None)
         # Identifier 0 marks non-image objects; image objects use index + 1.
-        object_id = (ref.index + 1) if ref is not None else NON_IMAGE_ID
-        state.pending_ids.append(object_id)
-        self.counts["heap_ids"] += 1
+        state.ids.append(ref.index + 1 if ref is not None else NON_IMAGE_ID)
+        self.heap_ids += 1
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -147,40 +194,34 @@ class PathTracer:
 
     def event_counts(self) -> Dict[str, int]:
         stats = self.session.total_stats()
-        counts = dict(self.counts)
-        counts["dumps"] = stats.dumps
-        counts["mmap_writes"] = stats.records if self.session.mode == MODE_MMAP else 0
-        return counts
+        return {
+            "method_entries": self.method_entries,
+            "cu_entries": self.cu_entries,
+            "path_records": self.path_records,
+            "heap_ids": self.heap_ids,
+            "blocks": self.blocks,
+            "dumps": stats.dumps,
+            "mmap_writes": (stats.records if self.session.mode == MODE_MMAP
+                            else 0),
+        }
 
     # -- internals ------------------------------------------------------------------
 
-    def _buffer(self, thread: ThreadState):
-        return self.session.buffer_for(thread.thread_id)
+    def _table(self, method: CompiledMethod) -> Optional[_MethodTable]:
+        key = id(method)
+        if key in self._tables:
+            return self._tables[key]
+        signature = method.signature
+        cfg = self._manifest.cfgs.get(signature)
+        table = (None if cfg is None else
+                 _MethodTable(cfg, self._manifest.method_ids[signature]))
+        self._tables[key] = table
+        return table
 
-    def _flush_caller(self, thread: ThreadState) -> None:
-        """Flush the caller's open path segment before callee records.
-
-        A call terminates its basic block with a single cut fall-through
-        edge whose Ball–Larus increment is 0, so the segment value is final.
-        """
-        if len(thread.frames) < 2:
-            return
-        parent = thread.frames[-2]
-        state = parent.trace_state
-        if state is not None and state.current_block is not None:
-            self._emit_segment(state, thread, extra_increment=0)
-            state.start_block = None
-            state.current_block = None
-            state.value = 0
-
-    def _emit_segment(self, state: _PathState, thread: ThreadState,
-                      extra_increment: Optional[int]) -> None:
-        if state.current_block is None or state.start_block is None:
-            return
-        value = state.value + (extra_increment or 0)
-        record = encode_path(
-            state.method_id, state.start_block, value, state.pending_ids
-        )
-        state.pending_ids = []
-        self.counts["path_records"] += 1
-        self._buffer(thread).append(record)
+    def _emit(self, state: _Segment, increment: int) -> None:
+        """Write ``state``'s segment, ending with an edge of ``increment``."""
+        ids = state.ids
+        state.buffer.append(state.table.path_prefix + encode_fields(
+            (state.start, state.value + increment, len(ids), *ids)))
+        ids.clear()
+        self.path_records += 1

@@ -245,8 +245,12 @@ class ExecHooks(RuntimeHooks):
         self._config = config
         self._tracer = tracer
         if tracer is not None:
-            # called once per basic block, so the tracer is called directly
+            # The interpreter calls these for the tracer alone, so it calls
+            # the tracer's own methods; entries and heap accesses go
+            # through the methods below, one tracer call each.
+            self.leaders_for = tracer.leaders_for
             self.on_block = tracer.on_block
+            self.on_method_exit = tracer.on_method_exit
         self.interpreter: Optional[Interpreter] = None
         self.responded = False
         self.response_snapshot: Optional[Dict[str, int]] = None
@@ -276,9 +280,7 @@ class ExecHooks(RuntimeHooks):
             entry = self._first_entry(frame.method, caller_cu)
         frame.context, prologue_of = entry
         if self._tracer is not None:
-            if prologue_of is not None:
-                self._tracer.on_cu_entry(prologue_of, thread)
-            self._tracer.on_method_enter(frame, thread)
+            self._tracer.on_method_enter(frame, caller, prologue_of, thread)
 
     def _first_entry(self, method, caller_cu) -> Tuple[Any, Optional[str]]:
         """Locate and touch the code a call from ``caller_cu`` runs.
@@ -301,15 +303,6 @@ class ExecHooks(RuntimeHooks):
                 entry = (placed, placed.cu.name)
         self._entries[(id(caller_cu), id(method))] = entry
         return entry
-
-    def on_method_exit(self, frame: Frame, thread: ThreadState) -> None:
-        if self._tracer is not None:
-            self._tracer.on_method_exit(frame, thread)
-
-    def leaders_for(self, method) -> Optional[frozenset]:
-        if self._tracer is None:
-            return None
-        return self._tracer.leaders_for(method)
 
     # -- heap ---------------------------------------------------------------------
 

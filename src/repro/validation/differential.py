@@ -50,16 +50,13 @@ class CallCountRecorder:
 
     # -- executor tracer surface ----------------------------------------
 
-    def on_method_enter(self, frame, thread) -> None:
+    def on_method_enter(self, frame, caller, cu_entered, thread) -> None:
         signature = frame.method.signature
         self.counts[signature] = self.counts.get(signature, 0) + 1
         if thread.name == "main":
             self.main_counts[signature] = self.main_counts.get(signature, 0) + 1
 
     def on_method_exit(self, frame, thread) -> None:
-        pass
-
-    def on_cu_entry(self, cu_name, thread) -> None:
         pass
 
     def on_object_access(self, obj, op, thread) -> None:

@@ -113,13 +113,16 @@ class Frame:
 
 
 class ThreadState:
-    """A VM thread: a stack of frames plus status."""
+    """A VM thread: a stack of frames plus status.
 
-    _next_id = 0
+    ``thread_id`` numbers an interpreter's threads from 0 in spawn order,
+    so what a run records about its threads does not depend on what ran
+    before it in the process.
+    """
 
-    def __init__(self, entry_frame: Frame, name: str = "") -> None:
-        self.thread_id = ThreadState._next_id
-        ThreadState._next_id += 1
+    def __init__(self, entry_frame: Frame, thread_id: int,
+                 name: str = "") -> None:
+        self.thread_id = thread_id
         self.name = name or f"thread-{self.thread_id}"
         self.frames: List[Frame] = [entry_frame]
         self.done = False
@@ -296,7 +299,7 @@ class Interpreter:
         slots = list(args or [])
         slots += [None] * (method.num_slots - len(slots))
         frame = Frame(method, decoded.code, slots, decoded.leaders)
-        thread = ThreadState(frame, name=name)
+        thread = ThreadState(frame, len(self.threads), name=name)
         self.threads.append(thread)
         self.hooks.on_method_enter(frame, None, thread)
         return thread

@@ -1,23 +1,31 @@
 """Property test: path tracing losslessly encodes the event stream.
 
 Random structured programs are generated, executed under the tracer, and
-the trace files are decoded back.  The decoded method-entry order must match
-ground truth observed directly from the interpreter, and every path record's
-object-ID count must match its decoded heap-access site count (the decoder
-raises otherwise — this validates the whole Ball–Larus pipeline).
+the trace files are decoded back.  The method-entry records must match
+ground truth observed directly from the interpreter, so must the method
+order and call counts post-processing folds from them, and every path
+record's object-ID count must match its decoded heap-access site count
+(post-processing raises otherwise — this validates the whole Ball–Larus
+pipeline).
 """
 
-from typing import List, Optional
+from collections import Counter
+from typing import List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.minijava import compile_source
 from repro.minijava.bytecode import HEAP_ACCESS_OPS
-from repro.postproc.framework import MethodEntryEvent, decode_events
+from repro.postproc.framework import build_profiles
 from repro.profiling.instrument import plan_instrumentation
 from repro.profiling.tracebuf import TraceSession
-from repro.profiling.tracefile import MODE_DUMP_ON_FULL, PathRecord, parse_trace
+from repro.profiling.tracefile import (
+    MODE_DUMP_ON_FULL,
+    MethodEntryRecord,
+    PathRecord,
+    parse_trace,
+)
 from repro.profiling.tracer import PathTracer
 from repro.vm.interpreter import Interpreter, RuntimeHooks
 
@@ -89,7 +97,7 @@ class _GroundTruth(RuntimeHooks):
 
     def on_method_enter(self, frame, caller, thread):
         self.method_entries.append(frame.method.signature)
-        self._tracer.on_method_enter(frame, thread)
+        self._tracer.on_method_enter(frame, caller, None, thread)
 
     def on_method_exit(self, frame, thread):
         self._tracer.on_method_exit(frame, thread)
@@ -127,20 +135,26 @@ def test_trace_roundtrip_matches_ground_truth(source: str) -> None:
     files = session.trace_files()
     assert len(files) == 1
 
-    # Decoding raises TraceDecodeError on any path/site-count inconsistency.
-    events = list(decode_events(manifest, files[0]))
+    records = parse_trace(files[0]).records
     decoded_entries = [
-        manifest_event.signature
-        for manifest_event in events
-        if isinstance(manifest_event, MethodEntryEvent)
+        manifest.method_signatures[record.method_id]
+        for record in records
+        if isinstance(record, MethodEntryRecord)
     ]
     assert decoded_entries == truth.method_entries
+
+    # Post-processing raises TraceDecodeError on any path/site-count
+    # inconsistency.
+    profiles = build_profiles(manifest, files)
+    assert profiles.code["method"].signatures \
+        == list(dict.fromkeys(truth.method_entries))
+    assert profiles.calls.counts == Counter(truth.method_entries)
 
     # Every traced object ID (all sentinel 0 here: no image heap) must be
     # accounted for: total IDs in path records == ground-truth access count.
     total_ids = sum(
         len(r.object_ids)
-        for r in parse_trace(files[0]).records
+        for r in records
         if isinstance(r, PathRecord)
     )
     assert total_ids == truth.heap_accesses

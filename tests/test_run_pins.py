@@ -27,14 +27,22 @@ from repro.minijava import compile_source
 from repro.postproc.framework import build_profiles
 from repro.profiling.tracebuf import TraceSession
 from repro.profiling.tracefile import (
+    HEADER_FIXED_BYTES,
     MODE_DUMP_ON_FULL,
     MODE_MMAP,
     pack_traces,
 )
 from repro.profiling.tracer import PathTracer
+from repro.robustness import (
+    FAULT_DROP_FLUSH,
+    FAULT_KILL_AT_RECORD,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.runtime.executor import RunMetrics, replay_touches, run_binary
+from repro.util.varint import decode_uvarint
 from repro.vm import Interpreter, OpsBudgetError, VMError
-from repro.vm.interpreter import ThreadState
 from repro.workloads import (
     MICROSERVICE_NAMES,
     awfy_workload,
@@ -235,68 +243,64 @@ def test_pinned_runs(name):
 
 #: program -> (SHA-256 of its seed-1 trace files packed in thread-creation
 #: order, ``ProfileBundle.digest()`` of the profiles post-processed from
-#: them): the profiling path pinned byte for byte, for every program.  A
-#: trace header holds its thread's id, which counts the interpreter
-#: threads the process started before, so the pins are the files a fresh
-#: process writes.
+#: them): the profiling path pinned byte for byte, for every program.
 PROFILING_PINS = {
     "Bounce": (
-        "65d640e5c15448c5005c067f669d04cbaa04d26f322afd99494b0375325b0e54",
+        "44180bd6ddad76490ad70ea0fbe991d9da02f36ed6fdc8775616227f4d9c73e8",
         "ffbf8c5298cd64eb1c4fb5d2fca2ddaf037f6a3a603c50b4cde72b3318416b5d"),
     "CD": (
-        "c4576ddb0062f2000fed1781c6950f1579d36fc09459f3eaa443559213f890fa",
+        "f52a14caf4bc1d1e6a5afa713a1eea1b2fce3e3d9501e25e749fa67eb85472ff",
         "7df586184cad29099b130050bb55fdb0b4d5ca98b561850355c19460cac25741"),
     "DeltaBlue": (
-        "4f04adcadf691eae16df397fb885064d22a2b5cb2e0016d64573c340e6822cd5",
+        "890bb9442542fcc273a1f957b269b907d5c1abae112f67db0a542b98b1b6d5b8",
         "5407f73377dc9be9c8eb61e1eef30eb7c4351937726d52960dc4935ff248c3af"),
     "Havlak": (
-        "c3377ae020d4909ced643dc795138696bffb5d75bf88f3db52bed83cfc59e642",
+        "e7eae2f5d662e6f823a9455561c37fd65aa1fb9d0e086b5560e945ff58c65821",
         "5ff707ac194f1c00072f6924c14ab3b943d27880fb439c5716df94aaa28942ed"),
     "Json": (
-        "ea7bc312306ef7c791e5f0b2b25d6a2b7ebfc08610520628214f3031430b46ac",
+        "9e222d9249cf2047cce2a5ee3038bd6cfec9d12bcf0d00c7ec1eb233233fea28",
         "064abf18d972f71c114af1f80fbae32d5e0ffffaf99047563050dfa6fcc64b09"),
     "List": (
-        "31ddb916cdab42d57b55ebb2b26e1250d9f7bdc53470aac8539c361980cf2b62",
+        "a4e5f52fd63ac6670cb556466821da6a800db7c8058b987f243ce0befdd1d3ce",
         "9e3df4baa63a059979b4d8807c054850dc955a8d18d2011690e79e3f6e27bed4"),
     "Mandelbrot": (
-        "577843e599e9fbd076b71eab38e42855eca8c671e7620cc1e346fde34a332755",
+        "ae627fea2b1366c7cb70c9aed01cf227a7bdcb6a387a33cd387595fa3945f577",
         "2fdbf97e81e2d17accc65e951044d1858767879d9c8d2583596d65b5ec2c99c7"),
     "micronaut": (
-        "9a2f6612863e4dc0e95443bcc3022d154b56a559020ab4d6f41fea9ede42657f",
+        "a1cd55a99097f1ce06db0163b0fe1f0824c49f414998feaddeebc8d35a3997ad",
         "4004c9a36ca56783a4115949b8d0f6ba0f17f2756c391e9407077069bdc327d5"),
     "NBody": (
-        "cf7649d38e93f97bf83056b65bb0649dc0e8a9dbea818514ee06e9679070069b",
+        "ddc4b048bdee9dd8dfbbb39d9454d63c862acb6104bd86f2ad910b5912820b28",
         "7bd8a22467cb355bf30e22a08d78e4f4186d75805643d7cdf6a3f4849cae92d7"),
     "Permute": (
-        "e0f5d74c9e8cfba1e61b1a18d3a4eecce8dc82374ccb659c0ddeba28c0f28bb9",
+        "28524d86faf1bf4501ef4fdb2e8a031549e87ad2818284b13b08af42a2949577",
         "d4858c3f3386ea028683c4b1b59b6cbd0fd64f884501d4d8d255759d47a5a29d"),
     "quarkus": (
-        "41529c775f625eeddba367f20b700ab73c4b1b5d21cea4a3e4d6a07ad821f12f",
+        "6e5b5a1f329eee716213e4ed58f29e18387872b3b3db82a67ebd8542ebae954c",
         "f49a3a2fb9b9248cc6c51ffe83bbbc844ee12d42bb56505485667cda5ec487f4"),
     "Queens": (
-        "0d0553ce569e90d25ad119181eac9fcb3db7c0e1eff9a9cd5026669a6415756f",
+        "1722b033f9931860fb7a9f0d6004b710adcdc6d16323b7cced27bab44c11864a",
         "9b5da17a7ecaf1db6309fa472ea53b3b8f15aca2e9cd5e12aafbb915eeb7ad7a"),
     "Richards": (
-        "c2788eab8f26b9a315c2b678c052591c19a11cb877dfa98c056eb3ad9e078d60",
+        "07b4ca097b0a4ccdc7222d36a81060ef746856646e182d9c06a178ce707ed2db",
         "d59ee403a443a0503fa73e8973269271517b7ac350f47d8e90cfaaae14deb6cc"),
     "Sieve": (
-        "b50314900cee7df9f4da23681263c9ce145db7a9d42e412ebc0529c206650670",
+        "a670e687dcdb00542d8a85ec2154842085c693fc7a5a44bb9f05d697f3942a8c",
         "194e7059cced5003b86c9bcf30416af106d8dab7aada7fa3409141ad3cb71867"),
     "spring": (
-        "11c8821df3069a4e858e043da4568a51f7b7622da61b4fc7db309925c342a373",
+        "673efb08eb67973eeed149b210b5efaabcabce8fbc62d188eba101d13e693081",
         "3af50e4d6323f9349014d9e87a52a9f3338b1d536543ef22135be1b427f932fe"),
     "Storage": (
-        "93d04428a5a6f10c3241cb6289b68aa7b072fec2326f3bf755029feaf1a77c64",
+        "ebb2924197568dbfd903900cef9b374818016906817f151dfb5973d5092a0c3c",
         "fb282c300870686f175586b7b2408bca0ed6ce36072a405897b38edec36f6538"),
     "Towers": (
-        "88f7b9bd0b0a3dccb6ba15abc62d69421f5de511ae62d0d375ac6988aff473a1",
+        "d25e4a3cc7ebf9b0cf0ee9e934bb1f7f06bf138bcb4f48e427b49826bee47084",
         "5f01946058a85a762f02e2f85dcfbc5ffec889c571ca7bb16101cfb0de692dd1"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROFILING_PINS))
-def test_profiling_path_is_pinned(name, monkeypatch):
-    monkeypatch.setattr(ThreadState, "_next_id", 0)
+def _traced(name):
+    """The seed-1 instrumented build's manifest and its run's trace files."""
     workload = (microservice_workload(name) if name in MICROSERVICE_NAMES
                 else awfy_workload(name))
     pipeline = WorkloadPipeline(workload)
@@ -305,11 +309,72 @@ def test_profiling_path_is_pinned(name, monkeypatch):
     session = TraceSession(mode=mode)
     run_binary(instrumented, pipeline.exec_config,
                tracer=PathTracer(instrumented.manifest, session))
-    files = session.trace_files()
+    return instrumented.manifest, session.trace_files()
+
+
+@pytest.mark.parametrize("name", sorted(PROFILING_PINS))
+def test_profiling_path_is_pinned(name):
+    manifest, files = _traced(name)
     trace_sha, profile_digest = PROFILING_PINS[name]
     assert hashlib.sha256(pack_traces(files)).hexdigest() == trace_sha
-    assert build_profiles(instrumented.manifest, files).digest() \
-        == profile_digest
+    assert build_profiles(manifest, files).digest() == profile_digest
+
+
+def test_trace_bytes_do_not_depend_on_process_history():
+    """A trace header holds its thread's id, which an interpreter counts
+    from 0: the build-time <clinit> threads of the same or another
+    program do not shift it."""
+    _manifest, first = _traced("CD")
+    WorkloadPipeline(awfy_workload("Bounce")).profile(
+        seed=task_seed(1, "Bounce"))
+    _manifest, again = _traced("CD")
+    assert pack_traces(again) == pack_traces(first)
+
+
+def _body_sha(data):
+    """SHA-256 of a trace file's bytes after its header."""
+    _thread_id, body = decode_uvarint(data, HEADER_FIXED_BYTES)
+    return hashlib.sha256(data[body:]).hexdigest()
+
+
+#: fault-injected profiling sessions of the seed-1 instrumented builds:
+#: (program, dump mode, fault) -> (SHA-256 of each trace file's bytes
+#: after its header, the session's :class:`TraceStats`).  Queens is
+#: killed at record 20,000, after one dump, and has its second flush
+#: dropped; quarkus writes through and is killed after its first response.
+FAULT_PINS = {
+    "Queens-kill": (
+        "Queens", MODE_DUMP_ON_FULL, FaultSpec(FAULT_KILL_AT_RECORD, at=20000),
+        ["f323c2e618245c6acfd4df081c6e1b8557455dec17753fc754afb7e11e31afd0"],
+        {"records": 19999, "bytes_written": 65541, "dumps": 1,
+         "lost_records": 8270, "oversized_records": 0, "faulted_records": 0}),
+    "Queens-drop-flush": (
+        "Queens", MODE_DUMP_ON_FULL, FaultSpec(FAULT_DROP_FLUSH, at=1),
+        ["bd989d9ed12e41fb9dd89cb326f890eb413ce1bb6a369260e1ed006b842e16ae"],
+        {"records": 28124, "bytes_written": 91355, "dumps": 2,
+         "lost_records": 11751, "oversized_records": 0,
+         "faulted_records": 11751}),
+    "quarkus-mmap": (
+        "quarkus", MODE_MMAP, None,
+        ["393b686352a69274585354ffebfcf2d5306e2daf29a108cb00d4c1904f01c1d3"],
+        {"records": 1382, "bytes_written": 16518, "dumps": 0,
+         "lost_records": 0, "oversized_records": 0, "faulted_records": 0}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FAULT_PINS))
+def test_fault_injected_sessions_are_pinned(label):
+    name, mode, fault, body_shas, stats = FAULT_PINS[label]
+    workload = (microservice_workload(name) if name in MICROSERVICE_NAMES
+                else awfy_workload(name))
+    pipeline = WorkloadPipeline(workload)
+    instrumented = pipeline.build_instrumented(seed=task_seed(1, name))
+    hook = FaultInjector(FaultPlan.of(fault)) if fault is not None else None
+    session = TraceSession(mode=mode, fault_hook=hook)
+    run_binary(instrumented, pipeline.exec_config,
+               tracer=PathTracer(instrumented.manifest, session))
+    assert [_body_sha(data) for data in session.trace_files()] == body_shas
+    assert dataclasses.asdict(session.total_stats()) == stats
 
 
 #: SHA-256 of the stdout of commands that explain runs (``repro why``

@@ -20,9 +20,11 @@ from repro.eval.pipeline import (
     WorkloadPipeline,
     metric_for_strategy,
 )
+from repro.eval import scheduler as scheduler_mod
 from repro.eval.scheduler import (
     SchedulerConfig,
     SweepScheduler,
+    reset_worker_state,
     task_seed,
 )
 
@@ -98,6 +100,16 @@ class TestScheduler:
         assert warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
         assert _canonical_json(cold) == _canonical_json(warm)
+
+    def test_inline_sweeps_keep_only_the_last_cache_pipelines(self, tmp_path):
+        reset_worker_state()
+        for index in range(3):
+            cache_dir = str(tmp_path / f"cache{index}")
+            SweepScheduler(SchedulerConfig(cache_dir=cache_dir,
+                                           max_workers=1)).run(
+                _workloads(), [STRATEGY_CU])
+        assert sorted(key[:2] for key in scheduler_mod._WORKER_PIPELINES) \
+            == [("wl0", cache_dir), ("wl1", cache_dir)]
 
     def test_uncached_sweep_works(self):
         sweep = SweepScheduler(SchedulerConfig(max_workers=1)).run(

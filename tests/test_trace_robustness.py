@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.pipeline import Workload, WorkloadPipeline
-from repro.postproc.framework import TraceDecodeError, decode_events
+from repro.postproc.framework import build_profiles
 from repro.profiling.tracebuf import TraceSession
 from repro.profiling.tracefile import MODE_DUMP_ON_FULL, MODE_MMAP, parse_trace
 from repro.profiling.tracer import PathTracer
@@ -38,13 +38,13 @@ def traced():
 class TestCorruption:
     def test_clean_trace_decodes(self, traced):
         manifest, data = traced
-        events = list(decode_events(manifest, data))
-        assert events
+        profiles = build_profiles(manifest, [data])
+        assert profiles.code["method"].signatures
 
     def test_truncated_trace_detected(self, traced):
         manifest, data = traced
         with pytest.raises(ValueError):
-            list(decode_events(manifest, data[: len(data) - 3]))
+            build_profiles(manifest, [data[: len(data) - 3]])
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -58,8 +58,7 @@ class TestCorruption:
         corrupted = bytearray(blob)
         corrupted[position] ^= flip
         try:
-            for _ in decode_events(manifest, bytes(corrupted)):
-                pass
+            build_profiles(manifest, [bytes(corrupted)])
         except (ValueError, IndexError, KeyError):
             pass  # detected corruption is the acceptable outcome
 
@@ -88,5 +87,5 @@ class TestKillSemantics:
         records = parse_trace(session.trace_files()[0]).records
         assert records
         # and they decode into a usable profile
-        events = list(decode_events(manifest, session.trace_files()[0]))
-        assert events
+        profiles = build_profiles(manifest, session.trace_files())
+        assert profiles.code["method"].signatures

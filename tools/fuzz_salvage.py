@@ -2,12 +2,20 @@
 """Fuzz the salvage parser: feed seeded random/mutated byte strings through
 ``parse_trace_lenient`` and assert it never raises.
 
-The mutated cases start from a reference trace or from the same trace with
+The mutated cases start from a reference trace, from the same trace with
 its version byte set to 1 (a format no longer read), which by itself must
-salvage to an empty trace.  The reference mixes one-byte fields with
-method ids, path values and object ids either side of the one/two- and
-two/three-byte varint boundaries, so damage lands in both decode paths;
-undamaged, it must salvage to exactly the records the strict parser reads.
+salvage to an empty trace, or from a real trace (quarkus at seed 1,
+written through: one chunk per record).  The reference mixes one-byte
+fields with method ids, path values and object ids either side of the
+one/two- and two/three-byte varint boundaries, so damage lands in both
+decode paths; undamaged, it must salvage to exactly the records the strict
+parser reads.
+
+Each case also goes through lenient post-processing, ``build_profiles``
+against the real trace's instrumented manifest, which must not raise
+either, and whose ``ProfileCompleteness`` must agree with the salvage
+report of the same bytes on records recovered, records unverified, corrupt
+chunks and bytes dropped: the two layers count salvaged records alike.
 
 Run:  python tools/fuzz_salvage.py [--count 500] [--seed 1]
 
@@ -25,14 +33,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.profiling.tracebuf import ThreadTraceBuffer  # noqa: E402
+from repro.eval.pipeline import WorkloadPipeline  # noqa: E402
+from repro.eval.scheduler import task_seed  # noqa: E402
+from repro.postproc.framework import build_profiles  # noqa: E402
+from repro.profiling.tracebuf import ThreadTraceBuffer, TraceSession  # noqa: E402
 from repro.profiling.tracefile import (  # noqa: E402
     MODE_DUMP_ON_FULL,
+    MODE_MMAP,
     encode_method_entry,
     encode_path,
     parse_trace,
     parse_trace_lenient,
 )
+from repro.profiling.tracer import PathTracer  # noqa: E402
+from repro.runtime.executor import run_binary  # noqa: E402
+from repro.workloads import microservice_workload  # noqa: E402
 
 #: field values either side of the one/two- and two/three-byte boundaries
 BOUNDARY_VALUES = (127, 128, 16383, 16384)
@@ -50,6 +65,31 @@ def reference_trace() -> bytes:
         buffer.append(encode_path(value, 1, value, [value - 1, 0, value]))
     buffer.terminate()
     return buffer.data
+
+
+def real_trace():
+    """quarkus's seed-1 instrumented manifest and its run's trace file."""
+    pipeline = WorkloadPipeline(microservice_workload("quarkus"))
+    instrumented = pipeline.build_instrumented(seed=task_seed(1, "quarkus"))
+    session = TraceSession(mode=MODE_MMAP)
+    run_binary(instrumented, pipeline.exec_config,
+               tracer=PathTracer(instrumented.manifest, session))
+    return instrumented.manifest, session.trace_files()[0]
+
+
+#: the counts a salvage report and a lenient profile's completeness share
+SHARED_COUNTS = ("records_recovered", "records_unverified", "corrupt_chunks",
+                 "bytes_dropped")
+
+
+def disagreement(manifest, blob: bytes, report) -> str:
+    """Why lenient post-processing of ``blob`` disagrees with ``report``,
+    its salvage report ("" when they agree)."""
+    completeness = build_profiles(manifest, [blob], lenient=True).completeness
+    return ", ".join(
+        f"{name} {getattr(completeness, name)} vs {getattr(report, name)}"
+        for name in SHARED_COUNTS
+        if getattr(completeness, name) != getattr(report, name))
 
 
 def make_case(rng: random.Random, bases) -> bytes:
@@ -92,7 +132,8 @@ def main() -> int:
     if parse_trace_lenient(version_1).trace.records:
         print("FAIL: the version-1 trace salvaged records")
         return 1
-    bases = [reference, version_1]
+    manifest, real = real_trace()
+    bases = [reference, version_1, real]
     failures = 0
     recovered_total = 0
     for case in range(args.count):
@@ -102,17 +143,23 @@ def main() -> int:
             continue
         try:
             salvaged = parse_trace_lenient(blob)
+            disagree = disagreement(manifest, blob, salvaged.report)
         except Exception as exc:  # the one thing that must never happen
             failures += 1
             print(f"FAIL case {case} (seed {args.seed}, {len(blob)} bytes): "
                   f"{type(exc).__name__}: {exc}")
             continue
+        if disagree:
+            failures += 1
+            print(f"FAIL case {case} (seed {args.seed}, {len(blob)} bytes): "
+                  f"post-processing and salvage disagree: {disagree}")
+            continue
         assert salvaged.report.records_recovered == len(salvaged.trace.records)
         recovered_total += salvaged.report.records_recovered
     if failures:
-        print(f"{failures}/{args.count} cases raised")
+        print(f"{failures}/{args.count} cases failed")
         return 1
-    print(f"ok: {args.count} cases, 0 crashes, "
+    print(f"ok: {args.count} cases, 0 crashes, 0 disagreements, "
           f"{recovered_total} records salvaged in total")
     return 0
 
